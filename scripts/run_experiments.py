@@ -2,19 +2,27 @@
 """Drive the full desk-scale experiment suite and drop reports in ./out.
 
 Covers every preset: density tables by all three routes, reduction identity
-checks, a sparse domination table, and regime classification.
+checks, a sparse domination table, and regime classification. Every command
+runs in this process through `levelform.cli.main`, so the package only has to
+be importable, not installed as a console script.
 """
 
 import os
 import pathlib
-import subprocess
+import sys
+
+from levelform import LevelformError, cli
 
 OUT = pathlib.Path(os.environ.get("LEVELFORM_OUT", "out"))
 
 
 def run(*args: str) -> int:
     print("$ levelform", " ".join(args))
-    return subprocess.call(["levelform", *args])
+    try:
+        return cli.main(list(args))
+    except LevelformError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> int:

@@ -1,0 +1,6 @@
+"""`python -m levelform` runs the command line."""
+
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

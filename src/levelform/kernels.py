@@ -1,10 +1,16 @@
 """One-dimensional singular kernels, truncations, and maximal operators.
 
 Kernels carry their size constant and smoothness modulus so hypotheses can be
-spot-checked by sampling. Truncated actions are computed by composite
-midpoint quadrature whose cells are split exactly at the truncation radii
-|s - t| = eps and 2 eps, which makes hard minus smooth agree with the annulus
-residual to rounding and keeps the cutoff plateaus exact.
+spot-checked by sampling. Every kernel is a convolution kernel: k(s, t)
+depends on s - t alone and is evaluated as kernel.evaluate(s - t, 0.0).
+
+Truncated actions are composite midpoint quadratures on a uniform grid whose
+cells are split exactly at the truncation radii |s - t| = eps and 2 eps, which
+makes hard minus smooth agree with the annulus residual to rounding and keeps
+the cutoff plateaus exact. The weight of a cell depends only on its offset
+from the output point, so on the grid each action is a Toeplitz stencil over
+the 2m - 1 node offsets, applied to every column at once by FFT convolution;
+off-grid output points use the same cell weights in a matrix product.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.integrate import quad
 
 from .errors import ConfigError, ResolutionError
@@ -32,7 +39,10 @@ RESIDUAL = "residual"
 
 @dataclass(frozen=True)
 class Kernel1D:
-    """Off-diagonal kernel k(s, t) with size and smoothness data."""
+    """Off-diagonal convolution kernel k(s, t) = k(s - t) with size and smoothness data.
+
+    The truncation quadrature evaluates it as evaluate(s - t, 0.0).
+    """
 
     evaluate: Callable = field(compare=False)
     size_constant: float = 1.0
@@ -199,120 +209,109 @@ def _mode_weight(mode: str, dist: np.ndarray, eps: float, cutoff: Cutoff | None)
     return (dist > eps).astype(float) - chi
 
 
+def _cell_weights(kernel: Kernel1D, u: np.ndarray, h: float, eps: float,
+                  jobs: Sequence[tuple[str, Cutoff | None]]) -> list[np.ndarray]:
+    """Quadrature weight of a width-h cell whose centre sits at offset u = s - t.
+
+    Returns one array shaped like u per job. A cell that straddles |u| = eps
+    or 2 eps is split at the radius and each piece is evaluated at its own
+    midpoint; the cell holding u = 0 weighs nothing, as every mode already
+    does there because eps >= 2h.
+    """
+    dist = np.abs(u)
+    clear = dist > h / 2
+    # keep kernel evaluations off the diagonal where every weight vanishes
+    K = np.where(clear, kernel.evaluate(np.where(clear, u, 3.0 * eps), 0.0), 0.0)
+    # a cell can only hold the radius nearest its centre: radii sit >= 2h apart
+    rad = np.copysign(np.where(dist < 1.5 * eps, eps, 2.0 * eps), u)
+    straddle = (u - h / 2 < rad) & (rad < u + h / 2)
+
+    us, cut = u[straddle], rad[straddle]
+    lo, hi = us - h / 2, us + h / 2
+    halves = []
+    for seg_lo, seg_hi in ((lo, cut), (cut, hi)):
+        mid = 0.5 * (seg_lo + seg_hi)
+        halves.append((seg_hi - seg_lo, np.abs(mid),
+                       np.asarray(kernel.evaluate(mid, 0.0), dtype=float)))
+
+    weights = []
+    for mode, cutoff in jobs:
+        w = K * _mode_weight(mode, dist, eps, cutoff) * h
+        w[straddle] = sum(kv * _mode_weight(mode, d_mid, eps, cutoff) * width
+                          for width, d_mid, kv in halves)
+        weights.append(w)
+    return weights
+
+
 def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
                  jobs: Sequence[tuple[str, Cutoff | None]],
                  eval_points=None) -> list[np.ndarray]:
-    """Shared-geometry truncated actions.
+    """Truncated actions of every job on every column of V (grid of F).
 
-    V holds one function per column on the grid of F; jobs names the
-    (mode, cutoff) actions wanted. Distances, straddle splits, and kernel
-    values are computed once and reused across jobs and columns, so the
-    different modes agree cell by cell and hard minus smooth reproduces the
-    residual to rounding.
+    On the grid the cell weights form one Toeplitz stencil per job over the
+    2m - 1 node offsets, applied to all columns by a single FFT convolution.
+    Off the grid the same weights are evaluated on the point-to-node offsets
+    and applied by matrix products in bounded row chunks.
     """
     if not eps > 0:
         raise ConfigError("truncation radius must be positive")
     h = F.spacing
     if eps < 2.0 * h:
         raise ResolutionError(f"eps={eps!r} under resolution floor 2h={2 * h!r}")
+    if not jobs:
+        raise ConfigError("need at least one truncation job")
     for mode, cutoff in jobs:
         if mode in (SMOOTH, RESIDUAL) and cutoff is None:
             raise ConfigError("smooth/residual actions need a cutoff")
+    if not np.all(np.isfinite(V)):
+        raise ConfigError("truncation input holds non-finite values")
+
+    m = len(F.values)
+    complex_input = np.iscomplexobj(V)
+    if eval_points is None:
+        stencils = _cell_weights(kernel, h * np.arange(1 - m, m), h, eps, jobs)
+        n = sp_fft.next_fast_len(3 * m - 2, real=not complex_input)
+        fwd, inv = (sp_fft.fft, sp_fft.ifft) if complex_input else (sp_fft.rfft, sp_fft.irfft)
+        spectra = fwd(np.stack(stencils), n=n, axis=1)[:, :, None]
+        full = inv(spectra * fwd(V, n=n, axis=0)[None], n=n, axis=1)
+        return list(full[:, m - 1:2 * m - 1].copy())
 
     t = F.nodes
-    s = t if eval_points is None else np.atleast_1d(np.asarray(eval_points, dtype=float))
-    dtype = complex if np.iscomplexobj(V) else float
-    outs = [np.zeros((len(s), V.shape[1]), dtype=dtype) for _ in jobs]
-    radii = (eps, 2.0 * eps)
-    chunk = max(1, (1 << 22) // max(len(t), 1))
-
+    s = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    outs = [np.empty((len(s), V.shape[1]), np.result_type(V, float)) for _ in jobs]
+    chunk = max(1, (1 << 22) // m)
     for c0 in range(0, len(s), chunk):
-        sc = s[c0:c0 + chunk]
-        dist = np.abs(t[None, :] - sc[:, None])
-        straddle = np.zeros(dist.shape, dtype=bool)
-        for rad in radii:
-            straddle |= np.abs(dist - rad) < h / 2
-        # keep kernel evaluations off the diagonal where every weight vanishes
-        clear = dist > h / 2
-        t_safe = np.where(clear, t[None, :], sc[:, None] + 3.0 * eps)
-        K = np.asarray(kernel.evaluate(np.broadcast_to(sc[:, None], dist.shape),
-                                       t_safe), dtype=float)
-        K[~clear] = 0.0
-
-        rows, cols = np.nonzero(straddle)
-        if len(rows):
-            sr = sc[rows]
-            tc = t[cols]
-            lo = tc - h / 2
-            hi = tc + h / 2
-            cut = np.full(len(rows), np.nan)
-            for rad in radii:
-                for sign in (1.0, -1.0):
-                    cand = sr + sign * rad
-                    m = (cand > lo) & (cand < hi)
-                    cut[m] = cand[m]
-            # resolution guard guarantees exactly one cut per straddling cell
-            assert not np.any(np.isnan(cut))
-            halves = []
-            for seg_lo, seg_hi in ((lo, cut), (cut, hi)):
-                width = seg_hi - seg_lo
-                mid = 0.5 * (seg_lo + seg_hi)
-                kv = np.zeros(len(rows))
-                pos = width > 0
-                if np.any(pos):
-                    kv[pos] = np.asarray(kernel.evaluate(sr[pos], mid[pos]),
-                                         dtype=float)
-                halves.append((width, np.abs(mid - sr), kv))
-
-        for j, (mode, cutoff) in enumerate(jobs):
-            w = _mode_weight(mode, dist, eps, cutoff)
-            w[straddle] = 0.0
-            outs[j][c0:c0 + chunk] = ((K * w) @ V) * h
-            if len(rows) == 0:
-                continue
-            corr = np.zeros(len(rows))
-            for width, d_mid, kv in halves:
-                wgt = _mode_weight(mode, d_mid, eps, cutoff)
-                corr = corr + kv * wgt * width
-            hit = corr != 0.0
-            if np.any(hit):
-                np.add.at(outs[j], c0 + rows[hit],
-                          corr[hit, None] * V[cols[hit], :])
+        u = s[c0:c0 + chunk, None] - t[None, :]
+        for out, W in zip(outs, _cell_weights(kernel, u, h, eps, jobs)):
+            out[c0:c0 + chunk] = W @ V
     return outs
 
 
-def _truncated_apply(kernel: Kernel1D, F: GridFunction1D, eps: float, mode: str,
-                     cutoff: Cutoff | None = None, eval_points=None) -> np.ndarray:
+def _single_action(kernel: Kernel1D, F: GridFunction1D, eps: float, mode: str,
+                   cutoff: Cutoff | None, eval_points):
     out, = _apply_batch(kernel, F, F.values[:, None], eps, [(mode, cutoff)],
                         eval_points=eval_points)
-    return out[:, 0]
-
-
-def _wrap_result(F: GridFunction1D, values: np.ndarray, eval_points) -> GridFunction1D | np.ndarray:
     if eval_points is None:
-        return GridFunction1D(F.a, F.b, values)
-    return values
+        return GridFunction1D(F.a, F.b, out[:, 0])
+    return out[:, 0]
 
 
 def hard_truncation(kernel: Kernel1D, F: GridFunction1D, eps: float,
                     eval_points=None):
     """Quadrature of k(s, t) F(t) over {|s - t| > eps}."""
-    vals = _truncated_apply(kernel, F, eps, HARD, eval_points=eval_points)
-    return _wrap_result(F, vals, eval_points)
+    return _single_action(kernel, F, eps, HARD, None, eval_points)
 
 
 def smooth_truncation(kernel: Kernel1D, cutoff: Cutoff, F: GridFunction1D, eps: float,
                       eval_points=None):
     """Quadrature of k(s, t) chi(|s - t| / eps) F(t)."""
-    vals = _truncated_apply(kernel, F, eps, SMOOTH, cutoff=cutoff, eval_points=eval_points)
-    return _wrap_result(F, vals, eval_points)
+    return _single_action(kernel, F, eps, SMOOTH, cutoff, eval_points)
 
 
 def residual_truncation(kernel: Kernel1D, cutoff: Cutoff, F: GridFunction1D, eps: float,
                         eval_points=None):
     """Hard minus smooth action, supported on the annulus eps < |s - t| < 2 eps."""
-    vals = _truncated_apply(kernel, F, eps, RESIDUAL, cutoff=cutoff, eval_points=eval_points)
-    return _wrap_result(F, vals, eval_points)
+    return _single_action(kernel, F, eps, RESIDUAL, cutoff, eval_points)
 
 
 def truncation_batch(kernel: Kernel1D, functions: Sequence[GridFunction1D],
@@ -339,7 +338,7 @@ def maximal_truncated(kernel: Kernel1D, F: GridFunction1D, eps_values: Sequence[
         raise ConfigError("need at least one truncation radius")
     acc = np.zeros(len(F.values))
     for eps in eps_values:
-        acc = np.maximum(acc, np.abs(_truncated_apply(kernel, F, eps, HARD)))
+        acc = np.maximum(acc, np.abs(_single_action(kernel, F, eps, HARD, None, None).values))
     return GridFunction1D(F.a, F.b, acc)
 
 

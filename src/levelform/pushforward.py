@@ -442,9 +442,15 @@ def _sample_slice(domain: Domain, seed: int, start: int, count: int) -> np.ndarr
     return cached[start:start + count]
 
 
+def _require_samples(sample_count: int) -> None:
+    if sample_count < 1:
+        raise ConfigError(f"sampling needs sample_count >= 1, got {sample_count!r}")
+
+
 def density_monte_carlo(phase: Phase, grid: LevelGrid, sample_count: int,
                         seed: int) -> DensityEstimate:
     """Histogram estimate of the level density with per-bin binomial stderr."""
+    _require_samples(sample_count)
     stats = _level_statistics(phase, grid, [], sample_count, seed)
     vol = phase.domain.volume()
     n = stats.accepted
@@ -461,6 +467,7 @@ def density_monte_carlo(phase: Phase, grid: LevelGrid, sample_count: int,
 def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count: int,
                                  seed: int) -> DensityEstimate:
     """Histogram estimate of the h-weighted level density (h may be signed)."""
+    _require_samples(sample_count)
     fn = h if h is not None else (lambda pts: np.ones(len(pts)))
     stats = _level_statistics(phase, grid, [fn], sample_count, seed)
     vol = phase.domain.volume()

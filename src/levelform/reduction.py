@@ -25,8 +25,8 @@ from .errors import (ConfigError, InsufficientDecadesError, PhaseNotUniformError
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
 from .pushforward import (CLOSED_FORM, COAREA, LevelGrid, _abs_power,
-                          density_closed_form, density_on_grid,
-                          weighted_density)
+                          _require_samples, density_closed_form,
+                          density_on_grid, weighted_density)
 from .sampling import derived_rng, sample_domain_pairs
 
 POWER_REGIME = "critical-power"
@@ -66,6 +66,7 @@ class SynchronizedForm:
 def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
                seed: int = 0) -> Estimate:
     """Direct quasi Monte Carlo evaluation over the product of the domains."""
+    _require_samples(sample_count)
     xs, ys = sample_domain_pairs(form.phase_in.domain, form.phase_out.domain,
                                  sample_count, seed)
     t = geometry.eval_phase(form.phase_in, xs)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 import levelform as lf
 from levelform.cli import entry, main
 from levelform.config import parse_kv_text, phase_from_config
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 def read_report(path):
@@ -164,6 +168,28 @@ def test_entry_exit_code_on_config_error(tmp_path, monkeypatch, capsys):
         entry()
     assert exc.value.code == 2
     assert capsys.readouterr().err.strip() != ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--method", "monte_carlo", "--samples", "0"],
+    ["reduce", "--samples", "0"],
+])
+def test_module_entry_exit_code_on_zero_samples(argv, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["levelform", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("levelform", run_name="__main__")
+    assert exc.value.code == 2
+    assert "sample_count" in capsys.readouterr().err
+
+
+def test_experiment_script_runs_in_process(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LEVELFORM_OUT", raising=False)
+    script = runpy.run_path(str(SCRIPTS / "run_experiments.py"))
+    assert script["run"]("density", "--preset", "linear", "--bins", "16",
+                         "--json", "d.json") == 0
+    assert (tmp_path / "d.json").exists()
+    assert script["run"]("density", "--method", "monte_carlo", "--samples", "0") == 2
 
 
 def test_unknown_preset_rejected():

@@ -255,6 +255,135 @@ def test_truncation_eval_points():
     assert np.allclose(node_out, full.values[10:13], rtol=1e-12)
 
 
+def test_truncation_batch_rejects_empty_jobs():
+    with pytest.raises(lf.ConfigError):
+        lf.truncation_batch(lf.hilbert_kernel(), [noise_function(64)], 0.125, [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_truncation_rejects_non_finite_input(bad):
+    # under a convolution one bad cell would poison every output cell
+    k = lf.hilbert_kernel()
+    F = noise_function(64, seed=3)
+    F.values[7] = bad
+    with pytest.raises(lf.ConfigError):
+        lf.truncation_batch(k, [noise_function(64), F], 0.125, [(lf.HARD, None)])
+    with pytest.raises(lf.ConfigError):
+        lf.hard_truncation(k, F, 0.125, eval_points=[0.0])
+
+
+# ---------------------------------------------------------------------------
+# dense oracle for the stencil core
+# ---------------------------------------------------------------------------
+
+def _dense_mode_weight(mode, dist, eps, cutoff):
+    hard = (dist > eps).astype(float)
+    if mode == lf.HARD:
+        return hard
+    chi = np.asarray(cutoff.fn(dist / eps), dtype=float)
+    return chi if mode == lf.SMOOTH else hard - chi
+
+
+def dense_apply_batch(kernel, F, V, eps, jobs, eval_points=None):
+    """Reference truncated actions through the full (points x cells) matrix.
+
+    Works in node coordinates with k(s, t) evaluated directly: a cell that
+    holds s +- eps or s +- 2 eps strictly inside is split there and its two
+    pieces are added back with np.add.at; every other cell off the diagonal
+    is evaluated at its centre. O(points x cells) time and memory.
+    """
+    h = F.spacing
+    t = F.nodes
+    s = t if eval_points is None else np.atleast_1d(np.asarray(eval_points, dtype=float))
+    radii = (eps, 2.0 * eps)
+    dist = np.abs(t[None, :] - s[:, None])
+    straddle = np.zeros(dist.shape, dtype=bool)
+    for rad in radii:
+        for sign in (1.0, -1.0):
+            cand = s[:, None] + sign * rad
+            straddle |= (cand > t[None, :] - h / 2) & (cand < t[None, :] + h / 2)
+    clear = dist > h / 2
+    t_safe = np.where(clear, t[None, :], s[:, None] + 3.0 * eps)
+    K = np.asarray(kernel.evaluate(np.broadcast_to(s[:, None], dist.shape), t_safe),
+                   dtype=float)
+    K[~clear] = 0.0
+
+    rows, cols = np.nonzero(straddle)
+    sr, tc = s[rows], t[cols]
+    lo, hi = tc - h / 2, tc + h / 2
+    cut = np.full(len(rows), np.nan)
+    for rad in radii:
+        for sign in (1.0, -1.0):
+            cand = sr + sign * rad
+            inside = (cand > lo) & (cand < hi)
+            cut[inside] = cand[inside]
+    assert not np.any(np.isnan(cut))
+    halves = []
+    for seg_lo, seg_hi in ((lo, cut), (cut, hi)):
+        mid = 0.5 * (seg_lo + seg_hi)
+        halves.append((seg_hi - seg_lo, np.abs(mid - sr),
+                       np.asarray(kernel.evaluate(sr, mid), dtype=float)))
+
+    outs = []
+    for mode, cutoff in jobs:
+        w = _dense_mode_weight(mode, dist, eps, cutoff)
+        w[straddle] = 0.0
+        out = ((K * w) @ V) * h
+        corr = sum(kv * _dense_mode_weight(mode, d_mid, eps, cutoff) * width
+                   for width, d_mid, kv in halves)
+        np.add.at(out, rows, corr[:, None] * V[cols, :])
+        outs.append(out)
+    return outs
+
+
+ALL_JOBS = [(lf.HARD, None)] + [(mode, cutoff)
+                                for cutoff in (lf.smoothstep_cutoff(), lf.linear_ramp_cutoff())
+                                for mode in (lf.SMOOTH, lf.RESIDUAL)]
+
+
+def assert_matches_oracle(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        scale = np.max(np.abs(w), axis=0)
+        assert np.all(np.abs(g - w) <= 1e-12 * scale), np.max(np.abs(g - w) / scale)
+
+
+@given(m=st.integers(8, 600), a=st.floats(-3.0, 1.0), width=st.floats(0.25, 5.0),
+       eps_cells=st.floats(2.0, 400.0), columns=st.integers(1, 3),
+       complex_values=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_stencil_core_matches_dense_oracle(m, a, width, eps_cells, columns,
+                                           complex_values, seed):
+    rng = np.random.default_rng(seed)
+    functions = []
+    for _ in range(columns):
+        vals = rng.standard_normal(m)
+        if complex_values:
+            vals = vals + 1j * rng.standard_normal(m)
+        functions.append(lf.GridFunction1D(a, a + width, vals))
+    F = functions[0]
+    eps = eps_cells * F.spacing
+    V = np.column_stack([G.values for G in functions])
+    k = lf.hilbert_kernel()
+
+    got = lf.truncation_batch(k, functions, eps, ALL_JOBS)
+    assert_matches_oracle(got, dense_apply_batch(k, F, V, eps, ALL_JOBS))
+
+    pts = np.concatenate([rng.uniform(a - width / 4, a + 1.25 * width, 7),
+                          F.nodes[rng.integers(0, m, 5)]])
+    got = lf.truncation_batch(k, functions, eps, ALL_JOBS, eval_points=pts)
+    assert_matches_oracle(got, dense_apply_batch(k, F, V, eps, ALL_JOBS, pts))
+
+
+def test_radius_on_cell_edge():
+    # 2 eps = 128.5 cells: the radius sits on a cell edge, where a split
+    # decided by distance alone disagreed with the cut search under rounding
+    F = noise_function(257, a=-2.0, b=2.0, seed=4)
+    k = lf.hilbert_kernel()
+    got = lf.truncation_batch(k, [F], 1.0, ALL_JOBS)
+    assert_matches_oracle(got, dense_apply_batch(k, F, F.values[:, None], 1.0, ALL_JOBS))
+
+
 # ---------------------------------------------------------------------------
 # maximal operators
 # ---------------------------------------------------------------------------

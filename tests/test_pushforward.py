@@ -213,6 +213,16 @@ def test_monte_carlo_deterministic_given_seed():
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_monte_carlo_rejects_empty_sample(count):
+    phase = lf.linear_phase(BALL2)
+    grid = lf.LevelGrid(-1.0, 1.0, 8)
+    with pytest.raises(lf.ConfigError):
+        lf.density_monte_carlo(phase, grid, count, seed=0)
+    with pytest.raises(lf.ConfigError):
+        lf.weighted_density_monte_carlo(phase, None, grid, count, seed=0)
+
+
 def test_atom_detection_on_flat_phase():
     # detector only trusts fine grids: one overloaded bin among thousands
     flat = lf.custom_phase(BALL2, lambda p: np.zeros(len(p)))

@@ -76,6 +76,15 @@ def test_lhs_respects_gap_mask():
     assert est2.value == pytest.approx(math.pi ** 2, rel=5e-3)
 
 
+def test_lhs_rejects_empty_sample():
+    form = lf.SynchronizedForm(phase_in=lf.linear_phase(BALL2),
+                               phase_out=lf.linear_phase(BALL2),
+                               kernel=lf.hilbert_kernel(),
+                               f=lambda p: p[:, 0], g=lambda p: p[:, 0])
+    with pytest.raises(lf.ConfigError):
+        lf.lhs_direct(form, sample_count=0)
+
+
 def test_form_rejects_nonpositive_eps():
     with pytest.raises(lf.ConfigError):
         lf.SynchronizedForm(phase_in=lf.linear_phase(BALL2),
