@@ -14,7 +14,7 @@ from .errors import (ConfigError, CriticalValueError, EmptyIntersectionError,
 from .geometry import (Domain, GammaProfile, Phase, ReparamTable, ball,
                        ball_volume, boundary_reparam_phase,
                        boundary_transversality, box, check_gamma_profile,
-                       critical_points, critical_values, custom_phase,
+                       critical_values, custom_phase,
                        design_reparametrization, eval_phase, grad_norm,
                        grad_phase, image_interval, linear_phase,
                        oscillatory_phase, radial_power_phase,
@@ -45,7 +45,7 @@ from .reduction import (ATOMIC_REGIME, LOG_REGIME, POWER_REGIME,
                         pullback_norm, random_smooth_function, rhs_reduced,
                         uniform_bound_check, verify_reduction_identity,
                         window_verdict)
-from .sampling import derived_rng, sample_box, sample_domain, sample_domain_pairs
+from .sampling import derived_rng, sample_domain, sample_domain_pairs
 from .sparse import (DyadicInterval, SparseFamily, build_sparse_greedy,
                      domination_ratio, family_from_json_dict,
                      family_to_json_dict, load_family, merge_families,

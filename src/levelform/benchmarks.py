@@ -15,7 +15,33 @@ from . import geometry
 from .kernels import (GridFunction1D, bump_mixture, eps_ladder,
                       hard_truncation, hilbert_kernel)
 from .reduction import UniformReport, random_smooth_function, uniform_bound_check
-from .sparse import build_sparse_greedy, domination_ratio, verify_sparsity
+from .sparse import (SparseFamily, build_sparse_greedy, ratio_to_sparse,
+                     sparse_form, verify_sparsity)
+
+
+@dataclass(frozen=True)
+class PairDomination:
+    family: SparseFamily
+    eta: Fraction
+    sparse_value: float
+    pairings: tuple[float, ...]
+    ratios: tuple[float, ...]
+
+
+def pair_domination(F: GridFunction1D, G: GridFunction1D, eps_values, lam: float,
+                    depth: int) -> PairDomination:
+    """Sparse family of one pair, its verified eta, and the hard-truncated
+    pairings and domination ratios across the radius ladder."""
+    kernel = hilbert_kernel()
+    family = build_sparse_greedy(F, G, lam=lam, max_depth=depth)
+    sparse_value = sparse_form(family, F, G)
+    pairings = []
+    for eps in eps_values:
+        TF = hard_truncation(kernel, F, eps)
+        pairings.append(float(np.sum(TF.values * G.values) * F.spacing))
+    return PairDomination(family=family, eta=verify_sparsity(family),
+                          sparse_value=sparse_value, pairings=tuple(pairings),
+                          ratios=tuple(ratio_to_sparse(v, sparse_value) for v in pairings))
 
 
 @dataclass(frozen=True)
@@ -37,7 +63,6 @@ def domination_benchmark(pairs: int = 20, cells: int = 1024, depth: int = 8,
     The spread is the largest ratio-range factor any pair shows across the
     ladder, a truncation-stability measure for the sparse bound.
     """
-    kernel = hilbert_kernel()
     eps_values = tuple(eps_ladder(k_min, k_max))
     all_ratios: list[tuple[float, ...]] = []
     etas: list[Fraction] = []
@@ -45,15 +70,10 @@ def domination_benchmark(pairs: int = 20, cells: int = 1024, depth: int = 8,
     for pair in range(pairs):
         F = bump_mixture(-1.0, 1.0, cells, 2 * pair)
         G = bump_mixture(-1.0, 1.0, cells, 2 * pair + 1)
-        family = build_sparse_greedy(F, G, lam=lam, max_depth=depth)
-        etas.append(verify_sparsity(family))
-        row = []
-        for eps in eps_values:
-            TF = hard_truncation(kernel, F, eps)
-            lhs = float(np.sum(TF.values * G.values) * F.spacing)
-            row.append(domination_ratio(lhs, family, F, G))
-        all_ratios.append(tuple(row))
-        spread = max(spread, max(row) / min(row))
+        result = pair_domination(F, G, eps_values, lam, depth)
+        etas.append(result.eta)
+        all_ratios.append(result.ratios)
+        spread = max(spread, max(result.ratios) / min(result.ratios))
     flat = [r for row in all_ratios for r in row]
     return DominationBenchmark(pair_count=pairs, eps_values=eps_values,
                                ratios=tuple(all_ratios), etas=tuple(etas),

@@ -24,10 +24,10 @@ from . import geometry, reduction, sparse
 from .config import parse_kv_text, phase_from_config
 from .errors import LevelformError
 from .geometry import Phase, ball
-from .kernels import GridFunction1D, eps_ladder, hard_truncation, hilbert_kernel
+from .benchmarks import pair_domination
+from .kernels import bump_mixture, eps_ladder, hilbert_kernel
 from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, LevelFunction,
                           LevelGrid, RadialFunction, density_on_grid)
-from .sampling import derived_rng
 
 _METHODS = (CLOSED_FORM, COAREA, MONTE_CARLO)
 
@@ -187,22 +187,13 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_sparse(args) -> int:
-    rng = derived_rng(args.seed, 3)
-    vals_f = rng.standard_normal(args.cells)
-    vals_g = rng.standard_normal(args.cells)
-    F = GridFunction1D(-1.0, 1.0, vals_f)
-    G = GridFunction1D(-1.0, 1.0, vals_g)
-    family = sparse.build_sparse_greedy(F, G, lam=args.lam,
-                                        max_depth=args.depth)
-    eta = sparse.verify_sparsity(family)
-    kernel = hilbert_kernel()
-    rows = []
-    for eps in eps_ladder(args.eps_min, args.eps_max):
-        TF = hard_truncation(kernel, F, eps)
-        lhs = float(np.sum(TF.values * G.values) * F.spacing)
-        sp = sparse.sparse_form(family, F, G)
-        ratio = sparse.domination_ratio(lhs, family, F, G)
-        rows.append((eps, lhs, sp, ratio))
+    # --seed p draws the bump-mixture signals of domination_benchmark's pair p
+    F = bump_mixture(-1.0, 1.0, args.cells, 2 * args.seed)
+    G = bump_mixture(-1.0, 1.0, args.cells, 2 * args.seed + 1)
+    eps_values = eps_ladder(args.eps_min, args.eps_max)
+    result = pair_domination(F, G, eps_values, args.lam, args.depth)
+    rows = [(eps, lhs, result.sparse_value, ratio)
+            for eps, lhs, ratio in zip(eps_values, result.pairings, result.ratios)]
     csv_path = _resolve(args.csv)
     if csv_path:
         with open(csv_path, "w", newline="") as fh:
@@ -211,16 +202,16 @@ def _cmd_sparse(args) -> int:
             for eps, lhs, sp, ratio in rows:
                 writer.writerow([repr(eps), repr(lhs), repr(sp), repr(ratio),
                                  args.seed])
-    payload = dict(sparse.family_to_json_dict(family))
+    payload = dict(sparse.family_to_json_dict(result.family))
     payload["ratios"] = [
         {"epsilon": eps, "lhs": lhs, "sparse_value": sp, "ratio": ratio}
         for eps, lhs, sp, ratio in rows]
     write_report(_resolve(args.json), "sparse", payload, _config_echo(args),
                  args.seed)
-    ok = eta >= Fraction(1, 2)
+    ok = result.eta >= Fraction(1, 2)
     print(f"sparse cells={args.cells} depth={args.depth} members="
-          f"{len(family.members)} eta={float(eta):.4f} "
-          f"max_ratio={max(r for *_, r in rows):.4f} "
+          f"{len(result.family.members)} eta={float(result.eta):.4f} "
+          f"max_ratio={max(result.ratios):.4f} "
           f"{'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -165,8 +165,8 @@ class Phase:
     gamma: float = 2.0
     amplitude: float = 0.0
     frequency: float = 1.0
-    profile: ReparamTable | None = field(default=None, compare=False)
-    fn: Callable | None = field(default=None, compare=False)
+    profile: ReparamTable | None = None
+    fn: Callable | None = None
 
     @property
     def label(self) -> str:
@@ -351,17 +351,6 @@ def critical_values(phase: Phase) -> tuple[float, ...]:
         # table construction enforces a strictly increasing profile
         return ()
     raise UnsupportedPhaseError(f"critical values unknown for kind {k!r}")
-
-
-def critical_points(phase: Phase) -> tuple[np.ndarray, ...]:
-    """Points where the gradient vanishes or is undefined (catalog exact)."""
-    k = phase.kind
-    n = phase.domain.n
-    if k in (LINEAR, OSCILLATORY):
-        return ()
-    if k in (RADIAL_QUADRATIC, RADIAL_POWER, SADDLE, BOUNDARY_REPARAM):
-        return (np.zeros(n),)
-    raise UnsupportedPhaseError(f"critical points unknown for kind {k!r}")
 
 
 def image_interval(phase: Phase) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from .errors import (
     NoClosedFormError,
     NoParametrizationError,
 )
-from .geometry import Domain, Phase, ball_volume, sphere_area
+from .geometry import Phase, ball_volume, sphere_area
 from .sampling import sample_domain
 
 # coarea evaluation refuses levels closer than this to a critical value
@@ -231,6 +231,8 @@ def weighted_density_coarea(phase: Phase, h, t: float, fiber_nodes: int = 2048) 
     constant 1. Raises if the level sits on a critical value, or if no
     parametrization supports this phase/weight combination.
     """
+    if fiber_nodes < 1:
+        raise ConfigError(f"fiber quadrature needs fiber_nodes >= 1, got {fiber_nodes!r}")
     t = float(t)
     _reject_critical(phase, t)
     k = phase.kind
@@ -402,44 +404,23 @@ class _LevelStats:
 
 
 def _level_statistics(phase: Phase, grid: LevelGrid, weight_fns, sample_count: int,
-                      seed: int, batch: int = 1 << 16) -> _LevelStats:
-    """One pass of seeded samples binned by level, shared by all weights."""
-    counts = np.zeros(grid.bin_count, dtype=np.int64)
-    sums = [np.zeros(grid.bin_count) for _ in weight_fns]
-    sumsq = [np.zeros(grid.bin_count) for _ in weight_fns]
-    done = 0
-    while done < sample_count:
-        take = min(batch, sample_count - done)
-        pts = _sample_slice(phase.domain, seed, done, take)
-        levels = geometry._eval_values(phase, pts)
-        idx = np.floor((levels - grid.t_min) / grid.width).astype(np.int64)
-        # right edge belongs to the last bin
-        idx[levels == grid.t_max] = grid.bin_count - 1
-        ok = (idx >= 0) & (idx < grid.bin_count)
-        np.add.at(counts, idx[ok], 1)
-        for i, fn in enumerate(weight_fns):
-            w = np.asarray(fn(pts), dtype=float)
-            np.add.at(sums[i], idx[ok], w[ok])
-            np.add.at(sumsq[i], idx[ok], w[ok] ** 2)
-        done += take
+                      seed: int) -> _LevelStats:
+    """One seeded sample stream binned by level, shared by all weights."""
+    pts = sample_domain(phase.domain, sample_count, seed)
+    levels = geometry._eval_values(phase, pts)
+    idx = np.floor((levels - grid.t_min) / grid.width).astype(np.int64)
+    # right edge belongs to the last bin
+    idx[levels == grid.t_max] = grid.bin_count - 1
+    ok = (idx >= 0) & (idx < grid.bin_count)
+    idx = idx[ok]
+    counts = np.bincount(idx, minlength=grid.bin_count)
+    sums, sumsq = [], []
+    for fn in weight_fns:
+        w = np.asarray(fn(pts), dtype=float)[ok]
+        sums.append(np.bincount(idx, weights=w, minlength=grid.bin_count))
+        sumsq.append(np.bincount(idx, weights=w ** 2, minlength=grid.bin_count))
     return _LevelStats(grid=grid, counts=counts, sums=sums, sumsq=sumsq,
                        accepted=sample_count)
-
-
-# cache one sampled stream per (domain, seed) so repeated estimates reuse it
-_SAMPLE_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _sample_slice(domain: Domain, seed: int, start: int, count: int) -> np.ndarray:
-    key = (domain, seed)
-    cached = _SAMPLE_CACHE.get(key)
-    need = start + count
-    if cached is None or len(cached) < need:
-        grow = max(need, 1 << 16)
-        _SAMPLE_CACHE.clear()
-        cached = sample_domain(domain, grow, seed)
-        _SAMPLE_CACHE[key] = cached
-    return cached[start:start + count]
 
 
 def _require_samples(sample_count: int) -> None:
@@ -544,6 +525,8 @@ def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *,
     For deterministic routes, `subdivide=K` averages K midpoint evaluations
     per bin, which keeps integrable blow-ups honest in bin units.
     """
+    if subdivide < 1:
+        raise ConfigError(f"grid evaluation needs subdivide >= 1, got {subdivide!r}")
     if method == MONTE_CARLO:
         if h is None:
             return density_monte_carlo(phase, grid, sample_count, seed)

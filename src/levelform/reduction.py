@@ -27,7 +27,7 @@ from .kernels import GridFunction1D, Kernel1D, hard_truncation
 from .pushforward import (CLOSED_FORM, COAREA, LevelGrid, _abs_power,
                           _require_samples, density_closed_form,
                           density_on_grid, weighted_density)
-from .sampling import derived_rng, sample_domain_pairs
+from .sampling import derived_rng, sample_domain, sample_domain_pairs
 
 POWER_REGIME = "critical-power"
 LOG_REGIME = "critical-log"
@@ -376,7 +376,7 @@ def density_supremum(phase: Phase, probes: int = 2048) -> float:
 def function_norm(domain: Domain, f, r: float, sample_count: int = 1 << 16,
                   seed: int = 0) -> float:
     """Quasi Monte Carlo L^r norm of f over the domain."""
-    from .sampling import sample_domain
+    _require_samples(sample_count)
     pts = sample_domain(domain, sample_count, seed, tag=7)
     vals = np.abs(np.asarray(f(pts), dtype=float)) ** r
     return float(np.mean(vals) * domain.volume()) ** (1.0 / r)

@@ -1,9 +1,11 @@
 """Seeded low-discrepancy sampling over domains.
 
 All randomness in the package flows through scrambled Sobol streams with an
-explicit seed. Samples are generated in a fixed batch order, so any prefix of
-a stream is reproducible; rejection into a ball keeps the accepted points in
-stream order.
+explicit seed. One rejection routine serves every sampler: it draws the
+stream on a bounding box in power-of-two batches and keeps the points a
+domain predicate accepts, in stream order. The stream does not depend on the
+batch size, so streams are prefix-stable: the first k of N points are the k
+points a request for k returns.
 """
 
 from __future__ import annotations
@@ -11,9 +13,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import qmc
 
+from .errors import ConfigError
 from .geometry import Domain
 
 _MAX_BATCH = 2**18
+# floor on the expected acceptance rate when sizing a batch
+_MIN_RATE = 1e-4
 
 
 def derived_rng(seed: int, tag: int) -> np.random.Generator:
@@ -25,40 +30,37 @@ def sobol_engine(dim: int, seed: int, tag: int = 0) -> qmc.Sobol:
     return qmc.Sobol(d=dim, scramble=True, seed=derived_rng(seed, tag))
 
 
-def _batches(engine: qmc.Sobol, batch: int):
-    while True:
-        yield engine.random(batch)
+def _accepted_stream(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag: int,
+                     accept=None, rate: float = 1.0) -> np.ndarray:
+    """First `count` points of the seeded stream on [lo, hi] that `accept` keeps.
 
-
-def sample_box(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag: int = 0) -> np.ndarray:
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    `accept=None` keeps every point; `rate` is the expected acceptance rate and
+    only sizes the batches.
+    """
+    if count < 0:
+        raise ConfigError(f"sample count must be >= 0, got {count!r}")
     engine = sobol_engine(len(lo), seed, tag)
-    size = 1 << max(0, int(np.ceil(np.log2(max(count, 1)))))
-    pts = engine.random(size)[:count]
-    return lo + pts * (hi - lo)
+    out = np.empty((count, len(lo)), dtype=float)
+    target = count / max(rate, _MIN_RATE) * 1.2
+    batch = 1 << int(np.ceil(np.log2(min(max(target, 64), _MAX_BATCH))))
+    got = 0
+    while got < count:
+        pts = lo + engine.random(batch) * (hi - lo)
+        if accept is not None:
+            pts = pts[accept(pts)]
+        take = min(len(pts), count - got)
+        out[got:got + take] = pts[:take]
+        got += take
+    return out
 
 
 def sample_domain(domain: Domain, count: int, seed: int, tag: int = 0) -> np.ndarray:
     """`count` quasi-random points in `domain`, in stream order."""
     lo, hi = domain.bounding_box()
     if domain.shape == "box":
-        return sample_box(lo, hi, count, seed, tag)
-    engine = sobol_engine(domain.n, seed, tag)
-    out = np.empty((count, domain.n), dtype=float)
-    got = 0
-    # acceptance rate for a ball in its bounding box
-    rate = max(domain.volume() / float(np.prod(hi - lo)), 1e-3)
-    batch = 1 << int(np.ceil(np.log2(min(max(count / rate * 1.2, 64), _MAX_BATCH))))
-    for raw in _batches(engine, batch):
-        pts = lo + raw * (hi - lo)
-        keep = pts[domain.contains(pts)]
-        take = min(len(keep), count - got)
-        out[got:got + take] = keep[:take]
-        got += take
-        if got >= count:
-            return out
-    raise RuntimeError("unreachable")
+        return _accepted_stream(lo, hi, count, seed, tag)
+    rate = domain.volume() / float(np.prod(hi - lo))
+    return _accepted_stream(lo, hi, count, seed, tag, domain.contains, rate)
 
 
 def sample_domain_pairs(domain_x: Domain, domain_y: Domain, count: int, seed: int,
@@ -66,24 +68,13 @@ def sample_domain_pairs(domain_x: Domain, domain_y: Domain, count: int, seed: in
     """Joint quasi-random pairs (x, y), rejected into both domains at once."""
     lo_x, hi_x = domain_x.bounding_box()
     lo_y, hi_y = domain_y.bounding_box()
-    dim = domain_x.n + domain_y.n
-    engine = sobol_engine(dim, seed, tag)
-    xs = np.empty((count, domain_x.n), dtype=float)
-    ys = np.empty((count, domain_y.n), dtype=float)
-    got = 0
-    box_x = float(np.prod(hi_x - lo_x))
-    box_y = float(np.prod(hi_y - lo_y))
-    rate = max(domain_x.volume() * domain_y.volume() / (box_x * box_y), 1e-4)
-    batch = 1 << int(np.ceil(np.log2(min(max(count / rate * 1.2, 64), _MAX_BATCH))))
-    for raw in _batches(engine, batch):
-        px = lo_x + raw[:, :domain_x.n] * (hi_x - lo_x)
-        py = lo_y + raw[:, domain_x.n:] * (hi_y - lo_y)
-        ok = domain_x.contains(px) & domain_y.contains(py)
-        kx, ky = px[ok], py[ok]
-        take = min(len(kx), count - got)
-        xs[got:got + take] = kx[:take]
-        ys[got:got + take] = ky[:take]
-        got += take
-        if got >= count:
-            return xs, ys
-    raise RuntimeError("unreachable")
+    nx = domain_x.n
+
+    def accept(pts):
+        return domain_x.contains(pts[:, :nx]) & domain_y.contains(pts[:, nx:])
+
+    rate = (domain_x.volume() * domain_y.volume()
+            / float(np.prod(hi_x - lo_x) * np.prod(hi_y - lo_y)))
+    pts = _accepted_stream(np.concatenate([lo_x, lo_y]), np.concatenate([hi_x, hi_y]),
+                           count, seed, tag, accept, rate)
+    return pts[:, :nx], pts[:, nx:]

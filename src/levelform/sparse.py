@@ -185,8 +185,12 @@ def merge_families(fam_f: SparseFamily, fam_g: SparseFamily) -> SparseFamily:
 
 def domination_ratio(lhs_value: float, family: SparseFamily,
                      F: GridFunction1D, G: GridFunction1D) -> float:
-    """|lhs| divided by the sparse form; raises when the sparse side degenerates."""
-    sp = sparse_form(family, F, G)
+    """|lhs| divided by the sparse form of `family` on F and G."""
+    return ratio_to_sparse(lhs_value, sparse_form(family, F, G))
+
+
+def ratio_to_sparse(lhs_value: float, sp: float) -> float:
+    """|lhs| divided by a sparse form value; raises when the sparse side degenerates."""
     lhs = abs(lhs_value)
     if sp == 0.0:
         if lhs > 0.0:

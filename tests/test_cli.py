@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import levelform as lf
+from levelform import benchmarks
 from levelform.cli import entry, main
 from levelform.config import parse_kv_text, phase_from_config
 
@@ -96,6 +97,19 @@ def test_sparse_command(tmp_path, capsys):
     assert "eta=" in capsys.readouterr().out
 
 
+def test_sparse_command_reproduces_benchmark_pair(tmp_path, capsys):
+    # --seed p draws the signals of domination_benchmark's pair p
+    out_json = tmp_path / "sparse.json"
+    rc = main(["sparse", "--cells", "256", "--depth", "6", "--seed", "1",
+               "--json", str(out_json)])
+    assert rc == 0
+    payload = read_report(out_json)["payload"]
+    bench = benchmarks.domination_benchmark(pairs=2, cells=256, depth=6, k_max=6)
+    assert [row["ratio"] for row in payload["ratios"]] == list(bench.ratios[1])
+    assert len(payload["members"]) > 1
+    assert "members=1 " not in capsys.readouterr().out
+
+
 def test_regime_command_power(tmp_path, capsys):
     out_json = tmp_path / "regime.json"
     rc = main(["regime", "--preset", "radial-power4", "--bins", "64",
@@ -180,6 +194,18 @@ def test_module_entry_exit_code_on_zero_samples(argv, monkeypatch, capsys):
         runpy.run_module("levelform", run_name="__main__")
     assert exc.value.code == 2
     assert "sample_count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--subdivide", "0"],
+    ["density", "--method", "coarea", "--fiber-nodes", "0"],
+])
+def test_module_entry_exit_code_on_empty_quadrature(argv, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["levelform", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("levelform", run_name="__main__")
+    assert exc.value.code == 2
+    assert ">= 1" in capsys.readouterr().err
 
 
 def test_experiment_script_runs_in_process(tmp_path, monkeypatch):

@@ -254,6 +254,20 @@ def test_boundary_reparam_phase_eval_and_grad():
         lf.grad_phase(phase, [[0.0, SINGULAR_RADIUS / 2]])
 
 
+def test_phase_equality_sees_function_and_profile():
+    f1 = lambda p: p[:, 0]  # noqa: E731
+    f2 = lambda p: p[:, 1]  # noqa: E731
+    assert lf.custom_phase(lf.ball(2), f1) == lf.custom_phase(lf.ball(2), f1)
+    assert lf.custom_phase(lf.ball(2), f1) != lf.custom_phase(lf.ball(2), f2)
+    s = np.linspace(0.0, 1.0, 9)
+    exp_table = lf.ReparamTable(s, np.exp(s))
+    lin_table = lf.ReparamTable(s, 1.0 + s)
+    p_exp = lf.boundary_reparam_phase(lf.ball(2), exp_table)
+    assert p_exp == lf.boundary_reparam_phase(lf.ball(2), exp_table)
+    assert p_exp != lf.boundary_reparam_phase(lf.ball(2), lin_table)
+    assert len({p_exp, lf.boundary_reparam_phase(lf.ball(2), lin_table)}) == 2
+
+
 # ---------------------------------------------------------------------------
 # hypothesis invariants
 # ---------------------------------------------------------------------------

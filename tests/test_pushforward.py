@@ -223,6 +223,21 @@ def test_monte_carlo_rejects_empty_sample(count):
         lf.weighted_density_monte_carlo(phase, None, grid, count, seed=0)
 
 
+def test_coarea_rejects_empty_fiber():
+    phase = lf.linear_phase(BALL2)
+    with pytest.raises(lf.ConfigError):
+        lf.weighted_density_coarea(phase, None, 0.1, fiber_nodes=0)
+    with pytest.raises(lf.ConfigError):
+        lf.density_coarea(phase, 0.1, fiber_nodes=-3)
+
+
+@pytest.mark.parametrize("method", [lf.CLOSED_FORM, lf.COAREA, lf.MONTE_CARLO])
+def test_density_on_grid_rejects_zero_subdivide(method):
+    grid = lf.LevelGrid(-1.0, 1.0, 8)
+    with pytest.raises(lf.ConfigError):
+        lf.density_on_grid(lf.linear_phase(BALL2), grid, method, subdivide=0)
+
+
 def test_atom_detection_on_flat_phase():
     # detector only trusts fine grids: one overloaded bin among thousands
     flat = lf.custom_phase(BALL2, lambda p: np.zeros(len(p)))

@@ -85,6 +85,12 @@ def test_lhs_rejects_empty_sample():
         lf.lhs_direct(form, sample_count=0)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_function_norm_rejects_empty_sample(count):
+    with pytest.raises(lf.ConfigError):
+        lf.function_norm(BALL2, lambda p: p[:, 0], 2.0, sample_count=count)
+
+
 def test_form_rejects_nonpositive_eps():
     with pytest.raises(lf.ConfigError):
         lf.SynchronizedForm(phase_in=lf.linear_phase(BALL2),

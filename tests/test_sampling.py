@@ -1,0 +1,147 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import levelform as lf
+from levelform import geometry
+from levelform.pushforward import _level_statistics
+from levelform.sampling import sobol_engine
+
+DOMAINS = [lf.ball(1), lf.ball(2), lf.ball(3, 0.7), lf.ball(5, 2.0),
+           lf.box([(-1.0, 2.0), (0.0, 0.5)]),
+           lf.box([(0.0, 1.0), (-3.0, 3.0), (1.0, 1.5)])]
+
+
+def oracle_stream(lo, hi, count, seed, tag, accept):
+    """One power-of-two Sobol draw, filtered by `accept` and cut to `count`."""
+    k = 6
+    while True:
+        pts = lo + sobol_engine(len(lo), seed, tag).random(2 ** k) * (hi - lo)
+        kept = pts[accept(pts)]
+        if len(kept) >= count:
+            return kept[:count]
+        k += 1
+
+
+def oracle_domain(domain, count, seed, tag=0):
+    lo, hi = domain.bounding_box()
+    return oracle_stream(lo, hi, count, seed, tag, domain.contains)
+
+
+def oracle_pairs(dx, dy, count, seed, tag=0):
+    lo_x, hi_x = dx.bounding_box()
+    lo_y, hi_y = dy.bounding_box()
+    nx = dx.n
+
+    def accept(pts):
+        return dx.contains(pts[:, :nx]) & dy.contains(pts[:, nx:])
+
+    pts = oracle_stream(np.concatenate([lo_x, lo_y]), np.concatenate([hi_x, hi_y]),
+                        count, seed, tag, accept)
+    return pts[:, :nx], pts[:, nx:]
+
+
+domains = st.sampled_from(DOMAINS)
+seeds = st.integers(0, 2 ** 32 - 1)
+tags = st.integers(0, 9)
+
+
+@given(domain=domains, count=st.integers(0, 3000), seed=seeds, tag=tags)
+@settings(max_examples=60, deadline=None)
+def test_sample_domain_matches_single_draw_oracle(domain, count, seed, tag):
+    got = lf.sample_domain(domain, count, seed, tag)
+    assert got.shape == (count, domain.n)
+    assert np.array_equal(got, oracle_domain(domain, count, seed, tag))
+
+
+@pytest.mark.parametrize("count", [65535, 65536, 65537, 300001])
+def test_sample_domain_matches_oracle_across_batches(count):
+    # counts past one 2**18 batch take several draws from the engine
+    domain = lf.ball(2)
+    assert np.array_equal(lf.sample_domain(domain, count, 4),
+                          oracle_domain(domain, count, 4))
+
+
+@given(dx=domains, dy=domains, count=st.integers(0, 2000), seed=seeds, tag=tags)
+@settings(max_examples=40, deadline=None)
+def test_sample_domain_pairs_match_single_draw_oracle(dx, dy, count, seed, tag):
+    xs, ys = lf.sample_domain_pairs(dx, dy, count, seed, tag)
+    want_x, want_y = oracle_pairs(dx, dy, count, seed, tag)
+    assert np.array_equal(xs, want_x)
+    assert np.array_equal(ys, want_y)
+    assert np.all(dx.contains(xs)) and np.all(dy.contains(ys))
+
+
+@given(domain=domains, data=st.data(), seed=seeds, tag=tags)
+@settings(max_examples=40, deadline=None)
+def test_streams_are_prefix_stable(domain, data, seed, tag):
+    total = data.draw(st.integers(0, 5000))
+    k = data.draw(st.integers(0, total))
+    full = lf.sample_domain(domain, total, seed, tag)
+    assert np.array_equal(full[:k], lf.sample_domain(domain, k, seed, tag))
+
+
+@pytest.mark.parametrize("count", [-1, -100])
+def test_negative_counts_rejected(count):
+    with pytest.raises(lf.ConfigError):
+        lf.sample_domain(lf.ball(2), count, 0)
+    with pytest.raises(lf.ConfigError):
+        lf.sample_domain(lf.box([(0.0, 1.0)]), count, 0)
+    with pytest.raises(lf.ConfigError):
+        lf.sample_domain_pairs(lf.ball(2), lf.ball(2), count, 0)
+
+
+def add_at_statistics(phase, grid, weight_fns, sample_count, seed):
+    """Bin the full stream with np.add.at, in stream order."""
+    pts = oracle_domain(phase.domain, sample_count, seed)
+    levels = geometry._eval_values(phase, pts)
+    idx = np.floor((levels - grid.t_min) / grid.width).astype(np.int64)
+    idx[levels == grid.t_max] = grid.bin_count - 1
+    ok = (idx >= 0) & (idx < grid.bin_count)
+    counts = np.zeros(grid.bin_count, dtype=np.int64)
+    np.add.at(counts, idx[ok], 1)
+    sums, sumsq = [], []
+    for fn in weight_fns:
+        w = np.asarray(fn(pts), dtype=float)
+        s = np.zeros(grid.bin_count)
+        q = np.zeros(grid.bin_count)
+        np.add.at(s, idx[ok], w[ok])
+        np.add.at(q, idx[ok], w[ok] ** 2)
+        sums.append(s)
+        sumsq.append(q)
+    return counts, sums, sumsq
+
+
+PHASES = [lf.linear_phase(lf.ball(2)), lf.radial_quadratic_phase(lf.ball(3)),
+          lf.saddle_phase(lf.ball(2)), lf.linear_phase(lf.box([(-1.0, 1.0), (0.0, 2.0)]))]
+WEIGHTS = [lambda p: np.sin(3.0 * p[:, 0]) * p[:, 1],
+           lambda p: np.abs(p[:, 0]) ** 1.5]
+
+
+# counts on both sides of 65536, the batch edge of the earlier binning loop
+@given(phase=st.sampled_from(PHASES),
+       count=st.sampled_from([1, 4097, 65535, 65536, 65537, 140001]),
+       bins=st.integers(1, 300), seed=st.integers(0, 1000))
+@settings(max_examples=20, deadline=None)
+def test_monte_carlo_binning_matches_add_at(phase, count, bins, seed):
+    lo, hi = geometry.image_interval(phase)
+    # a grid narrower than the image drops the points outside it
+    grid = lf.LevelGrid(lo + 0.1 * (hi - lo), hi, bins)
+    stats = _level_statistics(phase, grid, WEIGHTS, count, seed)
+    counts, sums, sumsq = add_at_statistics(phase, grid, WEIGHTS, count, seed)
+    assert np.array_equal(stats.counts, counts)
+    for got, want in zip(stats.sums + stats.sumsq, sums + sumsq):
+        assert np.array_equal(got, want)
+    assert stats.accepted == count
+
+
+def test_monte_carlo_estimates_share_no_state():
+    # an estimate for one stream is the same before and after another stream
+    phase = lf.linear_phase(lf.ball(2))
+    other = lf.radial_quadratic_phase(lf.ball(2))
+    grid = lf.LevelGrid(-1.0, 1.0, 16)
+    first = lf.density_monte_carlo(phase, grid, 70_000, seed=3)
+    lf.density_monte_carlo(other, lf.LevelGrid(0.0, 1.0, 16), 140_000, seed=4)
+    again = lf.density_monte_carlo(phase, grid, 70_000, seed=3)
+    assert np.array_equal(first.values, again.values)
