@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,6 +52,8 @@ class LevelGrid:
     bin_count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
+            raise ConfigError(f"level grid needs finite ends, got [{self.t_min!r}, {self.t_max!r}]")
         if not (self.t_max > self.t_min and self.bin_count >= 1):
             raise ConfigError("level grid needs t_max > t_min and >= 1 bin")
 
@@ -122,7 +124,7 @@ class DensityEstimate:
 class RadialFunction:
     """Weight depending only on |x|; lets radial fibers factor exactly."""
 
-    profile: Callable = field(compare=False)
+    profile: Callable
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -133,7 +135,7 @@ class RadialFunction:
 class LevelFunction:
     """Weight depending only on one coordinate; constant on linear fibers."""
 
-    profile: Callable = field(compare=False)
+    profile: Callable
     axis: int = 0
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -228,54 +230,72 @@ def weighted_density_coarea(phase: Phase, h, t: float, fiber_nodes: int = 2048) 
     """Fiber quadrature of h/|grad| over the level set at t.
 
     Composite midpoint in the catalog parametrization. `h=None` means the
-    constant 1. Raises if the level sits on a critical value, or if no
+    constant 1; any other weight must be pointwise, because grid evaluations
+    call it on blocks of fiber points that span many levels. Raises if the
+    level is not finite or sits on a critical value, or if no
     parametrization supports this phase/weight combination.
+    """
+    return float(_coarea_levels(phase, h, np.array([float(t)]), fiber_nodes)[0])
+
+
+def _coarea_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndarray:
+    """Fiber quadrature of h/|grad| at every level of `tt`, shaped like `tt`.
+
+    Every input is checked before h is first called. Levels outside the
+    image read 0 and never reach h.
     """
     if fiber_nodes < 1:
         raise ConfigError(f"fiber quadrature needs fiber_nodes >= 1, got {fiber_nodes!r}")
-    t = float(t)
-    _reject_critical(phase, t)
-    k = phase.kind
-    dom = phase.domain
-    n = dom.n
-    R = dom.radius
-    lo, hi = geometry.image_interval(phase)
-    if t < lo or t > hi:
-        return 0.0
-
-    if k == geometry.LINEAR:
-        return _linear_fiber(phase, h, t, fiber_nodes)
-
-    if k == geometry.SADDLE:
-        return _saddle_fiber(phase, h, t, fiber_nodes)
-
-    if k in (geometry.RADIAL_QUADRATIC, geometry.RADIAL_POWER, geometry.BOUNDARY_REPARAM):
-        r_t, slope = _radial_level(phase, t)
-        if r_t is None:
-            return 0.0
-        if n == 2:
-            # circle parametrized by angle supports arbitrary weights
-            angles = (np.arange(fiber_nodes) + 0.5) * (2 * math.pi / fiber_nodes)
-            pts = np.stack([r_t * np.cos(angles), r_t * np.sin(angles)], axis=1)
-            hv = np.ones(fiber_nodes) if h is None else np.asarray(h(pts), dtype=float)
-            return float(np.sum(hv * r_t * (2 * math.pi / fiber_nodes)) / slope)
-        if h is None:
-            return sphere_area(n) * r_t ** (n - 1) / slope
-        if isinstance(h, RadialFunction):
-            prof = float(np.asarray(h.profile(np.asarray([r_t])))[0])
-            return sphere_area(n) * r_t ** (n - 1) * prof / slope
-        raise NoParametrizationError(
-            "radial fibers in n >= 3 support only radial weights")
-
-    raise NoParametrizationError(f"no fiber parametrization for {phase.label}")
-
-
-def _reject_critical(phase: Phase, t: float):
+    tt = np.asarray(tt, dtype=float)
+    bad = ~np.isfinite(tt)
+    if np.any(bad):
+        raise ConfigError(f"fiber quadrature needs finite levels, got {float(tt[bad][0])!r}")
     for v in geometry.critical_values(phase):
-        if abs(t - v) < CRITICAL_LEVEL_TOL:
-            raise CriticalValueError(
-                f"level {t!r} within {CRITICAL_LEVEL_TOL} of critical value {v!r}")
+        near = np.abs(tt - v) < CRITICAL_LEVEL_TOL
+        if np.any(near):
+            raise CriticalValueError(f"level {float(tt[near][0])!r} within "
+                                     f"{CRITICAL_LEVEL_TOL} of critical value {v!r}")
+    lo, hi = geometry.image_interval(phase)
+    live = (tt >= lo) & (tt <= hi)
+    out = np.zeros(tt.shape)
+    if not np.any(live):
+        return out
+    k = phase.kind
+    if k == geometry.LINEAR:
+        out[live] = _linear_levels(phase, h, tt[live], fiber_nodes)
+    elif k == geometry.SADDLE:
+        out[live] = _saddle_levels(phase, h, tt[live], fiber_nodes)
+    elif k in (geometry.RADIAL_QUADRATIC, geometry.RADIAL_POWER, geometry.BOUNDARY_REPARAM):
+        out[live] = _radial_levels(phase, h, tt[live], fiber_nodes)
+    else:
+        raise NoParametrizationError(f"no fiber parametrization for {phase.label}")
+    return out
 
+
+# most fiber points handed to a weight in one call; keeps a block's memory flat
+_BLOCK_POINTS = 1 << 16
+
+
+def _in_blocks(count: int, nodes: int, block) -> np.ndarray:
+    """`block(sl)` over runs of whole levels, each at most _BLOCK_POINTS fiber
+    points (at least one level), concatenated."""
+    step = max(1, _BLOCK_POINTS // nodes)
+    out = np.empty(count)
+    for start in range(0, count, step):
+        sl = slice(start, start + step)
+        out[sl] = block(sl)
+    return out
+
+
+def _weigh(h, pts: np.ndarray) -> np.ndarray:
+    """One call of h on a block of fiber points (..., n), shaped like the block."""
+    return np.asarray(h(pts.reshape(-1, pts.shape[-1])), dtype=float).reshape(pts.shape[:-1])
+
+
+# Per-level scalars (radii, slopes, section sizes) are Python floats, as a
+# single level computes them, so a level's value does not depend on the batch
+# it is evaluated in; numpy's vectorised power differs from libm's pow in the
+# last bit on some inputs.
 
 def _radial_level(phase: Phase, t: float):
     """Fiber radius and |grad| on the fiber for radial phases; None if empty."""
@@ -307,87 +327,127 @@ def _radial_level(phase: Phase, t: float):
     return r, slope
 
 
-def _linear_fiber(phase: Phase, h, t: float, fiber_nodes: int) -> float:
+def _radial_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndarray:
+    n = phase.domain.n
+    fibers = [_radial_level(phase, t) for t in tt.tolist()]
+    on = np.array([r is not None for r, _ in fibers])
+    r = np.array([r for r, _ in fibers if r is not None])
+    slope = np.array([s for _, s in fibers if s is not None])
+    out = np.zeros(len(tt))
+    if not np.any(on):
+        return out
+    if n == 2:
+        # circle parametrized by angle supports arbitrary weights
+        step = 2 * math.pi / fiber_nodes
+        angles = (np.arange(fiber_nodes) + 0.5) * step
+        cos, sin = np.cos(angles), np.sin(angles)
+
+        def block(sl):
+            rr = r[sl, None]
+            pts = np.stack([rr * cos, rr * sin], axis=-1)
+            hv = np.ones(pts.shape[:-1]) if h is None else _weigh(h, pts)
+            return np.sum(hv * rr * step, axis=1)
+
+        out[on] = _in_blocks(len(r), fiber_nodes, block) / slope
+        return out
+    area = np.array([sphere_area(n) * x ** (n - 1) for x in r.tolist()])
+    if h is None:
+        out[on] = area / slope
+    elif isinstance(h, RadialFunction):
+        out[on] = area * np.asarray(h.profile(r), dtype=float) / slope
+    else:
+        raise NoParametrizationError("radial fibers in n >= 3 support only radial weights")
+    return out
+
+
+def _linear_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndarray:
     dom = phase.domain
     n = dom.n
     axis = phase.axis
     if dom.shape == "box":
         widths = [hi - lo for lo, hi in dom.bounds]
-        lo, hi = dom.bounds[axis]
-        if t < lo or t > hi:
-            return 0.0
-        area = float(np.prod([w for j, w in enumerate(widths) if j != axis]))
-        if h is None:
-            return area
-        if isinstance(h, LevelFunction) and h.axis == axis:
-            return area * float(np.asarray(h.profile(np.asarray([t])))[0])
-        if n == 2:
-            other = [j for j in range(2) if j != axis][0]
-            o_lo, o_hi = dom.bounds[other]
-            ys = o_lo + (np.arange(fiber_nodes) + 0.5) * (o_hi - o_lo) / fiber_nodes
-            pts = np.zeros((fiber_nodes, 2))
-            pts[:, axis] = t
-            pts[:, other] = ys
-            hv = np.asarray(h(pts), dtype=float)
-            return float(np.sum(hv) * (o_hi - o_lo) / fiber_nodes)
-        raise NoParametrizationError("weighted box sections need n = 2 or an axis profile")
-
-    R = dom.radius
-    if abs(t) > R:
-        return 0.0
-    rho = math.sqrt(max(R * R - t * t, 0.0))
+        section = np.full(len(tt), float(np.prod([w for j, w in enumerate(widths) if j != axis])))
+    else:
+        R = dom.radius
+        rho = np.array([math.sqrt(max(R * R - t * t, 0.0)) for t in tt.tolist()])
+        section = np.array([ball_volume(n - 1) * x ** (n - 1) for x in rho.tolist()])
     if h is None:
-        return ball_volume(n - 1) * rho ** (n - 1)
+        return section
     if isinstance(h, LevelFunction) and h.axis == axis:
-        return ball_volume(n - 1) * rho ** (n - 1) * float(np.asarray(h.profile(np.asarray([t])))[0])
+        return section * np.asarray(h.profile(tt), dtype=float)
+    mid = np.arange(fiber_nodes) + 0.5
     if n == 2:
         other = 1 - axis
-        ys = -rho + (np.arange(fiber_nodes) + 0.5) * (2 * rho / fiber_nodes)
-        pts = np.zeros((fiber_nodes, 2))
-        pts[:, axis] = t
-        pts[:, other] = ys
-        hv = np.asarray(h(pts), dtype=float)
-        return float(np.sum(hv) * (2 * rho / fiber_nodes))
-    if n == 3:
+        if dom.shape == "box":
+            o_lo, o_hi = dom.bounds[other]
+
+        def block(sl):
+            pts = np.empty((len(tt[sl]), fiber_nodes, 2))
+            pts[..., axis] = tt[sl, None]
+            if dom.shape == "box":
+                pts[..., other] = o_lo + mid * (o_hi - o_lo) / fiber_nodes
+            else:
+                half = rho[sl, None]
+                pts[..., other] = -half + mid * (2 * half / fiber_nodes)
+            return np.sum(_weigh(h, pts), axis=1)
+
+        sums = _in_blocks(len(tt), fiber_nodes, block)
+        if dom.shape == "box":
+            return sums * (o_hi - o_lo) / fiber_nodes
+        return sums * (2 * rho / fiber_nodes)
+    if n == 3 and dom.shape == "ball":
         # polar quadrature over the disk section
-        m_r = max(int(math.sqrt(fiber_nodes)), 4)
-        m_a = m_r
-        rr = (np.arange(m_r) + 0.5) * (rho / m_r)
-        aa = (np.arange(m_a) + 0.5) * (2 * math.pi / m_a)
-        Rm, Am = np.meshgrid(rr, aa, indexing="ij")
-        pts = np.zeros((m_r * m_a, 3))
+        m = max(int(math.sqrt(fiber_nodes)), 4)
+        mid = np.arange(m) + 0.5
+        angles = mid * (2 * math.pi / m)
+        cos, sin = np.cos(angles), np.sin(angles)
         cols = [j for j in range(3) if j != axis]
-        pts[:, axis] = t
-        pts[:, cols[0]] = (Rm * np.cos(Am)).ravel()
-        pts[:, cols[1]] = (Rm * np.sin(Am)).ravel()
-        hv = np.asarray(h(pts), dtype=float)
-        weights = (Rm * (rho / m_r) * (2 * math.pi / m_a)).ravel()
-        return float(np.sum(hv * weights))
+
+        def block(sl):
+            cell = rho[sl, None] / m
+            rr = mid * cell
+            pts = np.empty((len(rr), m, m, 3))
+            pts[..., axis] = tt[sl, None, None]
+            pts[..., cols[0]] = rr[:, :, None] * cos
+            pts[..., cols[1]] = rr[:, :, None] * sin
+            weights = rr * cell * (2 * math.pi / m)
+            return np.sum((_weigh(h, pts) * weights[:, :, None]).reshape(len(rr), -1), axis=1)
+
+        return _in_blocks(len(tt), m * m, block)
+    if dom.shape == "box":
+        raise NoParametrizationError("weighted box sections need n = 2 or an axis profile")
     raise NoParametrizationError("weighted linear fibers need n <= 3 or an axis profile")
 
 
-def _saddle_fiber(phase: Phase, h, t: float, fiber_nodes: int) -> float:
+def _saddle_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndarray:
     R = phase.domain.radius
-    a = abs(t)
-    if a >= R * R:
-        return 0.0
-    ymax = math.sqrt((R * R - a) / 2.0)
-    ys = -ymax + (np.arange(fiber_nodes) + 0.5) * (2 * ymax / fiber_nodes)
-    major = np.sqrt(a + ys * ys)
-    # integrand h / (2 sqrt(|t| + y^2)) dy per branch, branches at +-major
-    base = 1.0 / (2.0 * np.sqrt(a + ys * ys))
-    total = 0.0
-    for sign in (1.0, -1.0):
-        pts = np.empty((fiber_nodes, 2))
-        if t >= 0:
-            pts[:, 0] = sign * major
-            pts[:, 1] = ys
+    on = np.abs(tt) < R * R
+    t = tt[on]
+    a = np.abs(t)
+    ymax = np.array([math.sqrt((R * R - x) / 2.0) for x in a.tolist()])
+    mid = np.arange(fiber_nodes) + 0.5
+
+    def block(sl):
+        ym = ymax[sl, None]
+        ys = -ym + mid * (2 * ym / fiber_nodes)
+        major = np.sqrt(a[sl, None] + ys * ys)
+        # integrand h / (2 sqrt(|t| + y^2)) dy per branch, branches at +-major
+        base = 1.0 / (2.0 * np.sqrt(a[sl, None] + ys * ys))
+        if h is None:
+            hv = np.ones((len(ys), 2, 1))
         else:
-            pts[:, 0] = ys
-            pts[:, 1] = sign * major
-        hv = 1.0 if h is None else np.asarray(h(pts), dtype=float)
-        total += float(np.sum(hv * base) * (2 * ymax / fiber_nodes))
-    return total
+            pos = (t[sl] >= 0)[:, None]
+            pts = np.empty((len(ys), 2, fiber_nodes, 2))
+            for b, sign in enumerate((1.0, -1.0)):
+                pts[:, b, :, 0] = np.where(pos, sign * major, ys)
+                pts[:, b, :, 1] = np.where(pos, ys, sign * major)
+            hv = _weigh(h, pts)
+        branches = np.sum(hv * base[:, None, :], axis=2) * (2 * ymax[sl, None] / fiber_nodes)
+        return 0.0 + branches[:, 0] + branches[:, 1]
+
+    out = np.zeros(len(tt))
+    out[on] = _in_blocks(len(t), 2 * fiber_nodes, block)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +567,7 @@ def weighted_density(phase: Phase, h, t, method: str = COAREA, *,
         tt = np.asarray(t, dtype=float)
         if tt.ndim == 0:
             return weighted_density_coarea(phase, h, float(tt), fiber_nodes=fiber_nodes)
-        return np.array([weighted_density_coarea(phase, h, float(v), fiber_nodes=fiber_nodes)
-                         for v in tt])
+        return _coarea_levels(phase, h, tt, fiber_nodes)
     if method == MONTE_CARLO:
         if grid is None:
             raise ConfigError("monte_carlo weighted density needs a level grid")
@@ -531,17 +590,13 @@ def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *,
         if h is None:
             return density_monte_carlo(phase, grid, sample_count, seed)
         return weighted_density_monte_carlo(phase, h, grid, sample_count, seed)
-    values = np.zeros(grid.bin_count)
     offsets = (np.arange(subdivide) + 0.5) / subdivide
-    edges = grid.edges
-    for i in range(grid.bin_count):
-        pts = edges[i] + offsets * grid.width
-        if method == CLOSED_FORM:
-            vals = np.asarray(weighted_density_closed_form(phase, h, pts), dtype=float)
-        else:
-            vals = np.array([weighted_density_coarea(phase, h, float(p), fiber_nodes=fiber_nodes)
-                             for p in pts])
-        values[i] = float(np.mean(vals))
+    levels = grid.edges[:-1, None] + offsets * grid.width
+    if method == CLOSED_FORM:
+        vals = np.asarray(weighted_density_closed_form(phase, h, levels.ravel()), dtype=float)
+    else:
+        vals = _coarea_levels(phase, h, levels, fiber_nodes)
+    values = vals.reshape(grid.bin_count, subdivide).mean(axis=1)
     return DensityEstimate(grid=grid, values=values, method=method,
                            phase_label=phase.label)
 

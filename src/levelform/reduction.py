@@ -14,7 +14,7 @@ endpoint integrability, and checks the uniform-regime budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,8 +54,8 @@ class SynchronizedForm:
     phase_in: Phase
     phase_out: Phase
     kernel: Kernel1D
-    f: Callable = field(compare=False)
-    g: Callable = field(compare=False)
+    f: Callable
+    g: Callable
     eps: float = 0.25
 
     def __post_init__(self):

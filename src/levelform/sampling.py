@@ -23,6 +23,8 @@ _MIN_RATE = 1e-4
 
 def derived_rng(seed: int, tag: int) -> np.random.Generator:
     """Generator for sub-stream `tag` of master seed `seed`."""
+    if seed < 0 or tag < 0:
+        raise ConfigError(f"seeds and stream tags must be >= 0, got seed {seed!r}, tag {tag!r}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag,)))
 
 

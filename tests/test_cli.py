@@ -208,6 +208,18 @@ def test_module_entry_exit_code_on_empty_quadrature(argv, monkeypatch, capsys):
     assert ">= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sparse", "--cells", "64", "--depth", "4", "--seed", "-1"],
+    ["density", "--method", "monte_carlo", "--samples", "100", "--seed", "-1"],
+])
+def test_module_entry_exit_code_on_negative_seed(argv, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["levelform", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("levelform", run_name="__main__")
+    assert exc.value.code == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_experiment_script_runs_in_process(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LEVELFORM_OUT", raising=False)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levelform as lf
@@ -291,10 +291,17 @@ def dense_apply_batch(kernel, F, V, eps, jobs, eval_points=None):
     holds s +- eps or s +- 2 eps strictly inside is split there and its two
     pieces are added back with np.add.at; every other cell off the diagonal
     is evaluated at its centre. O(points x cells) time and memory.
+
+    Nodes are built on the interval shifted to centre 0, and points are
+    shifted by the same amount. The kernel depends only on s - t, so the
+    actions are unchanged; differences of absolute coordinates far from the
+    origin would cost the oracle digits.
     """
     h = F.spacing
-    t = F.nodes
-    s = t if eval_points is None else np.atleast_1d(np.asarray(eval_points, dtype=float))
+    m = len(F.values)
+    t = h * (np.arange(m) + 0.5 - 0.5 * m)
+    centre = 0.5 * (F.a + F.b)
+    s = t if eval_points is None else np.atleast_1d(np.asarray(eval_points, dtype=float)) - centre
     radii = (eps, 2.0 * eps)
     dist = np.abs(t[None, :] - s[:, None])
     straddle = np.zeros(dist.shape, dtype=bool)
@@ -352,6 +359,8 @@ def assert_matches_oracle(got, want):
        eps_cells=st.floats(2.0, 400.0), columns=st.integers(1, 3),
        complex_values=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
+# an interval ~6000 cells from the origin once cost the unshifted oracle 1.2e-12
+@example(m=491, a=-3.0, width=0.25, eps_cells=2.0, columns=1, complex_values=False, seed=0)
 def test_stencil_core_matches_dense_oracle(m, a, width, eps_cells, columns,
                                            complex_values, seed):
     rng = np.random.default_rng(seed)

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levelform as lf
-from levelform.pushforward import ATOM_MASS_FRACTION
+from levelform import geometry
+from levelform.geometry import ball_volume, sphere_area
+from levelform.pushforward import (ATOM_MASS_FRACTION, CRITICAL_LEVEL_TOL, _BLOCK_POINTS,
+                                   _coarea_levels, _radial_level)
 
 
 BALL2 = lf.ball(2)
@@ -353,3 +356,287 @@ def test_weighted_density_scales_linearly(t, c):
     base = lf.weighted_density_closed_form(phase, 1.0, t)
     assert lf.weighted_density_closed_form(phase, c, t) == pytest.approx(
         c * base, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# scalar per-level oracle for the level-batched coarea core
+# ---------------------------------------------------------------------------
+
+def scalar_coarea(phase, h, t, fiber_nodes):
+    """Fiber quadrature of h/|grad| at one level, one weight call per fiber."""
+    t = float(t)
+    for v in geometry.critical_values(phase):
+        if abs(t - v) < CRITICAL_LEVEL_TOL:
+            raise lf.CriticalValueError(f"level {t!r} near critical value {v!r}")
+    k = phase.kind
+    n = phase.domain.n
+    lo, hi = geometry.image_interval(phase)
+    if t < lo or t > hi:
+        return 0.0
+    if k == geometry.LINEAR:
+        return _scalar_linear(phase, h, t, fiber_nodes)
+    if k == geometry.SADDLE:
+        return _scalar_saddle(phase, h, t, fiber_nodes)
+    if k in (geometry.RADIAL_QUADRATIC, geometry.RADIAL_POWER, geometry.BOUNDARY_REPARAM):
+        r_t, slope = _radial_level(phase, t)
+        if r_t is None:
+            return 0.0
+        if n == 2:
+            angles = (np.arange(fiber_nodes) + 0.5) * (2 * math.pi / fiber_nodes)
+            pts = np.stack([r_t * np.cos(angles), r_t * np.sin(angles)], axis=1)
+            hv = np.ones(fiber_nodes) if h is None else np.asarray(h(pts), dtype=float)
+            return float(np.sum(hv * r_t * (2 * math.pi / fiber_nodes)) / slope)
+        if h is None:
+            return sphere_area(n) * r_t ** (n - 1) / slope
+        if isinstance(h, lf.RadialFunction):
+            prof = float(np.asarray(h.profile(np.asarray([r_t])))[0])
+            return sphere_area(n) * r_t ** (n - 1) * prof / slope
+        raise lf.NoParametrizationError("radial fibers in n >= 3 support only radial weights")
+    raise lf.NoParametrizationError(f"no fiber parametrization for {phase.label}")
+
+
+def _scalar_linear(phase, h, t, fiber_nodes):
+    dom = phase.domain
+    n = dom.n
+    axis = phase.axis
+    if dom.shape == "box":
+        widths = [hi - lo for lo, hi in dom.bounds]
+        area = float(np.prod([w for j, w in enumerate(widths) if j != axis]))
+        if h is None:
+            return area
+        if isinstance(h, lf.LevelFunction) and h.axis == axis:
+            return area * float(np.asarray(h.profile(np.asarray([t])))[0])
+        if n == 2:
+            other = 1 - axis
+            o_lo, o_hi = dom.bounds[other]
+            ys = o_lo + (np.arange(fiber_nodes) + 0.5) * (o_hi - o_lo) / fiber_nodes
+            pts = np.zeros((fiber_nodes, 2))
+            pts[:, axis] = t
+            pts[:, other] = ys
+            hv = np.asarray(h(pts), dtype=float)
+            return float(np.sum(hv) * (o_hi - o_lo) / fiber_nodes)
+        raise lf.NoParametrizationError("weighted box sections need n = 2 or an axis profile")
+    R = dom.radius
+    rho = math.sqrt(max(R * R - t * t, 0.0))
+    if h is None:
+        return ball_volume(n - 1) * rho ** (n - 1)
+    if isinstance(h, lf.LevelFunction) and h.axis == axis:
+        return ball_volume(n - 1) * rho ** (n - 1) * float(np.asarray(h.profile(np.asarray([t])))[0])
+    if n == 2:
+        other = 1 - axis
+        ys = -rho + (np.arange(fiber_nodes) + 0.5) * (2 * rho / fiber_nodes)
+        pts = np.zeros((fiber_nodes, 2))
+        pts[:, axis] = t
+        pts[:, other] = ys
+        hv = np.asarray(h(pts), dtype=float)
+        return float(np.sum(hv) * (2 * rho / fiber_nodes))
+    if n == 3:
+        m_r = max(int(math.sqrt(fiber_nodes)), 4)
+        m_a = m_r
+        rr = (np.arange(m_r) + 0.5) * (rho / m_r)
+        aa = (np.arange(m_a) + 0.5) * (2 * math.pi / m_a)
+        Rm, Am = np.meshgrid(rr, aa, indexing="ij")
+        pts = np.zeros((m_r * m_a, 3))
+        cols = [j for j in range(3) if j != axis]
+        pts[:, axis] = t
+        pts[:, cols[0]] = (Rm * np.cos(Am)).ravel()
+        pts[:, cols[1]] = (Rm * np.sin(Am)).ravel()
+        hv = np.asarray(h(pts), dtype=float)
+        weights = (Rm * (rho / m_r) * (2 * math.pi / m_a)).ravel()
+        return float(np.sum(hv * weights))
+    raise lf.NoParametrizationError("weighted linear fibers need n <= 3 or an axis profile")
+
+
+def _scalar_saddle(phase, h, t, fiber_nodes):
+    R = phase.domain.radius
+    a = abs(t)
+    if a >= R * R:
+        return 0.0
+    ymax = math.sqrt((R * R - a) / 2.0)
+    ys = -ymax + (np.arange(fiber_nodes) + 0.5) * (2 * ymax / fiber_nodes)
+    major = np.sqrt(a + ys * ys)
+    base = 1.0 / (2.0 * np.sqrt(a + ys * ys))
+    total = 0.0
+    for sign in (1.0, -1.0):
+        pts = np.empty((fiber_nodes, 2))
+        if t >= 0:
+            pts[:, 0] = sign * major
+            pts[:, 1] = ys
+        else:
+            pts[:, 0] = ys
+            pts[:, 1] = sign * major
+        hv = 1.0 if h is None else np.asarray(h(pts), dtype=float)
+        total += float(np.sum(hv * base) * (2 * ymax / fiber_nodes))
+    return total
+
+
+def scalar_grid_values(phase, grid, method, h, fiber_nodes, subdivide):
+    """Bin averages of `subdivide` midpoint levels, one bin at a time."""
+    values = np.zeros(grid.bin_count)
+    offsets = (np.arange(subdivide) + 0.5) / subdivide
+    edges = grid.edges
+    for i in range(grid.bin_count):
+        pts = edges[i] + offsets * grid.width
+        if method == lf.CLOSED_FORM:
+            vals = np.asarray(lf.weighted_density_closed_form(phase, h, pts), dtype=float)
+        else:
+            vals = np.array([scalar_coarea(phase, h, p, fiber_nodes) for p in pts])
+        values[i] = float(np.mean(vals))
+    return values
+
+
+def _reparam_table():
+    profile = lf.GammaProfile(lambda t: t, 0.5, 10.0)
+    return lf.design_reparametrization(profile, lambda s: 1.0, 1.0, (0.0, 1.0), step=1e-2)
+
+
+ORACLE_PHASES = [
+    lf.linear_phase(BALL2),
+    lf.linear_phase(BALL2, axis=1),
+    lf.linear_phase(BALL3, axis=2),
+    lf.linear_phase(lf.box([(-1.0, 2.0), (0.5, 1.5)])),
+    lf.linear_phase(lf.box([(-1.0, 2.0), (0.5, 1.5)]), axis=1),
+    lf.radial_quadratic_phase(BALL2),
+    lf.radial_quadratic_phase(BALL3),
+    lf.radial_power_phase(BALL2, 4.0),
+    lf.radial_power_phase(BALL3, 3.0),
+    lf.boundary_reparam_phase(BALL2, _reparam_table()),
+    lf.saddle_phase(BALL2),
+]
+
+
+def oracle_weight(kind, n):
+    if kind == "none":
+        return None
+    if kind == "level":
+        return lf.LevelFunction(lambda t: np.cos(3.0 * t) + np.abs(t) ** 1.5)
+    if kind == "radial":
+        return lf.RadialFunction(lambda r: np.exp(-r) + r ** 0.25)
+    return lf.random_smooth_function(lf.ball(n), seed=5)
+
+
+WEIGHT_KINDS = ("none", "level", "radial", "callable")
+
+
+def outcome(fn):
+    """The value of fn(), or the type of the LevelformError it raises."""
+    try:
+        return fn()
+    except lf.LevelformError as exc:
+        return type(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert not isinstance(got, type), got
+        assert np.array_equal(got, want)
+
+
+def _levels(phase, fractions):
+    # spread over the image and 30% beyond each end, clear of critical values
+    lo, hi = geometry.image_interval(phase)
+    levels = [lo + f * (hi - lo) for f in fractions]
+    return [t for t in levels
+            if all(abs(t - v) > 1e-6 for v in geometry.critical_values(phase))]
+
+
+@given(case=st.integers(0, len(ORACLE_PHASES) - 1), weight=st.sampled_from(WEIGHT_KINDS),
+       fractions=st.lists(st.floats(-0.3, 1.3), min_size=1, max_size=150),
+       fiber_nodes=st.sampled_from([1, 3, 64, 700, 2048]))
+@settings(max_examples=120, deadline=None)
+def test_coarea_levels_match_scalar_oracle(case, weight, fractions, fiber_nodes):
+    phase = ORACLE_PHASES[case]
+    h = oracle_weight(weight, phase.domain.n)
+    tt = np.array(_levels(phase, fractions))
+    want = outcome(lambda: np.array([scalar_coarea(phase, h, t, fiber_nodes) for t in tt]))
+    assert_same_outcome(outcome(lambda: _coarea_levels(phase, h, tt, fiber_nodes)), want)
+    assert_same_outcome(outcome(lambda: lf.weighted_density(phase, h, tt, lf.COAREA,
+                                                            fiber_nodes=fiber_nodes)), want)
+    if len(tt) and not isinstance(want, type):
+        assert lf.weighted_density_coarea(phase, h, tt[0], fiber_nodes) == want[0]
+
+
+@given(case=st.integers(0, len(ORACLE_PHASES) - 1), weight=st.sampled_from(WEIGHT_KINDS),
+       fractions=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=3),
+       fiber_nodes=st.sampled_from([_BLOCK_POINTS // 2, _BLOCK_POINTS - 1, _BLOCK_POINTS,
+                                    _BLOCK_POINTS + 1]))
+@settings(max_examples=30, deadline=None)
+def test_coarea_levels_match_scalar_oracle_at_block_edge(case, weight, fractions, fiber_nodes):
+    # one or two levels per block, and fibers larger than a block
+    phase = ORACLE_PHASES[case]
+    h = oracle_weight(weight, phase.domain.n)
+    tt = np.array(_levels(phase, fractions))
+    want = outcome(lambda: np.array([scalar_coarea(phase, h, t, fiber_nodes) for t in tt]))
+    assert_same_outcome(outcome(lambda: _coarea_levels(phase, h, tt, fiber_nodes)), want)
+
+
+@given(case=st.integers(0, len(ORACLE_PHASES) - 1), weight=st.sampled_from(WEIGHT_KINDS),
+       method=st.sampled_from([lf.CLOSED_FORM, lf.COAREA]), bins=st.integers(1, 12),
+       ends=st.tuples(st.floats(-0.3, 0.6), st.floats(0.1, 1.0)),
+       subdivide=st.integers(1, 9))
+@settings(max_examples=120, deadline=None)
+def test_density_on_grid_matches_per_bin_oracle(case, weight, method, bins, ends, subdivide):
+    phase = ORACLE_PHASES[case]
+    h = oracle_weight(weight, phase.domain.n)
+    lo, hi = geometry.image_interval(phase)
+    grid = lf.LevelGrid(lo + ends[0] * (hi - lo), lo + (ends[0] + ends[1]) * (hi - lo), bins)
+    want = outcome(lambda: scalar_grid_values(phase, grid, method, h, 96, subdivide))
+    got = outcome(lambda: lf.density_on_grid(phase, grid, method, h=h, fiber_nodes=96,
+                                             subdivide=subdivide).values)
+    assert_same_outcome(got, want)
+
+
+def counting(fn):
+    calls = []
+
+    def weight(pts):
+        calls.append(len(pts))
+        return fn(pts)
+
+    return weight, calls
+
+
+def test_coarea_levels_call_weight_once_per_block():
+    phase = lf.linear_phase(BALL2)
+    h, calls = counting(lf.random_smooth_function(BALL2, seed=1))
+    grid = lf.LevelGrid(-1.0, 1.0, 100)
+    lf.density_on_grid(phase, grid, lf.COAREA, h=h, fiber_nodes=512, subdivide=5)
+    assert calls == [_BLOCK_POINTS] * 3 + [500 * 512 - 3 * _BLOCK_POINTS]
+
+
+@pytest.mark.parametrize("phase", [lf.radial_quadratic_phase(BALL2), lf.saddle_phase(BALL2)],
+                         ids=lambda p: p.label)
+def test_coarea_levels_reject_critical_level_before_any_weight_call(phase):
+    h, calls = counting(lf.random_smooth_function(BALL2, seed=1))
+    with pytest.raises(lf.CriticalValueError):
+        lf.weighted_density(phase, h, np.array([0.5, 0.25, 1e-12]), lf.COAREA)
+    with pytest.raises(lf.CriticalValueError):
+        lf.density_on_grid(phase, lf.LevelGrid(-1.0, 1.0, 3), lf.COAREA, h=h, subdivide=1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coarea_rejects_non_finite_levels(bad):
+    phase = lf.linear_phase(BALL2)
+    with pytest.raises(lf.ConfigError):
+        lf.density_coarea(phase, bad)
+    h, calls = counting(lambda pts: pts[:, 1] ** 2)
+    with pytest.raises(lf.ConfigError):
+        lf.weighted_density(phase, h, np.array([0.1, bad]), lf.COAREA)
+    assert calls == []
+
+
+@pytest.mark.parametrize("ends", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)])
+def test_level_grid_rejects_non_finite_ends(ends):
+    with pytest.raises(lf.ConfigError):
+        lf.LevelGrid(ends[0], ends[1], 4)
+
+
+def test_weight_equality_sees_the_profile():
+    assert lf.RadialFunction(lambda r: r) != lf.RadialFunction(lambda r: -r)
+    assert lf.LevelFunction(lambda t: t) != lf.LevelFunction(lambda t: -t)
+    profile = lambda t: t  # noqa: E731
+    assert lf.LevelFunction(profile) == lf.LevelFunction(profile)
+    assert lf.LevelFunction(profile) != lf.LevelFunction(profile, axis=1)

@@ -76,6 +76,17 @@ def test_lhs_respects_gap_mask():
     assert est2.value == pytest.approx(math.pi ** 2, rel=5e-3)
 
 
+def test_form_equality_sees_the_weights():
+    phase = lf.linear_phase(BALL2)
+    one = lambda p: np.ones(len(p))  # noqa: E731
+    common = dict(phase_in=phase, phase_out=phase, kernel=lf.hilbert_kernel())
+    assert lf.SynchronizedForm(**common, f=one, g=one) == lf.SynchronizedForm(**common, f=one, g=one)
+    assert lf.SynchronizedForm(**common, f=one, g=one) != lf.SynchronizedForm(
+        **common, f=lambda p: -np.ones(len(p)), g=one)
+    assert lf.SynchronizedForm(**common, f=one, g=one) != lf.SynchronizedForm(
+        **common, f=one, g=lambda p: -np.ones(len(p)))
+
+
 def test_lhs_rejects_empty_sample():
     form = lf.SynchronizedForm(phase_in=lf.linear_phase(BALL2),
                                phase_out=lf.linear_phase(BALL2),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import levelform as lf
 from levelform import geometry
 from levelform.pushforward import _level_statistics
-from levelform.sampling import sobol_engine
+from levelform.sampling import derived_rng, sobol_engine
 
 DOMAINS = [lf.ball(1), lf.ball(2), lf.ball(3, 0.7), lf.ball(5, 2.0),
            lf.box([(-1.0, 2.0), (0.0, 0.5)]),
@@ -90,6 +90,14 @@ def test_negative_counts_rejected(count):
         lf.sample_domain(lf.box([(0.0, 1.0)]), count, 0)
     with pytest.raises(lf.ConfigError):
         lf.sample_domain_pairs(lf.ball(2), lf.ball(2), count, 0)
+
+
+@pytest.mark.parametrize("seed,tag", [(-1, 0), (0, -1)])
+def test_negative_seeds_rejected(seed, tag):
+    with pytest.raises(lf.ConfigError):
+        derived_rng(seed, tag)
+    with pytest.raises(lf.ConfigError):
+        lf.sample_domain(lf.ball(2), 8, seed, tag)
 
 
 def add_at_statistics(phase, grid, weight_fns, sample_count, seed):
