@@ -29,7 +29,7 @@ from .kernels import (HARD, RESIDUAL, SMOOTH, Cutoff, GridFunction1D,
                       truncation_batch, verify_hk_package)
 from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, DensityEstimate,
                           LevelFunction, LevelGrid, RadialFunction,
-                          critical_exponent, density_closed_form, density_coarea,
+                          critical_exponent, density_coarea,
                           density_monte_carlo, density_on_grid, fiber_norm,
                           normalized_average, weighted_density,
                           weighted_density_coarea,

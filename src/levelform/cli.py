@@ -26,10 +26,8 @@ from .errors import LevelformError
 from .geometry import Phase, ball
 from .benchmarks import pair_domination
 from .kernels import bump_mixture, eps_ladder, hilbert_kernel
-from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, LevelFunction,
+from .pushforward import (CLOSED_FORM, METHODS, MONTE_CARLO, LevelFunction,
                           LevelGrid, RadialFunction, density_on_grid)
-
-_METHODS = (CLOSED_FORM, COAREA, MONTE_CARLO)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["linear", "radial2", "radial-power4",
                                 "radial-power8", "saddle"])
         p.add_argument("--config", help="key = value phase description file")
-        p.add_argument("--method", default=CLOSED_FORM, choices=_METHODS)
+        p.add_argument("--method", default=CLOSED_FORM, choices=METHODS)
         p.add_argument("--bins", type=int, default=256)
         p.add_argument("--fiber-nodes", type=int, default=1024)
         p.add_argument("--subdivide", type=int, default=3)

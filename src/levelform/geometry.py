@@ -11,7 +11,7 @@ and the transversality of level sets at the domain boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,8 +40,6 @@ OSCILLATORY = "oscillatory"
 BOUNDARY_REPARAM = "boundary-reparam"
 CUSTOM = "custom"
 
-CATALOG_KINDS = (LINEAR, RADIAL_QUADRATIC, RADIAL_POWER, SADDLE, OSCILLATORY,
-                 BOUNDARY_REPARAM)
 _RADIAL_KINDS = (RADIAL_QUADRATIC, RADIAL_POWER, BOUNDARY_REPARAM)
 
 
@@ -281,6 +279,8 @@ def grad_phase(phase: Phase, x, on_undefined: str = "raise"):
     `on_undefined="nan"` fills undefined rows with NaN instead of raising;
     sampling checks use it to skip and count singular points.
     """
+    if on_undefined not in ("raise", "nan"):
+        raise ConfigError(f"on_undefined must be 'raise' or 'nan', got {on_undefined!r}")
     pts, single = _as_points(x, phase.domain.n)
     inside = phase.domain.contains(pts)
     if not np.all(inside):
@@ -389,7 +389,7 @@ def image_interval(phase: Phase) -> tuple[float, float]:
 class GammaProfile:
     """Candidate lower bound Gamma(t) <= |grad theta| on a validity interval."""
 
-    fn: Callable = field(compare=False)
+    fn: Callable
     lo: float = -math.inf
     hi: float = math.inf
 
@@ -486,13 +486,13 @@ def design_reparametrization(profile: GammaProfile, m: Callable, h0: float,
 # boundary transversality
 # ---------------------------------------------------------------------------
 
-def boundary_transversality(phase: Phase, t: float, method: str = "auto",
-                            samples: int = 4096) -> float:
+def boundary_transversality(phase: Phase, t: float, samples: int = 4096) -> float:
     """Minimum tangential gradient norm over the level set on the boundary.
 
     Ball domains only. For the linear phase the value is the closed form
-    sqrt(1 - (t/R)^2); `method="sampled"` forces the parametrized-sampling
-    path instead (used to cross-check the closed form).
+    sqrt(1 - (t/R)^2); radial kinds give 0 at their boundary level; saddle
+    and oscillatory phases in n = 2 locate the level on the boundary circle
+    from `samples` angles and measure the gradient there.
     """
     dom = phase.domain
     if dom.shape != "ball":
@@ -506,24 +506,7 @@ def boundary_transversality(phase: Phase, t: float, method: str = "auto",
     if k == LINEAR:
         if abs(t) > R:
             raise LevelOutsideImageError(f"level {t!r} outside image")
-        if method in ("auto", "closed"):
-            return math.sqrt(max(1.0 - (t / R) ** 2, 0.0))
-        # explicit parametrization of the boundary level set
-        if abs(abs(t) - R) < 1e-15:
-            return 0.0
-        rho = math.sqrt(R * R - t * t)
-        if dom.n == 2:
-            others = np.array([[rho], [-rho]])
-        else:
-            rng = np.random.default_rng(0)
-            dirs = rng.standard_normal((samples, dom.n - 1))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            others = rho * dirs
-        pts = np.zeros((len(others), dom.n))
-        pts[:, phase.axis] = t
-        cols = [j for j in range(dom.n) if j != phase.axis]
-        pts[:, cols] = others
-        return _min_tangential(phase, pts, R)
+        return math.sqrt(max(1.0 - (t / R) ** 2, 0.0))
 
     if k in _RADIAL_KINDS:
         boundary_level = _eval_values(phase, np.array([[R] + [0.0] * (dom.n - 1)]))[0]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -44,9 +44,9 @@ class Kernel1D:
     The truncation quadrature evaluates it as evaluate(s - t, 0.0).
     """
 
-    evaluate: Callable = field(compare=False)
+    evaluate: Callable
     size_constant: float = 1.0
-    dini_modulus: Callable = field(compare=False, default=None)
+    dini_modulus: Callable | None = None
     dini_integral: float = math.nan
     label: str = "kernel"
 
@@ -74,24 +74,26 @@ def hilbert_kernel() -> Kernel1D:
 class Cutoff:
     """Radial multiplier profile chi(r): 0 on [0,1], 1 on [2,inf)."""
 
-    fn: Callable = field(compare=False)
+    fn: Callable
     derivative_bound: float = 1.0
     label: str = "cutoff"
 
 
-def smoothstep_cutoff() -> Cutoff:
-    def chi(r):
-        u = np.clip(np.asarray(r, dtype=float) - 1.0, 0.0, 1.0)
-        return u * u * (3.0 - 2.0 * u)
+def _smoothstep_chi(r):
+    u = np.clip(np.asarray(r, dtype=float) - 1.0, 0.0, 1.0)
+    return u * u * (3.0 - 2.0 * u)
 
-    return Cutoff(fn=chi, derivative_bound=1.5, label="smoothstep")
+
+def _ramp_chi(r):
+    return np.clip(np.asarray(r, dtype=float) - 1.0, 0.0, 1.0)
+
+
+def smoothstep_cutoff() -> Cutoff:
+    return Cutoff(fn=_smoothstep_chi, derivative_bound=1.5, label="smoothstep")
 
 
 def linear_ramp_cutoff() -> Cutoff:
-    def chi(r):
-        return np.clip(np.asarray(r, dtype=float) - 1.0, 0.0, 1.0)
-
-    return Cutoff(fn=chi, derivative_bound=1.0, label="ramp")
+    return Cutoff(fn=_ramp_chi, derivative_bound=1.0, label="ramp")
 
 
 def eps_ladder(k_min: int = 2, k_max: int = 8) -> list[float]:
@@ -288,7 +290,7 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
 
 
 def _single_action(kernel: Kernel1D, F: GridFunction1D, eps: float, mode: str,
-                   cutoff: Cutoff | None, eval_points):
+                   cutoff: Cutoff | None, eval_points=None):
     out, = _apply_batch(kernel, F, F.values[:, None], eps, [(mode, cutoff)],
                         eval_points=eval_points)
     if eval_points is None:
@@ -302,16 +304,16 @@ def hard_truncation(kernel: Kernel1D, F: GridFunction1D, eps: float,
     return _single_action(kernel, F, eps, HARD, None, eval_points)
 
 
-def smooth_truncation(kernel: Kernel1D, cutoff: Cutoff, F: GridFunction1D, eps: float,
-                      eval_points=None):
+def smooth_truncation(kernel: Kernel1D, cutoff: Cutoff, F: GridFunction1D,
+                      eps: float) -> GridFunction1D:
     """Quadrature of k(s, t) chi(|s - t| / eps) F(t)."""
-    return _single_action(kernel, F, eps, SMOOTH, cutoff, eval_points)
+    return _single_action(kernel, F, eps, SMOOTH, cutoff)
 
 
-def residual_truncation(kernel: Kernel1D, cutoff: Cutoff, F: GridFunction1D, eps: float,
-                        eval_points=None):
+def residual_truncation(kernel: Kernel1D, cutoff: Cutoff, F: GridFunction1D,
+                        eps: float) -> GridFunction1D:
     """Hard minus smooth action, supported on the annulus eps < |s - t| < 2 eps."""
-    return _single_action(kernel, F, eps, RESIDUAL, cutoff, eval_points)
+    return _single_action(kernel, F, eps, RESIDUAL, cutoff)
 
 
 def truncation_batch(kernel: Kernel1D, functions: Sequence[GridFunction1D],
@@ -338,7 +340,7 @@ def maximal_truncated(kernel: Kernel1D, F: GridFunction1D, eps_values: Sequence[
         raise ConfigError("need at least one truncation radius")
     acc = np.zeros(len(F.values))
     for eps in eps_values:
-        acc = np.maximum(acc, np.abs(_single_action(kernel, F, eps, HARD, None, None).values))
+        acc = np.maximum(acc, np.abs(_single_action(kernel, F, eps, HARD, None).values))
     return GridFunction1D(F.a, F.b, acc)
 
 

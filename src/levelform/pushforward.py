@@ -143,22 +143,9 @@ class LevelFunction:
         return np.asarray(self.profile(pts[:, self.axis]), dtype=float)
 
 
-def _constant_profile(value: float) -> Callable:
-    return lambda t: np.full_like(np.asarray(t, dtype=float), float(value))
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
-
-def density_closed_form(phase: Phase, t) -> float | np.ndarray:
-    """Catalog closed-form density; 0 outside the image, inf at a blow-up."""
-    tt = np.asarray(t, dtype=float)
-    scalar = tt.ndim == 0
-    tt = np.atleast_1d(tt)
-    vals = _closed_form_values(phase, tt)
-    return float(vals[0]) if scalar else vals
-
 
 def _closed_form_values(phase: Phase, tt: np.ndarray) -> np.ndarray:
     k = phase.kind
@@ -527,7 +514,8 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
 # ---------------------------------------------------------------------------
 
 def weighted_density_closed_form(phase: Phase, h, t) -> float | np.ndarray:
-    """Exact factorization for weights constant on fibers."""
+    """Catalog closed-form density times a fiber-constant weight (`h=None`
+    means 1); 0 outside the image, inf at a blow-up."""
     tt = np.asarray(t, dtype=float)
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
@@ -561,6 +549,7 @@ def weighted_density(phase: Phase, h, t, method: str = COAREA, *,
                      fiber_nodes: int = 2048, grid: LevelGrid | None = None,
                      sample_count: int = 100_000, seed: int = 0):
     """Dispatcher over the three density routes."""
+    _require_method(method)
     if method == CLOSED_FORM:
         return weighted_density_closed_form(phase, h, t)
     if method == COAREA:
@@ -568,11 +557,14 @@ def weighted_density(phase: Phase, h, t, method: str = COAREA, *,
         if tt.ndim == 0:
             return weighted_density_coarea(phase, h, float(tt), fiber_nodes=fiber_nodes)
         return _coarea_levels(phase, h, tt, fiber_nodes)
-    if method == MONTE_CARLO:
-        if grid is None:
-            raise ConfigError("monte_carlo weighted density needs a level grid")
-        return weighted_density_monte_carlo(phase, h, grid, sample_count, seed)
-    raise ConfigError(f"unknown density method {method!r}")
+    if grid is None:
+        raise ConfigError("monte_carlo weighted density needs a level grid")
+    return weighted_density_monte_carlo(phase, h, grid, sample_count, seed)
+
+
+def _require_method(method: str) -> None:
+    if method not in METHODS:
+        raise ConfigError(f"unknown density method {method!r}")
 
 
 def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *,
@@ -584,6 +576,7 @@ def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *,
     For deterministic routes, `subdivide=K` averages K midpoint evaluations
     per bin, which keeps integrable blow-ups honest in bin units.
     """
+    _require_method(method)
     if subdivide < 1:
         raise ConfigError(f"grid evaluation needs subdivide >= 1, got {subdivide!r}")
     if method == MONTE_CARLO:

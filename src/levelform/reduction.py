@@ -21,12 +21,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import geometry
-from .errors import (ConfigError, InsufficientDecadesError, PhaseNotUniformError)
+from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
+                     PhaseNotUniformError, UnsupportedPhaseError)
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
 from .pushforward import (CLOSED_FORM, COAREA, LevelGrid, _abs_power,
-                          _require_samples, density_closed_form,
-                          density_on_grid, weighted_density)
+                          _require_samples, density_on_grid, weighted_density,
+                          weighted_density_closed_form)
 from .sampling import derived_rng, sample_domain, sample_domain_pairs
 
 POWER_REGIME = "critical-power"
@@ -86,23 +87,29 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
                     sample_count=sample_count)
 
 
+def _level_pairings(phase_in: Phase, phase_out: Phase, kernel: Kernel1D, f, g,
+                    eps_values: Sequence[float], bins: int, method: str,
+                    seeds: tuple[int, int], **density_kwargs) -> list[float]:
+    """Hard-truncated pairing, per eps, of the f- and g-weighted densities on
+    `bins` bins over each image, the action taken at the outer grid's centres."""
+    grid_t = LevelGrid(*geometry.image_interval(phase_in), bins)
+    grid_s = LevelGrid(*geometry.image_interval(phase_out), bins)
+    W_f = density_on_grid(phase_in, grid_t, method, h=f, seed=seeds[0], **density_kwargs)
+    W_g = density_on_grid(phase_out, grid_s, method, h=g, seed=seeds[1], **density_kwargs)
+    F = GridFunction1D(grid_t.t_min, grid_t.t_max, W_f.values)
+    return [float(np.sum(hard_truncation(kernel, F, eps, eval_points=grid_s.centers)
+                         * W_g.values) * grid_s.width)
+            for eps in eps_values]
+
+
 def _rhs_at_resolution(form: SynchronizedForm, bins: int, method: str,
                        fiber_nodes: int, subdivide: int, sample_count: int,
                        seed: int) -> float:
-    lo_t, hi_t = geometry.image_interval(form.phase_in)
-    lo_s, hi_s = geometry.image_interval(form.phase_out)
-    grid_t = LevelGrid(lo_t, hi_t, bins)
-    grid_s = LevelGrid(lo_s, hi_s, bins)
-    kwargs = dict(fiber_nodes=fiber_nodes, subdivide=subdivide,
-                  sample_count=sample_count)
-    W_f = density_on_grid(form.phase_in, grid_t, method, h=form.f,
-                          seed=seed, **kwargs)
-    W_g = density_on_grid(form.phase_out, grid_s, method, h=form.g,
-                          seed=seed + 1, **kwargs)
-    F = GridFunction1D(grid_t.t_min, grid_t.t_max, W_f.values)
-    action = hard_truncation(form.kernel, F, form.eps,
-                             eval_points=grid_s.centers)
-    return float(np.sum(action * W_g.values) * grid_s.width)
+    pairing, = _level_pairings(form.phase_in, form.phase_out, form.kernel, form.f,
+                               form.g, [form.eps], bins, method, (seed, seed + 1),
+                               fiber_nodes=fiber_nodes, subdivide=subdivide,
+                               sample_count=sample_count)
+    return pairing
 
 
 def rhs_reduced(form: SynchronizedForm, bins: int = 512,
@@ -353,23 +360,22 @@ def _core_segments(lo: float, hi: float, crits: Sequence[float],
 # uniform regime
 # ---------------------------------------------------------------------------
 
-_UNIFORM_KINDS = (geometry.LINEAR, geometry.RADIAL_QUADRATIC,
-                  geometry.RADIAL_POWER)
-
-
 def _require_uniform(phase: Phase) -> None:
-    if phase.kind not in _UNIFORM_KINDS:
-        raise PhaseNotUniformError(f"{phase.label} density is not bounded")
-    if phase.kind == geometry.RADIAL_POWER and phase.gamma > phase.domain.n:
-        raise PhaseNotUniformError(
-            f"{phase.label} density blows up at the critical level")
+    """Bounded density: a closed form that is finite at every critical value."""
+    try:
+        at_crit = weighted_density_closed_form(
+            phase, None, np.array(geometry.critical_values(phase)))
+    except (NoClosedFormError, UnsupportedPhaseError) as exc:
+        raise PhaseNotUniformError(f"{phase.label} has no bounded closed-form density") from exc
+    if not np.all(np.isfinite(at_crit)):
+        raise PhaseNotUniformError(f"{phase.label} density blows up at a critical level")
 
 
 def density_supremum(phase: Phase, probes: int = 2048) -> float:
     """Grid supremum of the closed-form density over the image."""
     lo, hi = geometry.image_interval(phase)
     t = np.linspace(lo, hi, probes + 2)[1:-1]
-    vals = np.asarray(density_closed_form(phase, t), dtype=float)
+    vals = np.asarray(weighted_density_closed_form(phase, None, t), dtype=float)
     return float(np.max(vals[np.isfinite(vals)]))
 
 
@@ -413,21 +419,9 @@ def uniform_bound_check(phase_in: Phase, phase_out: Phase, kernel: Kernel1D,
         raise ConfigError("uniform budget needs r > 1")
     r_dual = r / (r - 1.0)
 
-    lo_t, hi_t = geometry.image_interval(phase_in)
-    lo_s, hi_s = geometry.image_interval(phase_out)
-    grid_t = LevelGrid(lo_t, hi_t, bins)
-    grid_s = LevelGrid(lo_s, hi_s, bins)
-    W_f = density_on_grid(phase_in, grid_t, method, h=f,
-                          fiber_nodes=fiber_nodes, subdivide=subdivide)
-    W_g = density_on_grid(phase_out, grid_s, method, h=g,
-                          fiber_nodes=fiber_nodes, subdivide=subdivide)
-    F = GridFunction1D(grid_t.t_min, grid_t.t_max, W_f.values)
-
-    pairings = []
-    for eps in eps_values:
-        action = hard_truncation(kernel, F, eps, eval_points=grid_s.centers)
-        pairings.append(float(np.sum(action * W_g.values) * grid_s.width))
-
+    pairings = _level_pairings(phase_in, phase_out, kernel, f, g, eps_values, bins,
+                               method, (0, 0), fiber_nodes=fiber_nodes,
+                               subdivide=subdivide)
     sup_in = density_supremum(phase_in)
     sup_out = density_supremum(phase_out)
     norm_f = function_norm(phase_in.domain, f, r, seed=norm_seed)

@@ -8,9 +8,9 @@ averages themselves are floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -131,26 +131,42 @@ def build_sparse_greedy(F: GridFunction1D, G: GridFunction1D, lam: float = 4.0,
                         depth_exhausted=depth_exhausted)
 
 
+def _packing(members: Sequence[DyadicInterval]) -> tuple[dict[DyadicInterval, Fraction], Fraction]:
+    """Exact carriers and worst carrier fraction of distinct members: each
+    member subtracts its measure from its nearest member ancestor, found by
+    shifting its address up one generation at a time."""
+    present = set(members)
+    carriers = {I: I.relative_measure for I in members}
+    for J in members:
+        g, i = J.generation, J.index
+        while g > 0:
+            g, i = g - 1, i >> 1
+            ancestor = DyadicInterval(g, i)
+            if ancestor in present:
+                carriers[ancestor] -= J.relative_measure
+                break
+    eta = min((carriers[I] / I.relative_measure for I in members), default=Fraction(1))
+    return carriers, eta
+
+
 def verify_sparsity(family: SparseFamily) -> Fraction:
     """Recompute carriers from scratch and check exact disjoint packing.
 
-    Returns the worst carrier fraction; raises if any member's retained mass
-    is inconsistent or if members at one address repeat.
+    Returns the worst carrier fraction; raises if the family is empty, if any
+    member's retained mass is inconsistent, or if members at one address repeat.
     """
     members = family.members
+    if not members:
+        raise SparseDominationError("sparse family has no members")
     if len(set(members)) != len(members):
         raise SparseDominationError("duplicate members in sparse family")
+    carriers, eta = _packing(members)
     for I in members:
-        inside = [J for J in members if J != I and I.contains(J)]
-        maximal = [J for J in inside
-                   if not any(K.contains(J) for K in inside if K != J)]
-        shed = sum((J.relative_measure for J in maximal), Fraction(0))
-        carrier = I.relative_measure - shed
-        if carrier != family.carriers[I]:
+        if carriers[I] != family.carriers[I]:
             raise SparseDominationError(f"carrier mismatch at {I}")
-        if carrier < 0:
+        if carriers[I] < 0:
             raise SparseDominationError(f"negative carrier at {I}")
-    return min(family.carriers[I] / I.relative_measure for I in members)
+    return eta
 
 
 def sparse_form(family: SparseFamily, F: GridFunction1D, G: GridFunction1D) -> float:
@@ -168,14 +184,7 @@ def merge_families(fam_f: SparseFamily, fam_g: SparseFamily) -> SparseFamily:
     if (fam_f.a, fam_f.b, fam_f.cells) != (fam_g.a, fam_g.b, fam_g.cells):
         raise ConfigError("families live on different frames")
     members = sorted(set(fam_f.members) | set(fam_g.members))
-    carriers: dict[DyadicInterval, Fraction] = {}
-    for I in members:
-        inside = [J for J in members if J != I and I.contains(J)]
-        maximal = [J for J in inside
-                   if not any(K.contains(J) for K in inside if K != J)]
-        carriers[I] = I.relative_measure - sum((J.relative_measure for J in maximal),
-                                               Fraction(0))
-    eta = min((carriers[I] / I.relative_measure for I in members), default=Fraction(1))
+    carriers, eta = _packing(members)
     return SparseFamily(a=fam_f.a, b=fam_f.b, cells=fam_f.cells,
                         lam=max(fam_f.lam, fam_g.lam), members=members,
                         carriers=carriers, eta=eta,
@@ -217,32 +226,34 @@ def family_to_json_dict(family: SparseFamily) -> dict:
 
 
 def family_from_json_dict(data: dict) -> SparseFamily:
-    if data.get("schema") != 1:
+    """Rebuild a family from its JSON form; every malformed or out-of-frame
+    field raises ConfigError, and carriers and eta are recomputed."""
+    if not isinstance(data, dict) or data.get("schema") != 1:
         raise ConfigError("unknown sparse family schema")
+    try:
+        a, b = (float(x) for x in data["root"])
+        cells, max_depth = int(data["cells"]), int(data["max_depth"])
+        lam, stored = float(data["lam"]), Fraction(*data["eta"])
+        addresses = [tuple(x) for x in data["members"]]
+        depth_exhausted = bool(data["depth_exhausted"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed sparse family: {exc!r}") from exc
     members = []
-    for g, i in data["members"]:
-        if not isinstance(g, int) or not isinstance(i, int):
-            raise ConfigError("non-integer dyadic address")
-        members.append(DyadicInterval(g, i))
-    if len(set(members)) != len(members):
-        raise ConfigError("repeated dyadic address")
-    carriers: dict[DyadicInterval, Fraction] = {}
-    for I in members:
-        inside = [J for J in members if J != I and I.contains(J)]
-        maximal = [J for J in inside
-                   if not any(K.contains(J) for K in inside if K != J)]
-        carriers[I] = I.relative_measure - sum((J.relative_measure for J in maximal),
-                                               Fraction(0))
-    eta = min((carriers[I] / I.relative_measure for I in members), default=Fraction(1))
-    a, b = data["root"]
-    fam = SparseFamily(a=float(a), b=float(b), cells=int(data["cells"]),
-                       lam=float(data["lam"]), members=sorted(members),
-                       carriers=carriers, eta=eta, max_depth=int(data["max_depth"]),
-                       depth_exhausted=bool(data["depth_exhausted"]))
-    stored = Fraction(data["eta"][0], data["eta"][1])
+    for address in addresses:
+        if [type(x) for x in address] != [int, int]:
+            raise ConfigError(f"dyadic address must be two integers, got {list(address)!r}")
+        I = DyadicInterval(*address)
+        if I.generation > max_depth or cells < 1 or cells % (1 << I.generation):
+            raise ConfigError(f"member {I} lies outside {cells} cells to depth {max_depth}")
+        members.append(I)
+    if not members or len(set(members)) != len(members):
+        raise ConfigError("sparse family needs at least one member and no repeated address")
+    carriers, eta = _packing(members)
     if stored != eta:
         raise ConfigError("stored sparsity constant disagrees with members")
-    return fam
+    return SparseFamily(a=a, b=b, cells=cells, lam=lam, members=sorted(members),
+                        carriers=carriers, eta=eta, max_depth=max_depth,
+                        depth_exhausted=depth_exhausted)
 
 
 def save_family(family: SparseFamily, path) -> None:

@@ -94,7 +94,7 @@ def test_02_density_oracles(capsys):
     worst_rel = 0.0
     for _, phase, _ in cases:
         for t in _pick_levels(phase, 20):
-            exact = lf.density_closed_form(phase, float(t))
+            exact = lf.weighted_density_closed_form(phase, None, float(t))
             approx = lf.density_coarea(phase, float(t), fiber_nodes=4096)
             worst_rel = max(worst_rel, abs(approx - exact) / abs(exact))
     coarea_ok = worst_rel <= 1e-3
@@ -130,7 +130,7 @@ def test_03_saddle_log_asymptotics(capsys):
     phase = lf.saddle_phase(B2)
     levels = np.geomspace(1e-8, 1e-6, 20)
     ratios = np.asarray(
-        [lf.density_closed_form(phase, float(t)) / np.log(1.0 / t) for t in levels]
+        [lf.weighted_density_closed_form(phase, None, float(t)) / np.log(1.0 / t) for t in levels]
     )
     ok = bool(np.all((ratios >= 0.9) & (ratios <= 1.1)))
     _line(

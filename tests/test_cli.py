@@ -230,6 +230,16 @@ def test_experiment_script_runs_in_process(tmp_path, monkeypatch):
     assert script["run"]("density", "--method", "monte_carlo", "--samples", "0") == 2
 
 
+def test_method_choices_are_the_density_routes():
+    from levelform import cli, pushforward
+    assert cli.METHODS is pushforward.METHODS
+    for method in pushforward.METHODS:
+        assert cli.build_parser().parse_args(["density", "--method", method]).method == method
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--method", "bogus"])
+    assert exc.value.code == 2
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["density", "--preset", "bogus"])

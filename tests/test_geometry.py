@@ -93,6 +93,12 @@ def test_gradient_undefined_at_origin_for_fractional_radial():
     assert np.all(np.isnan(g))
 
 
+def test_grad_phase_rejects_unknown_on_undefined():
+    phase = lf.radial_power_phase(lf.ball(2), 1.5)
+    with pytest.raises(lf.ConfigError):
+        lf.grad_phase(phase, [[0.0, 0.0]], on_undefined="bogus")
+
+
 def test_critical_values_catalog():
     assert lf.critical_values(lf.linear_phase(lf.ball(2))) == ()
     assert lf.critical_values(lf.radial_quadratic_phase(lf.ball(2))) == (0.0,)
@@ -122,12 +128,34 @@ def test_radial_power_gamma_floor():
         lf.radial_power_phase(lf.ball(2), 0.5)
 
 
+def sampled_linear_transversality(phase, t, samples=4096):
+    """Oracle: the linear level set on the boundary sphere, parametrized
+    explicitly, and the least tangential part of the gradient over it."""
+    n, R = phase.domain.n, phase.domain.radius
+    if abs(abs(t) - R) < 1e-15:
+        return 0.0
+    rho = math.sqrt(R * R - t * t)
+    if n == 2:
+        others = np.array([[rho], [-rho]])
+    else:
+        dirs = np.random.default_rng(0).standard_normal((samples, n - 1))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        others = rho * dirs
+    pts = np.zeros((len(others), n))
+    pts[:, phase.axis] = t
+    pts[:, [j for j in range(n) if j != phase.axis]] = others
+    grads = lf.grad_phase(phase, pts)
+    normals = pts / R
+    tang = grads - np.einsum("ij,ij->i", grads, normals)[:, None] * normals
+    return float(np.min(np.linalg.norm(tang, axis=1)))
+
+
 @given(t=st.floats(-0.99, 0.99))
 @settings(max_examples=40, deadline=None)
 def test_linear_transversality_closed_form(t):
     phase = lf.linear_phase(lf.ball(2))
     closed = lf.boundary_transversality(phase, t)
-    sampled = lf.boundary_transversality(phase, t, method="sampled")
+    sampled = sampled_linear_transversality(phase, t)
     assert closed == pytest.approx(math.sqrt(1.0 - t * t), abs=1e-12)
     assert sampled == pytest.approx(closed, abs=1e-9)
 
@@ -135,7 +163,7 @@ def test_linear_transversality_closed_form(t):
 def test_linear_transversality_sampled_n3():
     phase = lf.linear_phase(lf.ball(3))
     closed = lf.boundary_transversality(phase, 0.4)
-    sampled = lf.boundary_transversality(phase, 0.4, method="sampled")
+    sampled = sampled_linear_transversality(phase, 0.4)
     assert sampled == pytest.approx(closed, abs=1e-9)
 
 
@@ -266,6 +294,12 @@ def test_phase_equality_sees_function_and_profile():
     assert p_exp == lf.boundary_reparam_phase(lf.ball(2), exp_table)
     assert p_exp != lf.boundary_reparam_phase(lf.ball(2), lin_table)
     assert len({p_exp, lf.boundary_reparam_phase(lf.ball(2), lin_table)}) == 2
+
+
+def test_gamma_profile_equality_sees_the_function():
+    f = lambda t: t  # noqa: E731
+    assert lf.GammaProfile(f, 0.5, 10.0) == lf.GammaProfile(f, 0.5, 10.0)
+    assert lf.GammaProfile(lambda t: t, 0.5, 10.0) != lf.GammaProfile(lambda t: 2 * t, 0.5, 10.0)
 
 
 # ---------------------------------------------------------------------------

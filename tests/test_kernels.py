@@ -34,6 +34,19 @@ def test_hilbert_diagonal_overflows_silently():
     assert np.isinf(v[0])
 
 
+def test_kernel_and_cutoff_equality_see_their_functions():
+    k = lf.hilbert_kernel()
+    assert k == lf.Kernel1D(evaluate=k.evaluate, size_constant=k.size_constant,
+                            dini_modulus=k.dini_modulus, dini_integral=k.dini_integral,
+                            label="hilbert")
+    assert lf.Kernel1D(evaluate=lambda s, t: s - t) != lf.Kernel1D(evaluate=lambda s, t: t - s)
+    assert lf.Kernel1D(evaluate=k.evaluate, dini_modulus=lambda u: u) != \
+        lf.Kernel1D(evaluate=k.evaluate, dini_modulus=lambda u: 2 * u)
+    assert lf.smoothstep_cutoff() == lf.smoothstep_cutoff()
+    assert lf.linear_ramp_cutoff() == lf.linear_ramp_cutoff()
+    assert lf.Cutoff(fn=lambda r: r) != lf.Cutoff(fn=lambda r: 2 * r)
+
+
 def test_dini_integral_closed_form():
     # integral of (2/pi) / (1 - u/2) du over (0, 1) = (4/pi) log 2
     k = lf.hilbert_kernel()

@@ -25,20 +25,20 @@ def test_linear_ball_closed_form():
     phase = lf.linear_phase(BALL2)
     t = np.array([-0.5, 0.0, 0.7])
     want = 2.0 * np.sqrt(1.0 - t * t)
-    assert np.allclose(lf.density_closed_form(phase, t), want, rtol=1e-12)
+    assert np.allclose(lf.weighted_density_closed_form(phase, None, t), want, rtol=1e-12)
 
 
 def test_linear_ball3_closed_form():
     phase = lf.linear_phase(BALL3)
-    assert lf.density_closed_form(phase, 0.5) == pytest.approx(
+    assert lf.weighted_density_closed_form(phase, None, 0.5) == pytest.approx(
         math.pi * (1.0 - 0.25), rel=1e-12)
 
 
 def test_radial_quadratic_closed_forms():
     # n = 2: constant pi; n = 3: 2 pi sqrt(t)
-    assert lf.density_closed_form(lf.radial_quadratic_phase(BALL2), 0.3) == \
+    assert lf.weighted_density_closed_form(lf.radial_quadratic_phase(BALL2), None, 0.3) == \
         pytest.approx(math.pi, rel=1e-12)
-    assert lf.density_closed_form(lf.radial_quadratic_phase(BALL3), 0.25) == \
+    assert lf.weighted_density_closed_form(lf.radial_quadratic_phase(BALL3), None, 0.25) == \
         pytest.approx(2.0 * math.pi * 0.5, rel=1e-12)
 
 
@@ -46,26 +46,26 @@ def test_radial_power_closed_form():
     phase = lf.radial_power_phase(BALL2, 4.0)
     t = 0.0625
     want = (2.0 * math.pi / 4.0) * t ** ((2.0 - 4.0) / 4.0)
-    assert lf.density_closed_form(phase, t) == pytest.approx(want, rel=1e-12)
-    assert lf.density_closed_form(phase, 2.0) == 0.0
-    assert math.isinf(lf.density_closed_form(phase, 0.0))
+    assert lf.weighted_density_closed_form(phase, None, t) == pytest.approx(want, rel=1e-12)
+    assert lf.weighted_density_closed_form(phase, None, 2.0) == 0.0
+    assert math.isinf(lf.weighted_density_closed_form(phase, None, 0.0))
 
 
 def test_saddle_closed_form_small_level_log():
     phase = lf.saddle_phase(BALL2)
     t = 1e-7
     want = 2.0 * math.asinh(math.sqrt((1.0 - t) / (2.0 * t)))
-    got = lf.density_closed_form(phase, t)
+    got = lf.weighted_density_closed_form(phase, None, t)
     assert got == pytest.approx(want, rel=1e-12)
     assert got / math.log(1.0 / t) == pytest.approx(1.0, abs=0.1)
     # symmetry in the level
-    assert lf.density_closed_form(phase, -t) == pytest.approx(got, rel=1e-12)
+    assert lf.weighted_density_closed_form(phase, None, -t) == pytest.approx(got, rel=1e-12)
 
 
 def test_density_zero_outside_image():
     phase = lf.linear_phase(BALL2)
-    assert lf.density_closed_form(phase, 1.5) == 0.0
-    assert lf.density_closed_form(phase, -1.5) == 0.0
+    assert lf.weighted_density_closed_form(phase, None, 1.5) == 0.0
+    assert lf.weighted_density_closed_form(phase, None, -1.5) == 0.0
 
 
 def test_catalog_masses_equal_domain_volume():
@@ -108,7 +108,7 @@ COAREA_CASES = [
                          ids=lambda c: c.label if hasattr(c, "label") else "")
 def test_coarea_matches_closed_form(phase, levels):
     for t in levels:
-        cf = lf.density_closed_form(phase, float(t))
+        cf = lf.weighted_density_closed_form(phase, None, float(t))
         co = lf.density_coarea(phase, float(t), fiber_nodes=4096)
         assert co == pytest.approx(cf, rel=2e-4), (phase.label, t)
 
@@ -145,7 +145,7 @@ def test_weighted_coarea_radial_function_n3():
     phase = lf.radial_quadratic_phase(BALL3)
     h = lf.RadialFunction(lambda rr: rr ** 2)
     t = 0.36
-    want = lf.density_closed_form(phase, t) * 0.36
+    want = lf.weighted_density_closed_form(phase, None, t) * 0.36
     got = lf.weighted_density_coarea(phase, h, t)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -159,7 +159,7 @@ def test_weighted_closed_form_routes():
     assert np.allclose(got, want, rtol=1e-12)
     # scalar weights scale the base density
     assert lf.weighted_density_closed_form(phase, 2.5, 0.3) == pytest.approx(
-        2.5 * lf.density_closed_form(phase, 0.3))
+        2.5 * lf.weighted_density_closed_form(phase, None, 0.3))
     with pytest.raises(lf.NoClosedFormError):
         lf.weighted_density_closed_form(phase, lambda p: p[:, 0], 0.3)
 
@@ -168,7 +168,7 @@ def test_weighted_closed_form_radial_power():
     phase = lf.radial_power_phase(BALL2, 4.0)
     h = lf.RadialFunction(lambda rr: rr)
     t = 0.4
-    want = lf.density_closed_form(phase, t) * t ** 0.25
+    want = lf.weighted_density_closed_form(phase, None, t) * t ** 0.25
     assert lf.weighted_density_closed_form(phase, h, t) == pytest.approx(
         want, rel=1e-12)
 
@@ -241,6 +241,15 @@ def test_density_on_grid_rejects_zero_subdivide(method):
         lf.density_on_grid(lf.linear_phase(BALL2), grid, method, subdivide=0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda phase, grid: lf.density_on_grid(phase, grid, "bogus"),
+    lambda phase, grid: lf.weighted_density(phase, None, 0.1, "bogus"),
+])
+def test_unknown_density_method_rejected(call):
+    with pytest.raises(lf.ConfigError, match="unknown density method"):
+        call(lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4))
+
+
 def test_atom_detection_on_flat_phase():
     # detector only trusts fine grids: one overloaded bin among thousands
     flat = lf.custom_phase(BALL2, lambda p: np.zeros(len(p)))
@@ -304,7 +313,7 @@ def test_density_estimate_json_schema():
 def test_fiber_norm_constant_weight():
     phase = lf.linear_phase(BALL2)
     t = 0.25
-    base = lf.density_closed_form(phase, t)
+    base = lf.weighted_density_closed_form(phase, None, t)
     got = lf.fiber_norm(phase, lf.LevelFunction(lambda s: np.ones_like(s)), 2.0,
                         t, lf.CLOSED_FORM)
     assert got == pytest.approx(base ** 0.5, rel=1e-12)

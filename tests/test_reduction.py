@@ -295,6 +295,44 @@ def test_uniform_guard_rejects_critical_phases():
                                lambda p: np.ones(len(p)), 2.0, [0.25])
 
 
+ONES = lambda p: np.ones(len(p))  # noqa: E731
+
+
+@pytest.mark.parametrize("phase", [
+    lf.oscillatory_phase(BALL2, 0.3, 5.0),    # no closed form
+    lf.radial_power_phase(BALL2, 3.0),        # gamma > n
+    lf.linear_phase(lf.box([(0.0, 1.0), (0.0, 2.0)])),  # no closed form on a box
+    lf.custom_phase(BALL2, lambda p: p[:, 0]),
+], ids=lambda p: f"{p.label}-{p.domain.shape}")
+def test_uniform_guard_follows_the_closed_form(phase):
+    for pair in ((phase, lf.linear_phase(BALL2)), (lf.linear_phase(BALL2), phase)):
+        with pytest.raises(lf.PhaseNotUniformError):
+            lf.uniform_bound_check(*pair, lf.hilbert_kernel(), ONES, ONES, 2.0, [0.25])
+
+
+def test_uniform_guard_rejects_infinite_density_at_level_zero():
+    ball1 = lf.ball(1)
+    with pytest.raises(lf.PhaseNotUniformError):
+        lf.uniform_bound_check(lf.linear_phase(ball1), lf.radial_quadratic_phase(ball1),
+                               lf.hilbert_kernel(), lf.LevelFunction(np.ones_like),
+                               lf.RadialFunction(np.ones_like), 2.0, [0.25, 0.125],
+                               bins=64)
+
+
+@pytest.mark.parametrize("phase", [
+    lf.radial_power_phase(BALL2, 2.0),        # gamma = n: finite nonzero at 0
+    lf.radial_power_phase(lf.ball(3), 2.0),   # gamma < n: vanishes at 0
+    lf.radial_power_phase(lf.ball(1), 1.0),   # gamma = 1: no critical value
+    lf.radial_quadratic_phase(BALL2),
+], ids=lambda p: p.label)
+def test_uniform_guard_accepts_bounded_closed_forms(phase):
+    rep = lf.uniform_bound_check(phase, phase, lf.hilbert_kernel(),
+                                 lf.RadialFunction(np.ones_like),
+                                 lf.RadialFunction(np.ones_like), 2.0, [0.25],
+                                 bins=32, fiber_nodes=64, subdivide=1)
+    assert np.isfinite(rep.sup_in) and np.isfinite(rep.max_ratio)
+
+
 def test_uniform_bound_check_reports_finite_ratios():
     rep = lf.uniform_bound_check(
         lf.linear_phase(BALL2), lf.radial_quadratic_phase(BALL2),

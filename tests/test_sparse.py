@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levelform as lf
+from levelform import sparse
 from levelform.sparse import DyadicInterval
 
 
@@ -44,9 +45,13 @@ def test_invalid_interval_rejected():
         DyadicInterval(2, 4)
 
 
-dyadic = st.integers(0, 6).flatmap(
-    lambda g: st.tuples(st.just(g), st.integers(0, (1 << g) - 1))).map(
-    lambda gi: DyadicInterval(*gi))
+def dyadic_upto(depth):
+    return st.integers(0, depth).flatmap(
+        lambda g: st.tuples(st.just(g), st.integers(0, (1 << g) - 1))).map(
+        lambda gi: DyadicInterval(*gi))
+
+
+dyadic = dyadic_upto(6)
 
 
 @given(a=dyadic, b=dyadic, c=dyadic)
@@ -72,6 +77,48 @@ def test_children_tile_span(I):
     assert llo == lo and rhi == hi
     assert lhi == rlo
     assert I.contains(left) and I.contains(right)
+
+
+# ---------------------------------------------------------------------------
+# carrier packing against the nested scan
+# ---------------------------------------------------------------------------
+
+def nested_scan_packing(members):
+    """Oracle: each member keeps its measure minus that of the members it
+    contains maximally, found by comparing every pair and triple."""
+    carriers = {}
+    for I in members:
+        inside = [J for J in members if J != I and I.contains(J)]
+        maximal = [J for J in inside
+                   if not any(K.contains(J) for K in inside if K != J)]
+        carriers[I] = I.relative_measure - sum((J.relative_measure for J in maximal),
+                                               Fraction(0))
+    eta = min((carriers[I] / I.relative_measure for I in members), default=Fraction(1))
+    return carriers, eta
+
+
+@st.composite
+def member_sets(draw):
+    """Random addresses plus nested chains below some of them and siblings."""
+    members = set(draw(st.lists(dyadic_upto(10), min_size=1, max_size=12)))
+    for I in sorted(members):
+        for bit in draw(st.lists(st.integers(0, 1), max_size=10 - I.generation)):
+            I = I.children[bit]
+            members.add(I)
+            if draw(st.booleans()):
+                members.add(I.children[0] if I.generation < 10 else I)
+                members.add(DyadicInterval(I.generation, I.index ^ 1))
+    return draw(st.permutations(sorted(members)))
+
+
+@given(members=member_sets())
+@settings(max_examples=200, deadline=None)
+def test_packing_matches_nested_scan(members):
+    carriers, eta = sparse._packing(members)
+    want_carriers, want_eta = nested_scan_packing(members)
+    assert carriers == want_carriers
+    assert all(type(c) is Fraction for c in carriers.values())
+    assert eta == want_eta and type(eta) is Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +322,56 @@ def test_json_rejects_wrong_schema(tmp_path):
     p.write_text(json.dumps(d))
     with pytest.raises(lf.ConfigError):
         lf.load_family(p)
+
+
+def family_dict(addresses, *, cells=64, max_depth=6, drop=None, **fields):
+    """A JSON family whose stored eta matches its members, so that only the
+    defect under test can make loading fail."""
+    _, eta = nested_scan_packing([DyadicInterval(int(g), int(i)) for g, i in addresses])
+    d = {"schema": 1, "root": [-1.0, 1.0], "cells": cells, "lam": 4.0,
+         "eta": [eta.numerator, eta.denominator], "max_depth": max_depth,
+         "depth_exhausted": False, "members": [list(m) for m in addresses]}
+    d.update(fields)
+    d.pop(drop, None)
+    return d
+
+
+def test_family_dict_loads():
+    fam = lf.family_from_json_dict(family_dict([[0, 0], [2, 1], [6, 17]]))
+    assert fam.eta == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("data", [
+    family_dict([[0, 0], [7, 0]]),                     # deeper than max_depth
+    family_dict([[0, 0], [5, 3]], cells=8),            # deeper than 8 cells resolve
+    family_dict([[0, 0]], cells=0),
+    family_dict([[0, 0]], eta=[1, 0]),
+    family_dict([[0, 0]], eta="11"),
+    family_dict([[0, 0]], drop="members"),
+    family_dict([[0, 0]], drop="cells"),
+    family_dict([[0, 0]], drop="eta"),
+    family_dict([[0, 0], [True, 0]]),
+    family_dict([[0, 0], [1, False]]),
+    family_dict([[0, 0]], members=[[0, 0], [1]]),
+    family_dict([[0, 0]], members=[], eta=[1, 1]),
+    family_dict([[0, 0]], root=[0.0]),
+    ["not", "a", "family"],
+], ids=["deeper-than-max-depth", "deeper-than-cells", "no-cells",
+        "eta-zero-denominator", "eta-not-a-pair", "missing-members", "missing-cells",
+        "missing-eta", "bool-generation", "bool-index", "short-address", "no-members",
+        "short-root", "not-a-dict"])
+def test_json_load_rejects_malformed_family(data):
+    with pytest.raises(lf.ConfigError):
+        lf.family_from_json_dict(data)
+
+
+def test_verify_rejects_empty_family():
+    fam = build_reference_family()
+    empty = lf.SparseFamily(a=fam.a, b=fam.b, cells=fam.cells, lam=fam.lam,
+                            members=[], carriers={}, eta=Fraction(1),
+                            max_depth=fam.max_depth)
+    with pytest.raises(lf.SparseDominationError):
+        lf.verify_sparsity(empty)
 
 
 def test_verify_rejects_duplicate_members():
