@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     ConfigError,
@@ -117,6 +116,8 @@ class ReparamTable:
     """Tabulated strictly increasing profile H(s) with a C^1 interpolant."""
 
     def __init__(self, s: np.ndarray, values: np.ndarray):
+        from scipy.interpolate import PchipInterpolator
+
         s = np.asarray(s, dtype=float)
         values = np.asarray(values, dtype=float)
         if s.ndim != 1 or s.shape != values.shape or len(s) < 2:

@@ -11,6 +11,11 @@ the cutoff plateaus exact. The weight of a cell depends only on its offset
 from the output point, so on the grid each action is a Toeplitz stencil over
 the 2m - 1 node offsets, applied to every column at once by FFT convolution;
 off-grid output points use the same cell weights in a matrix product.
+
+The convolution runs on numpy.fft at the lengths scipy.fft.next_fast_len
+picks, and its output is bit for bit that of scipy.fft. For complex input,
+the stencil spectra are the rfft plus the conjugate-symmetric half, which is
+how scipy.fft.fft transforms a real array.
 """
 
 from __future__ import annotations
@@ -18,12 +23,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.integrate import quad
 
 from .errors import ConfigError, ResolutionError
 from .sampling import derived_rng
@@ -61,13 +63,15 @@ def _hilbert_modulus(u):
     return (2.0 / math.pi) * u / (1.0 - u / 2.0)
 
 
-@lru_cache(maxsize=1)
 def hilbert_kernel() -> Kernel1D:
-    """Reference kernel 1/(pi (s - t)) with its verified modulus."""
-    integral, _ = quad(lambda u: float(_hilbert_modulus(u)) / u, 0.0, 1.0)
+    """Reference kernel 1/(pi (s - t)) with its verified modulus.
+
+    The Dini integral of the modulus over (0, 1) is (2/pi) times the
+    integral of 1/(1 - u/2), that is 4 ln 2 / pi.
+    """
     return Kernel1D(evaluate=_hilbert_eval, size_constant=1.0 / math.pi,
-                    dini_modulus=_hilbert_modulus, dini_integral=integral,
-                    label="hilbert")
+                    dini_modulus=_hilbert_modulus,
+                    dini_integral=4.0 * math.log(2.0) / math.pi, label="hilbert")
 
 
 @dataclass(frozen=True)
@@ -183,6 +187,8 @@ def bump_mixture(a: float, b: float, m: int, seed: int, *, bumps: int = 6,
 
     Concentrated enough that stopping-time constructions actually fire.
     """
+    if not m > 0:
+        raise ConfigError(f"bump mixture needs a cell count > 0, got {m!r}")
     rng = derived_rng(seed, 41)
     t = np.linspace(a, b, m, endpoint=False) + (b - a) / (2 * m)
     v = noise * np.abs(rng.standard_normal(m))
@@ -245,6 +251,44 @@ def _cell_weights(kernel: Kernel1D, u: np.ndarray, h: float, eps: float,
     return weights
 
 
+def _next_fast_len(n: int, real: bool) -> int:
+    """Smallest length >= n with no prime factor above 5 (real) or 11 (complex).
+
+    These are the lengths scipy.fft.next_fast_len returns.
+    """
+    top = 1 << (n - 1).bit_length()
+    odd = [1]
+    for p in (3, 5) if real else (3, 5, 7, 11):
+        grown = []
+        for q in odd:
+            while q <= top:
+                grown.append(q)
+                q *= p
+        odd = grown
+    # pad each odd part with the least power of two that reaches n
+    return min(q << (-(-n // q) - 1).bit_length() for q in odd)
+
+
+def _toeplitz_apply(stencils: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Apply each row of `stencils` (offsets 1 - m .. m - 1) to every column of V.
+
+    `stencils` is real, (jobs, 2m - 1); V is (m, columns), real or complex.
+    Returns (jobs, m, columns).
+    """
+    m = len(V)
+    complex_input = np.iscomplexobj(V)
+    n = _next_fast_len(3 * m - 2, real=not complex_input)
+    half = np.fft.rfft(stencils, n=n, axis=1)
+    if complex_input:
+        spectra = np.empty((len(stencils), n), dtype=complex)
+        spectra[:, :half.shape[1]] = half
+        spectra[:, half.shape[1]:] = np.conj(half[:, n - half.shape[1]:0:-1])
+        full = np.fft.ifft(spectra[:, :, None] * np.fft.fft(V, n=n, axis=0)[None], n=n, axis=1)
+    else:
+        full = np.fft.irfft(half[:, :, None] * np.fft.rfft(V, n=n, axis=0)[None], n=n, axis=1)
+    return full[:, m - 1:2 * m - 1].copy()
+
+
 def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
                  jobs: Sequence[tuple[str, Cutoff | None]],
                  eval_points=None) -> list[np.ndarray]:
@@ -255,8 +299,8 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
     Off the grid the same weights are evaluated on the point-to-node offsets
     and applied by matrix products in bounded row chunks.
     """
-    if not eps > 0:
-        raise ConfigError("truncation radius must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"truncation radius must be finite and > 0, got {eps!r}")
     h = F.spacing
     if eps < 2.0 * h:
         raise ResolutionError(f"eps={eps!r} under resolution floor 2h={2 * h!r}")
@@ -269,14 +313,9 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
         raise ConfigError("truncation input holds non-finite values")
 
     m = len(F.values)
-    complex_input = np.iscomplexobj(V)
     if eval_points is None:
         stencils = _cell_weights(kernel, h * np.arange(1 - m, m), h, eps, jobs)
-        n = sp_fft.next_fast_len(3 * m - 2, real=not complex_input)
-        fwd, inv = (sp_fft.fft, sp_fft.ifft) if complex_input else (sp_fft.rfft, sp_fft.irfft)
-        spectra = fwd(np.stack(stencils), n=n, axis=1)[:, :, None]
-        full = inv(spectra * fwd(V, n=n, axis=0)[None], n=n, axis=1)
-        return list(full[:, m - 1:2 * m - 1].copy())
+        return list(_toeplitz_apply(np.stack(stencils), V))
 
     t = F.nodes
     s = np.atleast_1d(np.asarray(eval_points, dtype=float))

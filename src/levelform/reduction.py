@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import geometry
 from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
@@ -60,8 +59,8 @@ class SynchronizedForm:
     eps: float = 0.25
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ConfigError("truncation radius must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"truncation radius must be finite and > 0, got {self.eps!r}")
 
 
 def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
@@ -311,6 +310,8 @@ def pullback_norm(phase: Phase, f, r: float, delta: float = 0.01, *,
     distance at least delta from every critical level, then shrinks delta by
     halves. Mass growth above 25 percent at every halving flags divergence.
     """
+    from scipy.integrate import quad
+
     if not r >= 1:
         raise ConfigError("pullback exponent must be >= 1")
     if not delta > 0 or halvings < 1:

@@ -6,12 +6,26 @@ stream on a bounding box in power-of-two batches and keeps the points a
 domain predicate accepts, in stream order. The stream does not depend on the
 batch size, so streams are prefix-stable: the first k of N points are the k
 points a request for k returns.
+
+The stream of `(seed, tag)` is bit for bit the one
+`scipy.stats.qmc.Sobol(d, scramble=True, seed=derived_rng(seed, tag))`
+draws. Up to 32 dimensions it is built here in numpy:
+
+- direction numbers from the Joe & Kuo (2008) table;
+- linear matrix scrambling plus a digital shift (Matousek 1998; Owen 1998)
+  with 30 bits, drawn from a spawned child of the generator as qmc.Sobol
+  draws them: the shift bits first, then the lower-triangular matrices;
+- points in Gray-code order (Antonov & Saleev 1979). For a power-of-two
+  batch size B, gray(jB + i) = gray(jB) ^ gray(i), so every batch is one
+  precomputed block XOR one offset.
+
+Above 32 dimensions the stream comes from qmc.Sobol itself, imported only
+then.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigError
 from .geometry import Domain
@@ -19,6 +33,26 @@ from .geometry import Domain
 _MAX_BATCH = 2**18
 # floor on the expected acceptance rate when sizing a batch
 _MIN_RATE = 1e-4
+_BITS = 30
+# Joe & Kuo (2008), file new-joe-kuo-6.21201, dimensions 2..32: the primitive
+# polynomial over GF(2) as bits, its leading and constant terms included, and
+# the initial direction numbers m_1..m_s. Dimension 1 is the van der Corput
+# sequence, all m_j = 1.
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)), (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)), (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)), (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)), (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)), (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)), (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)), (145, (1, 3, 5, 9, 1, 25, 53)),
+    (157, (1, 3, 1, 13, 9, 35, 107)), (167, (1, 3, 1, 5, 27, 61, 31)),
+    (171, (1, 1, 5, 11, 19, 41, 61)), (185, (1, 3, 5, 3, 3, 13, 69)),
+    (191, (1, 1, 7, 13, 1, 19, 1)), (193, (1, 3, 7, 5, 13, 19, 59)),
+    (203, (1, 1, 3, 9, 25, 29, 41)), (211, (1, 3, 5, 13, 23, 1, 55)),
+    (213, (1, 3, 7, 3, 13, 59, 17)),
+)
 
 
 def derived_rng(seed: int, tag: int) -> np.random.Generator:
@@ -28,8 +62,85 @@ def derived_rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag,)))
 
 
-def sobol_engine(dim: int, seed: int, tag: int = 0) -> qmc.Sobol:
-    return qmc.Sobol(d=dim, scramble=True, seed=derived_rng(seed, tag))
+def _direction_numbers(dim: int) -> np.ndarray:
+    """(dim, 30) direction numbers m_j 2^(30 - j), by the Bratley-Fox recurrence."""
+    v = np.ones((dim, _BITS), dtype=np.int64)
+    for d, (poly, init) in enumerate(_JOE_KUO[:dim - 1], start=1):
+        s = len(init)
+        m = list(init)
+        for j in range(s, _BITS):
+            new = m[j - s]
+            for k in range(1, s + 1):
+                if (poly >> (s - k)) & 1:
+                    new ^= m[j - k] << k
+            m.append(new)
+        v[d] = m
+    return v << np.arange(_BITS - 1, -1, -1)
+
+
+def _scrambled_directions(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Direction numbers after linear matrix scrambling, and the digital shift.
+
+    Each direction number, read as a bit column from its top bit down, is
+    multiplied over GF(2) by a random lower-triangular matrix with unit
+    diagonal, one matrix per dimension.
+    """
+    shift = rng.integers(2, size=(dim, _BITS), dtype=np.uint32) @ (
+        np.uint32(1) << np.arange(_BITS, dtype=np.uint32))
+    lower = np.tril(rng.integers(2, size=(dim, _BITS, _BITS), dtype=np.uint32))
+    lower[:, np.arange(_BITS), np.arange(_BITS)] = 1
+    top_down = np.arange(_BITS - 1, -1, -1)
+    bits = (_direction_numbers(dim)[:, :, None] >> top_down) & 1
+    scrambled = (np.einsum("dpi,dji->djp", lower, bits) & 1) << top_down
+    return scrambled.sum(axis=2).astype(np.uint32), shift
+
+
+def _gray_offset(directions: np.ndarray, index: int) -> np.ndarray:
+    """XOR of the direction numbers over the set bits of gray(index)."""
+    gray = index ^ (index >> 1)
+    return np.bitwise_xor.reduce(directions[:, [b for b in range(_BITS) if (gray >> b) & 1]],
+                                 axis=1)
+
+
+def _xor_rows(rows: np.ndarray, vector: np.ndarray, out: np.ndarray) -> None:
+    """out = rows ^ vector, row by row, for C-contiguous (2^k, dim) arrays.
+
+    The rows are regrouped up to 64 at a time, so that numpy's inner loop
+    runs over 64 * dim elements instead of dim.
+    """
+    width = min(len(rows), 64) * len(vector)
+    np.bitwise_xor(rows.reshape(-1, width), np.tile(vector, width // len(vector)),
+                   out=out.reshape(-1, width))
+
+
+def _sobol_blocks(dim: int, rng: np.random.Generator, batch: int):
+    """Successive `batch`-point blocks, in [0, 1)^dim, of the stream seeded by `rng`.
+
+    `batch` is a power of two. The stream ends after 2^30 points, as
+    qmc.Sobol's does, and asking for more raises ConfigError.
+    """
+    if dim > len(_JOE_KUO) + 1:
+        from scipy.stats import qmc
+
+        engine = qmc.Sobol(d=dim, scramble=True, seed=rng)
+        for _ in range(2**_BITS // batch):
+            yield engine.random(batch)
+    else:
+        # qmc.Sobol scrambles with a spawned child of the generator it is given
+        directions, shift = _scrambled_directions(dim, rng.spawn(1)[0])
+        # row i holds the XOR over gray(i); gray(w + i) = gray(w) ^ gray(i) for i < w = 2^b
+        block = np.zeros((batch, dim), dtype=np.uint32)
+        w = 1
+        while w < batch:
+            _xor_rows(block[:w], _gray_offset(directions, w), out=block[w:2 * w])
+            w *= 2
+        points = np.empty_like(block)
+        for start in range(0, 2**_BITS, batch):
+            _xor_rows(block, shift ^ _gray_offset(directions, start), out=points)
+            unit = points.astype(float)
+            unit *= 2.0**-_BITS
+            yield unit
+    raise ConfigError(f"a Sobol stream holds 2^{_BITS} points; this request needs more")
 
 
 def _accepted_stream(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag: int,
@@ -41,13 +152,14 @@ def _accepted_stream(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag:
     """
     if count < 0:
         raise ConfigError(f"sample count must be >= 0, got {count!r}")
-    engine = sobol_engine(len(lo), seed, tag)
+    rng = derived_rng(seed, tag)
     out = np.empty((count, len(lo)), dtype=float)
     target = count / max(rate, _MIN_RATE) * 1.2
     batch = 1 << int(np.ceil(np.log2(min(max(target, 64), _MAX_BATCH))))
+    blocks = _sobol_blocks(len(lo), rng, batch)
     got = 0
     while got < count:
-        pts = lo + engine.random(batch) * (hi - lo)
+        pts = lo + next(blocks) * (hi - lo)
         if accept is not None:
             pts = pts[accept(pts)]
         take = min(len(pts), count - got)

@@ -8,6 +8,7 @@ averages themselves are floating point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -62,6 +63,10 @@ class SparseFamily:
     depth_exhausted: bool = False
 
     def member_average(self, F: GridFunction1D, I: DyadicInterval) -> float:
+        if (F.a, F.b, len(F.values)) != (self.a, self.b, self.cells):
+            raise ConfigError(f"grid function on [{F.a!r}, {F.b!r}] with {len(F.values)} cells "
+                              f"is off the family frame [{self.a!r}, {self.b!r}] with "
+                              f"{self.cells} cells")
         lo, hi = _cell_range(self.cells, I)
         block = np.abs(F.values[lo:hi])
         return float(np.mean(block))
@@ -85,8 +90,8 @@ def build_sparse_greedy(F: GridFunction1D, G: GridFunction1D, lam: float = 4.0,
     times the corresponding average over the most recent member above it.
     With lam >= 4 the carriers provably keep at least half of each member.
     """
-    if lam <= 2.0:
-        raise ConfigError("stopping factor must exceed 2")
+    if not (math.isfinite(lam) and lam > 2.0):
+        raise ConfigError(f"stopping factor must be finite and > 2, got {lam!r}")
     if F.a != G.a or F.b != G.b or len(F.values) != len(G.values):
         raise ConfigError("sparse construction needs matching grids")
     m = len(F.values)

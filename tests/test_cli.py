@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
 import runpy
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -218,6 +221,45 @@ def test_module_entry_exit_code_on_negative_seed(argv, monkeypatch, capsys):
         runpy.run_module("levelform", run_name="__main__")
     assert exc.value.code == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["reduce", "--eps", "inf"], "truncation radius"),
+    (["sparse", "--lam", "nan"], "stopping factor"),
+    (["sparse", "--cells", "0"], "cell count"),
+])
+def test_module_entry_exit_code_on_non_finite_or_empty_input(argv, message, tmp_path,
+                                                             monkeypatch, capsys):
+    monkeypatch.setenv("LEVELFORM_OUT", str(tmp_path))
+    monkeypatch.setattr("sys.argv", ["levelform", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("levelform", run_name="__main__")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # a fresh interpreter: importing the package and running these commands
+    # must not pull in any scipy module
+    script = """
+import sys
+import levelform
+from levelform import cli
+codes = [cli.main(argv) for argv in (
+    ["density", "--bins", "16"],
+    ["regime", "--bins", "32"],
+    ["sparse", "--cells", "256", "--depth", "6"],
+)]
+print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    src = str(pathlib.Path(lf.__file__).resolve().parents[1])
+    env = dict(os.environ, LEVELFORM_OUT=str(tmp_path),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_experiment_script_runs_in_process(tmp_path, monkeypatch):

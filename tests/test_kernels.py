@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
+from scipy.integrate import quad
 
 import levelform as lf
+from levelform import kernels
 
 
 def noise_function(m=512, a=-1.0, b=1.0, seed=0):
@@ -48,10 +51,11 @@ def test_kernel_and_cutoff_equality_see_their_functions():
 
 
 def test_dini_integral_closed_form():
-    # integral of (2/pi) / (1 - u/2) du over (0, 1) = (4/pi) log 2
+    # integral of (2/pi) / (1 - u/2) du over (0, 1) = (4/pi) log 2, taken here
+    # by adaptive quadrature of the modulus
     k = lf.hilbert_kernel()
-    assert k.dini_integral == pytest.approx(4.0 * math.log(2.0) / math.pi,
-                                            rel=1e-10)
+    integral, _ = quad(lambda u: float(k.dini_modulus(u)) / u, 0.0, 1.0)
+    assert k.dini_integral == pytest.approx(integral, rel=1e-10)
 
 
 def test_modulus_dominates_sampled_increments():
@@ -395,6 +399,54 @@ def test_stencil_core_matches_dense_oracle(m, a, width, eps_cells, columns,
                           F.nodes[rng.integers(0, m, 5)]])
     got = lf.truncation_batch(k, functions, eps, ALL_JOBS, eval_points=pts)
     assert_matches_oracle(got, dense_apply_batch(k, F, V, eps, ALL_JOBS, pts))
+
+
+def scipy_toeplitz_apply(stencils, V):
+    """The stencil convolution on scipy.fft, as the kernels module once ran it."""
+    m = len(V)
+    complex_input = np.iscomplexobj(V)
+    n = sp_fft.next_fast_len(3 * m - 2, real=not complex_input)
+    fwd, inv = (sp_fft.fft, sp_fft.ifft) if complex_input else (sp_fft.rfft, sp_fft.irfft)
+    spectra = fwd(stencils, n=n, axis=1)[:, :, None]
+    full = inv(spectra * fwd(V, n=n, axis=0)[None], n=n, axis=1)
+    return full[:, m - 1:2 * m - 1]
+
+
+def fast_length_cells(limit=16384):
+    """Cell counts m whose padded length 3m - 2 sits just below, on or just past a fast length."""
+    cells = set()
+    for real in (True, False):
+        length = 1
+        while length <= 3 * limit - 2:
+            m = -(-(length + 2) // 3)  # least m with 3m - 2 >= length
+            cells.update(c for c in (m - 1, m, m + 1) if 1 <= c <= limit)
+            length = sp_fft.next_fast_len(length + 1, real=real)
+    return sorted(cells)
+
+
+@given(m=st.one_of(st.sampled_from(fast_length_cells()), st.integers(1, 16384)),
+       jobs=st.integers(1, 3), columns=st.integers(1, 3), complex_values=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+@example(m=4096, jobs=3, columns=6, complex_values=False, seed=0)
+@example(m=512, jobs=1, columns=1, complex_values=True, seed=0)
+def test_toeplitz_apply_matches_scipy_fft(m, jobs, columns, complex_values, seed):
+    rng = np.random.default_rng(seed)
+    stencils = rng.standard_normal((jobs, 2 * m - 1))
+    V = rng.standard_normal((m, columns))
+    if complex_values:
+        V = V + 1j * rng.standard_normal((m, columns))
+    got = kernels._toeplitz_apply(stencils, V)
+    want = scipy_toeplitz_apply(stencils, V)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_next_fast_len_matches_scipy(real):
+    lengths = range(1, 50_001)
+    assert ([kernels._next_fast_len(n, real) for n in lengths]
+            == [sp_fft.next_fast_len(n, real=real) for n in lengths])
 
 
 def test_radius_on_cell_edge():

@@ -2,22 +2,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
 import levelform as lf
-from levelform import geometry
+from levelform import geometry, sampling
 from levelform.pushforward import _level_statistics
-from levelform.sampling import derived_rng, sobol_engine
+from levelform.sampling import derived_rng
 
 DOMAINS = [lf.ball(1), lf.ball(2), lf.ball(3, 0.7), lf.ball(5, 2.0),
            lf.box([(-1.0, 2.0), (0.0, 0.5)]),
            lf.box([(0.0, 1.0), (-3.0, 3.0), (1.0, 1.5)])]
 
 
+def scipy_sobol(dim, seed, tag):
+    return qmc.Sobol(d=dim, scramble=True, seed=derived_rng(seed, tag))
+
+
 def oracle_stream(lo, hi, count, seed, tag, accept):
-    """One power-of-two Sobol draw, filtered by `accept` and cut to `count`."""
+    """One power-of-two draw from scipy's Sobol engine, filtered by `accept` and cut to `count`."""
     k = 6
     while True:
-        pts = lo + sobol_engine(len(lo), seed, tag).random(2 ** k) * (hi - lo)
+        pts = lo + scipy_sobol(len(lo), seed, tag).random(2 ** k) * (hi - lo)
         kept = pts[accept(pts)]
         if len(kept) >= count:
             return kept[:count]
@@ -153,3 +158,29 @@ def test_monte_carlo_estimates_share_no_state():
     lf.density_monte_carlo(other, lf.LevelGrid(0.0, 1.0, 16), 140_000, seed=4)
     again = lf.density_monte_carlo(phase, grid, 70_000, seed=3)
     assert np.array_equal(first.values, again.values)
+
+
+# the numpy Sobol stream against scipy's engine; 33 dimensions take the
+# engine branch itself
+@pytest.mark.parametrize("dim", range(1, 34))
+def test_sobol_blocks_match_scipy_engine(dim):
+    for seed, tag in [(0, 0), (7919 * dim, dim % 10), (2 ** 32 - 1, 9)]:
+        engine = scipy_sobol(dim, seed, tag)
+        want = np.concatenate([engine.random(n) for n in (1024, 3072, 4096, 1000)])
+        for batch in (16, 512, 8192):
+            blocks = sampling._sobol_blocks(dim, derived_rng(seed, tag), batch)
+            got = np.concatenate([next(blocks) for _ in range(-(-len(want) // batch))])
+            got = got[:len(want)]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@given(dim=st.integers(1, 33), seed=seeds, tag=tags,
+       count=st.integers(0, 5000), rate=st.floats(0.05, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_accepted_stream_matches_scipy_engine(dim, seed, tag, count, rate):
+    # every point kept: the stream itself, whatever batch size `rate` picks
+    lo, hi = np.zeros(dim), np.ones(dim)
+    got = sampling._accepted_stream(lo, hi, count, seed, tag, rate=rate)
+    want = scipy_sobol(dim, seed, tag).random(1 << max(count - 1, 0).bit_length())[:count]
+    assert got.tobytes() == want.tobytes()

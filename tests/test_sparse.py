@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -238,6 +239,21 @@ def test_sparse_form_dominates_truncated_pairing():
             ratio = lf.domination_ratio(lhs, fam, F, G)
             assert abs(lhs) <= 2.0 * s_val
             assert ratio == pytest.approx(abs(lhs) / s_val)
+
+
+@pytest.mark.parametrize("cells,a,b", [(128, -1.0, 1.0), (32, -1.0, 1.0), (64, 0.0, 1.0)])
+def test_sparse_form_rejects_grids_off_the_family_frame(cells, a, b):
+    F = lf.bump_mixture(-1.0, 1.0, 64, seed=10)
+    G = lf.bump_mixture(-1.0, 1.0, 64, seed=11)
+    fam = lf.build_sparse_greedy(F, G, lam=4.0, max_depth=6)
+    off_f = lf.bump_mixture(a, b, cells, seed=10)
+    off_g = lf.bump_mixture(a, b, cells, seed=11)
+    for pair in [(off_f, off_g), (F, off_g), (off_f, G)]:
+        with pytest.raises(lf.ConfigError):
+            lf.sparse_form(fam, *pair)
+        with pytest.raises(lf.ConfigError):
+            lf.domination_ratio(1.0, fam, *pair)
+    assert math.isfinite(lf.sparse_form(fam, F, G))
 
 
 def test_merge_families_union():
