@@ -23,7 +23,7 @@ import numpy as np
 from . import geometry, reduction, sparse
 from .config import parse_kv_text, phase_from_config
 from .errors import LevelformError
-from .geometry import Phase, ball
+from .geometry import Phase
 from .benchmarks import pair_domination
 from .kernels import bump_mixture, eps_ladder, hilbert_kernel
 from .pushforward import (CLOSED_FORM, METHODS, MONTE_CARLO, LevelFunction,
@@ -42,23 +42,18 @@ def _one_profile(t):
     return np.ones_like(np.asarray(t, dtype=float))
 
 
-def preset_phase(name: str) -> Phase:
-    dom = ball(2)
-    if name == "linear":
-        return geometry.linear_phase(dom)
-    if name == "radial2":
-        return geometry.radial_quadratic_phase(dom)
-    if name == "radial-power4":
-        return geometry.radial_power_phase(dom, 4.0)
-    if name == "radial-power8":
-        return geometry.radial_power_phase(dom, 8.0)
-    if name == "saddle":
-        return geometry.saddle_phase(dom)
-    raise LevelformError(f"unknown preset {name!r}")
+# phase configs on the unit disk, the domain a config gets by default
+PRESETS = {
+    "linear": {"phase.kind": geometry.LINEAR},
+    "radial2": {"phase.kind": geometry.RADIAL_QUADRATIC},
+    "radial-power4": {"phase.kind": geometry.RADIAL_POWER, "phase.gamma": "4"},
+    "radial-power8": {"phase.kind": geometry.RADIAL_POWER, "phase.gamma": "8"},
+    "saddle": {"phase.kind": geometry.SADDLE},
+}
 
 
 def preset_pair(name: str):
-    phase = preset_phase(name)
+    phase = phase_from_config(PRESETS[name])
     if name == "linear":
         f = LevelFunction(_indicator_profile)
         g = LevelFunction(_one_profile)
@@ -69,11 +64,10 @@ def preset_pair(name: str):
 
 
 def _load_phase(args) -> Phase:
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
-            cfg = parse_kv_text(fh.read())
-        return phase_from_config(cfg)
-    return preset_phase(args.preset)
+            return phase_from_config(parse_kv_text(fh.read()))
+    return phase_from_config(PRESETS[args.preset])
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, preset_default="linear"):
-        p.add_argument("--preset", default=preset_default,
-                       choices=["linear", "radial2", "radial-power4",
-                                "radial-power8", "saddle"])
-        p.add_argument("--config", help="key = value phase description file")
+        p.add_argument("--preset", default=preset_default, choices=list(PRESETS))
         p.add_argument("--method", default=CLOSED_FORM, choices=METHODS)
         p.add_argument("--bins", type=int, default=256)
         p.add_argument("--fiber-nodes", type=int, default=1024)
-        p.add_argument("--subdivide", type=int, default=3)
         p.add_argument("--samples", type=int, default=200_000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", help="write a JSON report here")
 
     p = sub.add_parser("density", help="tabulate a pushforward density")
     common(p)
+    p.add_argument("--config", help="key = value phase description file")
+    p.add_argument("--subdivide", type=int, default=3)
     p.add_argument("--t-lo", type=float)
     p.add_argument("--t-hi", type=float)
     p.add_argument("--csv", help="write the density table here")
@@ -287,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="check the reduction identity")
     common(p)
+    p.add_argument("--subdivide", type=int, default=3)
     p.add_argument("--eps", type=float, default=0.25)
     p.set_defaults(func=_cmd_reduce)
 
@@ -305,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regime", help="classify small-level density behavior")
     common(p, preset_default="radial-power4")
+    p.add_argument("--config", help="key = value phase description file")
     p.add_argument("--t-lo", type=float, default=1e-3)
     p.add_argument("--t-hi", type=float, default=1e-1)
     p.set_defaults(func=_cmd_regime)

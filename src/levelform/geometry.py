@@ -334,11 +334,6 @@ def _grad_values(phase: Phase, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     raise UnsupportedPhaseError(f"no analytic gradient for phase kind {k!r}")
 
 
-def grad_norm(phase: Phase, pts: np.ndarray, on_undefined: str = "nan") -> np.ndarray:
-    g = grad_phase(phase, pts, on_undefined=on_undefined)
-    return np.linalg.norm(np.atleast_2d(g), axis=1)
-
-
 def critical_values(phase: Phase) -> tuple[float, ...]:
     """Exact critical values from the catalog (never detected numerically)."""
     k = phase.kind
@@ -427,7 +422,7 @@ def check_gamma_profile(phase: Phase, profile: GammaProfile, sample_count: int =
     from .sampling import sample_domain  # local import, avoids cycle
 
     pts = sample_domain(phase.domain, sample_count, seed)
-    norms = grad_norm(phase, pts, on_undefined="nan")
+    norms = np.linalg.norm(grad_phase(phase, pts, on_undefined="nan"), axis=1)
     levels = _eval_values(phase, pts)
     usable = np.isfinite(norms) & profile.covers(levels)
     if not np.any(usable):

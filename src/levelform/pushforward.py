@@ -3,8 +3,8 @@
 Three routes to the level density w_theta(t) = H^{n-1}-integral of 1/|grad|
 over the level set: catalog closed forms, fiber quadrature on the catalog
 parametrization, and seeded quasi-Monte Carlo histograms. Weighted variants
-w_{theta,h} carry an integrand h along the fiber; the fiber r-norm and the
-normalized fiber average are derived from them.
+w_{theta,h} carry an integrand h along the fiber; the fiber r-norm is derived
+from them.
 """
 
 from __future__ import annotations
@@ -616,13 +616,3 @@ def fiber_norm(phase: Phase, f, r: float, t: float, method: str = COAREA, *,
     weighted = weighted_density(phase, _abs_power(f, r), t, method,
                                 fiber_nodes=fiber_nodes)
     return float(weighted) ** (1.0 / r)
-
-
-def normalized_average(phase: Phase, f, t: float, method: str = COAREA, *,
-                       fiber_nodes: int = 2048) -> float:
-    """Fiber average w_{theta,f}/w_theta; 0 when the base density is 0 or inf."""
-    base = weighted_density(phase, None, t, method, fiber_nodes=fiber_nodes)
-    if not np.isfinite(base) or base <= 0.0:
-        return 0.0
-    num = weighted_density(phase, f, t, method, fiber_nodes=fiber_nodes)
-    return float(num) / float(base)

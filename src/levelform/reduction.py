@@ -101,16 +101,6 @@ def _level_pairings(phase_in: Phase, phase_out: Phase, kernel: Kernel1D, f, g,
             for eps in eps_values]
 
 
-def _rhs_at_resolution(form: SynchronizedForm, bins: int, method: str,
-                       fiber_nodes: int, subdivide: int, sample_count: int,
-                       seed: int) -> float:
-    pairing, = _level_pairings(form.phase_in, form.phase_out, form.kernel, form.f,
-                               form.g, [form.eps], bins, method, (seed, seed + 1),
-                               fiber_nodes=fiber_nodes, subdivide=subdivide,
-                               sample_count=sample_count)
-    return pairing
-
-
 def rhs_reduced(form: SynchronizedForm, bins: int = 512,
                 method: str = CLOSED_FORM, *, fiber_nodes: int = 2048,
                 subdivide: int = 5, sample_count: int = 100_000,
@@ -119,10 +109,11 @@ def rhs_reduced(form: SynchronizedForm, bins: int = 512,
 
     The reported error is the change under doubling the level resolution.
     """
-    coarse = _rhs_at_resolution(form, bins, method, fiber_nodes, subdivide,
-                                sample_count, seed)
-    fine = _rhs_at_resolution(form, 2 * bins, method, fiber_nodes, subdivide,
-                              sample_count, seed)
+    coarse, fine = (_level_pairings(form.phase_in, form.phase_out, form.kernel, form.f,
+                                    form.g, [form.eps], level_bins, method, (seed, seed + 1),
+                                    fiber_nodes=fiber_nodes, subdivide=subdivide,
+                                    sample_count=sample_count)[0]
+                    for level_bins in (bins, 2 * bins))
     return Estimate(value=fine, error=abs(fine - coarse), label="reduced")
 
 
@@ -232,21 +223,18 @@ class IntegrabilityScan:
     converged: bool
 
 
-def integrability_scan(beta: float, a: float, *, k_min: int = 3,
-                       k_max: int = 24) -> IntegrabilityScan:
+def integrability_scan(beta: float, a: float) -> IntegrabilityScan:
     """Exact shell increments of the integral of t^(-a beta) dt near 0.
 
-    Shell k is [2^-(k+1), 2^-k]; the increments follow the ratio
+    Shell k is [2^-(k+1), 2^-k] for k = 3..24; the increments follow the ratio
     2^(a beta - 1), and the scan declares convergence when the last three
     measured ratios sit below 0.97.
     """
     if a < 0:
         raise ConfigError("integrability scan needs a nonnegative exponent")
-    if k_max - k_min < 3:
-        raise InsufficientDecadesError("need at least four dyadic shells")
     p = -a * beta
     increments = []
-    for k in range(k_min, k_max + 1):
+    for k in range(3, 25):
         lo, hi = 2.0 ** (-(k + 1)), 2.0 ** (-k)
         if p == -1.0:
             increments.append(math.log(2.0))
@@ -269,8 +257,7 @@ class WindowVerdict:
     verdict: str
 
 
-def window_verdict(beta_in: float, beta_out: float, r: float, *,
-                   k_min: int = 3, k_max: int = 24) -> WindowVerdict:
+def window_verdict(beta_in: float, beta_out: float, r: float) -> WindowVerdict:
     """Two-sided endpoint scan at exponent r.
 
     The inner side scans with a = r - 1 against beta_in, the outer side with
@@ -279,9 +266,8 @@ def window_verdict(beta_in: float, beta_out: float, r: float, *,
     """
     if not r > 1.0:
         raise ConfigError("exponent scans need r > 1")
-    scan_in = integrability_scan(beta_in, r - 1.0, k_min=k_min, k_max=k_max)
-    scan_out = integrability_scan(beta_out, 1.0 / (r - 1.0), k_min=k_min,
-                                  k_max=k_max)
+    scan_in = integrability_scan(beta_in, r - 1.0)
+    scan_out = integrability_scan(beta_out, 1.0 / (r - 1.0))
     verdict = "convergent" if (scan_in.converged and scan_out.converged) \
         else "divergent"
     return WindowVerdict(r=r, window=critical_window(beta_in, beta_out),
@@ -302,20 +288,19 @@ class PullbackReport:
 
 
 def pullback_norm(phase: Phase, f, r: float, delta: float = 0.01, *,
-                  method: str = CLOSED_FORM, fiber_nodes: int = 2048,
-                  halvings: int = 2) -> PullbackReport:
+                  method: str = CLOSED_FORM, fiber_nodes: int = 2048) -> PullbackReport:
     """Level-space norm of f at exponent r away from critical levels.
 
     Integrates the |f|^r-weighted density over the part of the image at
-    distance at least delta from every critical level, then shrinks delta by
-    halves. Mass growth above 25 percent at every halving flags divergence.
+    distance at least delta from every critical level, then halves delta
+    twice. Mass growth above 25 percent at every halving flags divergence.
     """
     from scipy.integrate import quad
 
     if not r >= 1:
         raise ConfigError("pullback exponent must be >= 1")
-    if not delta > 0 or halvings < 1:
-        raise ConfigError("need a positive core margin and one halving")
+    if not delta > 0:
+        raise ConfigError("need a positive core margin")
     habs = _abs_power(f, r)
 
     def integrand(t: float) -> float:
@@ -324,7 +309,7 @@ def pullback_norm(phase: Phase, f, r: float, delta: float = 0.01, *,
 
     lo, hi = geometry.image_interval(phase)
     crits = geometry.critical_values(phase)
-    deltas = tuple(delta / 2 ** i for i in range(halvings + 1))
+    deltas = tuple(delta / 2 ** i for i in range(3))
     masses = []
     for d in deltas:
         total = 0.0
@@ -372,10 +357,10 @@ def _require_uniform(phase: Phase) -> None:
         raise PhaseNotUniformError(f"{phase.label} density blows up at a critical level")
 
 
-def density_supremum(phase: Phase, probes: int = 2048) -> float:
-    """Grid supremum of the closed-form density over the image."""
+def density_supremum(phase: Phase) -> float:
+    """Supremum of the closed-form density over 2048 interior image points."""
     lo, hi = geometry.image_interval(phase)
-    t = np.linspace(lo, hi, probes + 2)[1:-1]
+    t = np.linspace(lo, hi, 2050)[1:-1]
     vals = np.asarray(weighted_density_closed_form(phase, None, t), dtype=float)
     return float(np.max(vals[np.isfinite(vals)]))
 
@@ -440,25 +425,24 @@ UNIFORM_REGIME = "uniform"
 ATOMIC_REGIME = "atomic"
 
 
-def classify_regime(profile: CriticalProfile, atom_suspected: bool = False,
-                    uniform_cut: float = 0.05) -> str:
-    """Name the small-level regime of a fitted density profile."""
+def classify_regime(profile: CriticalProfile, atom_suspected: bool = False) -> str:
+    """Name the small-level regime of a fitted density profile; a power-law
+    exponent under 0.05 counts as uniform."""
     if atom_suspected:
         return ATOMIC_REGIME
     if profile.kind == LOG_REGIME:
         return LOG_REGIME
-    if profile.beta < uniform_cut:
+    if profile.beta < 0.05:
         return UNIFORM_REGIME
     return POWER_REGIME
 
 
-def random_smooth_function(domain: Domain, seed: int, *, waves: int = 3,
-                           tag: int = 0) -> Callable:
-    """Random low-frequency trigonometric polynomial on the domain."""
+def random_smooth_function(domain: Domain, seed: int, *, tag: int = 0) -> Callable:
+    """Random low-frequency trigonometric polynomial of three waves on the domain."""
     rng = derived_rng(seed, 1000 + tag)
-    amps = rng.standard_normal(waves)
-    freqs = rng.integers(-2, 3, size=(waves, domain.n)).astype(float)
-    shifts = rng.uniform(0.0, 2.0 * math.pi, waves)
+    amps = rng.standard_normal(3)
+    freqs = rng.integers(-2, 3, size=(3, domain.n)).astype(float)
+    shifts = rng.uniform(0.0, 2.0 * math.pi, 3)
 
     def fn(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

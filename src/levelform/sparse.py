@@ -7,7 +7,6 @@ averages themselves are floating point.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,19 +183,6 @@ def sparse_form(family: SparseFamily, F: GridFunction1D, G: GridFunction1D) -> f
     return total
 
 
-def merge_families(fam_f: SparseFamily, fam_g: SparseFamily) -> SparseFamily:
-    """Union of two families over the same frame, carriers recomputed."""
-    if (fam_f.a, fam_f.b, fam_f.cells) != (fam_g.a, fam_g.b, fam_g.cells):
-        raise ConfigError("families live on different frames")
-    members = sorted(set(fam_f.members) | set(fam_g.members))
-    carriers, eta = _packing(members)
-    return SparseFamily(a=fam_f.a, b=fam_f.b, cells=fam_f.cells,
-                        lam=max(fam_f.lam, fam_g.lam), members=members,
-                        carriers=carriers, eta=eta,
-                        max_depth=max(fam_f.max_depth, fam_g.max_depth),
-                        depth_exhausted=fam_f.depth_exhausted or fam_g.depth_exhausted)
-
-
 def domination_ratio(lhs_value: float, family: SparseFamily,
                      F: GridFunction1D, G: GridFunction1D) -> float:
     """|lhs| divided by the sparse form of `family` on F and G."""
@@ -259,13 +245,3 @@ def family_from_json_dict(data: dict) -> SparseFamily:
     return SparseFamily(a=a, b=b, cells=cells, lam=lam, members=sorted(members),
                         carriers=carriers, eta=eta, max_depth=max_depth,
                         depth_exhausted=depth_exhausted)
-
-
-def save_family(family: SparseFamily, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(family_to_json_dict(family), fh, indent=1)
-
-
-def load_family(path) -> SparseFamily:
-    with open(path) as fh:
-        return family_from_json_dict(json.load(fh))

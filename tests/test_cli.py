@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import levelform as lf
-from levelform import benchmarks
+from levelform import benchmarks, cli
 from levelform.cli import entry, main
 from levelform.config import parse_kv_text, phase_from_config
 
@@ -285,6 +286,48 @@ def test_method_choices_are_the_density_routes():
 def test_unknown_preset_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["density", "--preset", "bogus"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name,build", [
+    ("linear", lf.linear_phase),
+    ("radial2", lf.radial_quadratic_phase),
+    ("radial-power4", lambda dom: lf.radial_power_phase(dom, 4.0)),
+    ("radial-power8", lambda dom: lf.radial_power_phase(dom, 8.0)),
+    ("saddle", lf.saddle_phase),
+])
+def test_preset_configs_build_the_catalog_phases(name, build):
+    assert phase_from_config(cli.PRESETS[name]) == build(lf.ball(2))
+
+
+def test_every_parsed_option_is_read(tmp_path):
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = cli.build_parser()
+    unread = {}
+    for argv in (["density", "--bins", "8"],
+                 ["reduce", "--samples", "2000", "--bins", "16", "--fiber-nodes", "64"],
+                 ["sparse", "--cells", "256", "--depth", "4"],
+                 ["regime", "--bins", "32"]):
+        argv += ["--json", str(tmp_path / f"{argv[0]}.json")]
+        args = parser.parse_args(argv, namespace=Recording())
+        # parsing probes every dest; count only what the handler reads
+        reads.clear()
+        args.func(args)
+        unread[argv[0]] = set(vars(args)) - reads - {"func", "command"}
+    assert unread == {"density": set(), "reduce": set(), "sparse": set(), "regime": set()}
+
+
+@pytest.mark.parametrize("argv", [["reduce", "--config", "f.kv"],
+                                  ["regime", "--subdivide", "2"]])
+def test_options_a_command_ignores_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 
