@@ -28,10 +28,8 @@ from .kernels import (HARD, RESIDUAL, SMOOTH, Cutoff, GridFunction1D,
                       truncation_batch, verify_hk_package)
 from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, DensityEstimate,
                           LevelFunction, LevelGrid, RadialFunction,
-                          critical_exponent, density_coarea,
-                          density_monte_carlo, density_on_grid, fiber_norm,
-                          weighted_density,
-                          weighted_density_coarea,
+                          critical_exponent, density_on_grid, fiber_norm,
+                          weighted_density, weighted_density_coarea,
                           weighted_density_closed_form,
                           weighted_density_monte_carlo)
 from .reduction import (ATOMIC_REGIME, LOG_REGIME, POWER_REGIME,

@@ -25,6 +25,7 @@ from .errors import (
     PointOutsideDomainError,
     UnsupportedPhaseError,
 )
+from .sampling import sample_domain
 
 # gradient direction (or magnitude) treated as undefined inside this radius
 SINGULAR_RADIUS = 1e-12
@@ -70,14 +71,14 @@ class Domain:
             raise ConfigError(f"unknown domain shape {self.shape!r}")
         if self.n < 1:
             raise ConfigError("domain dimension must be >= 1")
-        if self.shape == "ball" and not self.radius > 0:
-            raise ConfigError("ball radius must be positive")
+        if self.shape == "ball" and not (math.isfinite(self.radius) and self.radius > 0):
+            raise ConfigError(f"ball radius must be finite and > 0, got {self.radius!r}")
         if self.shape == "box":
             if len(self.bounds) != self.n:
                 raise ConfigError("box bounds must list one (lo, hi) per axis")
             for lo, hi in self.bounds:
-                if not hi > lo:
-                    raise ConfigError("box bounds must be increasing")
+                if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+                    raise ConfigError(f"box bounds must be finite and increasing, got {(lo, hi)!r}")
 
     def volume(self) -> float:
         if self.shape == "ball":
@@ -204,6 +205,9 @@ def saddle_phase(domain: Domain) -> Phase:
 def oscillatory_phase(domain: Domain, amplitude: float, frequency: float) -> Phase:
     if domain.n < 2:
         raise ConfigError("oscillatory phase requires n >= 2")
+    if not (math.isfinite(amplitude) and math.isfinite(frequency)):
+        raise ConfigError(f"oscillatory phase needs a finite amplitude and frequency, "
+                          f"got {amplitude!r}, {frequency!r}")
     return Phase(kind=OSCILLATORY, domain=domain, amplitude=float(amplitude),
                  frequency=float(frequency))
 
@@ -274,24 +278,17 @@ def _eval_values(phase: Phase, pts: np.ndarray) -> np.ndarray:
     raise UnsupportedPhaseError(f"unknown phase kind {k!r}")
 
 
-def grad_phase(phase: Phase, x, on_undefined: str = "raise"):
-    """Analytic gradient at one point or a stack of points.
-
-    `on_undefined="nan"` fills undefined rows with NaN instead of raising;
-    sampling checks use it to skip and count singular points.
-    """
-    if on_undefined not in ("raise", "nan"):
-        raise ConfigError(f"on_undefined must be 'raise' or 'nan', got {on_undefined!r}")
+def grad_phase(phase: Phase, x):
+    """Analytic gradient at one point or a stack of points; raises where it is
+    undefined."""
     pts, single = _as_points(x, phase.domain.n)
     inside = phase.domain.contains(pts)
     if not np.all(inside):
         raise PointOutsideDomainError("point outside domain")
     grads, undefined = _grad_values(phase, pts)
     if np.any(undefined):
-        if on_undefined == "raise":
-            bad = pts[undefined][0]
-            raise GradientUndefinedError(f"gradient undefined at {bad.tolist()}")
-        grads[undefined] = np.nan
+        bad = pts[undefined][0]
+        raise GradientUndefinedError(f"gradient undefined at {bad.tolist()}")
     return grads[0] if single else grads
 
 
@@ -419,10 +416,10 @@ def check_gamma_profile(phase: Phase, profile: GammaProfile, sample_count: int =
     Points with undefined gradient, or with level outside the profile's
     validity interval, are skipped and counted.
     """
-    from .sampling import sample_domain  # local import, avoids cycle
-
     pts = sample_domain(phase.domain, sample_count, seed)
-    norms = np.linalg.norm(grad_phase(phase, pts, on_undefined="nan"), axis=1)
+    grads, undefined = _grad_values(phase, pts)
+    grads[undefined] = np.nan
+    norms = np.linalg.norm(grads, axis=1)
     levels = _eval_values(phase, pts)
     usable = np.isfinite(norms) & profile.covers(levels)
     if not np.any(usable):
@@ -522,7 +519,8 @@ def boundary_transversality(phase: Phase, t: float, samples: int = 4096) -> floa
 
 
 def _min_tangential(phase: Phase, pts: np.ndarray, R: float) -> float:
-    grads = grad_phase(phase, pts, on_undefined="nan")
+    grads, undefined = _grad_values(phase, pts)
+    grads[undefined] = np.nan
     normals = pts / R
     proj = np.einsum("ij,ij->i", grads, normals)
     tang = grads - proj[:, None] * normals

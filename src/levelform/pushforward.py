@@ -2,9 +2,9 @@
 
 Three routes to the level density w_theta(t) = H^{n-1}-integral of 1/|grad|
 over the level set: catalog closed forms, fiber quadrature on the catalog
-parametrization, and seeded quasi-Monte Carlo histograms. Weighted variants
-w_{theta,h} carry an integrand h along the fiber; the fiber r-norm is derived
-from them.
+parametrization, and seeded quasi-Monte Carlo histograms. Each route has one
+estimator, of the density w_{theta,h} weighted by an integrand h along the
+fiber (`h=None` is the plain density); the fiber r-norm is derived from them.
 """
 
 from __future__ import annotations
@@ -54,8 +54,10 @@ class LevelGrid:
     def __post_init__(self):
         if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
             raise ConfigError(f"level grid needs finite ends, got [{self.t_min!r}, {self.t_max!r}]")
-        if not (self.t_max > self.t_min and self.bin_count >= 1):
-            raise ConfigError("level grid needs t_max > t_min and >= 1 bin")
+        if not (isinstance(self.bin_count, (int, np.integer)) and self.bin_count >= 1):
+            raise ConfigError(f"level grid needs a whole bin count >= 1, got {self.bin_count!r}")
+        if not self.t_max > self.t_min:
+            raise ConfigError("level grid needs t_max > t_min")
 
     @property
     def width(self) -> float:
@@ -208,11 +210,6 @@ def critical_exponent(phase: Phase) -> float:
     raise NoClosedFormError(f"no catalog exponent for {phase.label}")
 
 
-def density_coarea(phase: Phase, t: float, fiber_nodes: int = 2048) -> float:
-    """Unweighted fiber quadrature of 1/|grad| at level t."""
-    return weighted_density_coarea(phase, None, t, fiber_nodes=fiber_nodes)
-
-
 def weighted_density_coarea(phase: Phase, h, t: float, fiber_nodes: int = 2048) -> float:
     """Fiber quadrature of h/|grad| over the level set at t.
 
@@ -234,9 +231,7 @@ def _coarea_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
     if fiber_nodes < 1:
         raise ConfigError(f"fiber quadrature needs fiber_nodes >= 1, got {fiber_nodes!r}")
     tt = np.asarray(tt, dtype=float)
-    bad = ~np.isfinite(tt)
-    if np.any(bad):
-        raise ConfigError(f"fiber quadrature needs finite levels, got {float(tt[bad][0])!r}")
+    _require_finite_levels(tt)
     for v in geometry.critical_values(phase):
         near = np.abs(tt - v) < CRITICAL_LEVEL_TOL
         if np.any(near):
@@ -257,6 +252,12 @@ def _coarea_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
     else:
         raise NoParametrizationError(f"no fiber parametrization for {phase.label}")
     return out
+
+
+def _require_finite_levels(tt: np.ndarray) -> None:
+    bad = ~np.isfinite(tt)
+    if np.any(bad):
+        raise ConfigError(f"density levels must be finite, got {float(tt[bad][0])!r}")
 
 
 # most fiber points handed to a weight in one call; keeps a block's memory flat
@@ -441,18 +442,17 @@ def _saddle_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
 # Monte Carlo route
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _LevelStats:
-    grid: LevelGrid
-    counts: np.ndarray
-    sums: list[np.ndarray]
-    sumsq: list[np.ndarray]
-    accepted: int
+def _require_samples(sample_count: int) -> None:
+    if sample_count < 1:
+        raise ConfigError(f"sampling needs sample_count >= 1, got {sample_count!r}")
 
 
-def _level_statistics(phase: Phase, grid: LevelGrid, weight_fns, sample_count: int,
-                      seed: int) -> _LevelStats:
-    """One seeded sample stream binned by level, shared by all weights."""
+def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count: int,
+                                 seed: int) -> DensityEstimate:
+    """Histogram estimate of the h-weighted level density (h may be signed)
+    from one seeded stream. `h=None` gives the plain density with binomial
+    stderr and the atom flag; a weight gives the sample stderr of its bins."""
+    _require_samples(sample_count)
     pts = sample_domain(phase.domain, sample_count, seed)
     levels = geometry._eval_values(phase, pts)
     idx = np.floor((levels - grid.t_min) / grid.width).astype(np.int64)
@@ -460,53 +460,23 @@ def _level_statistics(phase: Phase, grid: LevelGrid, weight_fns, sample_count: i
     idx[levels == grid.t_max] = grid.bin_count - 1
     ok = (idx >= 0) & (idx < grid.bin_count)
     idx = idx[ok]
-    counts = np.bincount(idx, minlength=grid.bin_count)
-    sums, sumsq = [], []
-    for fn in weight_fns:
-        w = np.asarray(fn(pts), dtype=float)[ok]
-        sums.append(np.bincount(idx, weights=w, minlength=grid.bin_count))
-        sumsq.append(np.bincount(idx, weights=w ** 2, minlength=grid.bin_count))
-    return _LevelStats(grid=grid, counts=counts, sums=sums, sumsq=sumsq,
-                       accepted=sample_count)
-
-
-def _require_samples(sample_count: int) -> None:
-    if sample_count < 1:
-        raise ConfigError(f"sampling needs sample_count >= 1, got {sample_count!r}")
-
-
-def density_monte_carlo(phase: Phase, grid: LevelGrid, sample_count: int,
-                        seed: int) -> DensityEstimate:
-    """Histogram estimate of the level density with per-bin binomial stderr."""
-    _require_samples(sample_count)
-    stats = _level_statistics(phase, grid, [], sample_count, seed)
+    n = sample_count
+    if h is None:
+        mean = np.bincount(idx, minlength=grid.bin_count) / n
+        var = mean * (1 - mean)
+    else:
+        w = np.asarray(h(pts), dtype=float)[ok]
+        mean = np.bincount(idx, weights=w, minlength=grid.bin_count) / n
+        sumsq = np.bincount(idx, weights=w ** 2, minlength=grid.bin_count)
+        var = np.maximum(sumsq / n - mean ** 2, 0.0)
+    fine = grid.width < ATOM_RELATIVE_WIDTH * (grid.t_max - grid.t_min)
+    atom = bool(h is None and np.any(mean > ATOM_MASS_FRACTION) and fine)
     vol = phase.domain.volume()
-    n = stats.accepted
-    p = stats.counts / n
-    values = vol * p / grid.width
-    stderr = vol * np.sqrt(p * (1 - p) / n) / grid.width
-    atom = bool(np.any(p > ATOM_MASS_FRACTION)
-                and grid.width < ATOM_RELATIVE_WIDTH * (grid.t_max - grid.t_min))
-    return DensityEstimate(grid=grid, values=values, method=MONTE_CARLO,
-                           stderr=stderr, sample_count=sample_count, seed=seed,
-                           atom_suspected=atom, phase_label=phase.label)
-
-
-def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count: int,
-                                 seed: int) -> DensityEstimate:
-    """Histogram estimate of the h-weighted level density (h may be signed)."""
-    _require_samples(sample_count)
-    fn = h if h is not None else (lambda pts: np.ones(len(pts)))
-    stats = _level_statistics(phase, grid, [fn], sample_count, seed)
-    vol = phase.domain.volume()
-    n = stats.accepted
-    mean = stats.sums[0] / n
-    var = np.maximum(stats.sumsq[0] / n - mean ** 2, 0.0)
     values = vol * mean / grid.width
     stderr = vol * np.sqrt(var / n) / grid.width
     return DensityEstimate(grid=grid, values=values, method=MONTE_CARLO,
                            stderr=stderr, sample_count=sample_count, seed=seed,
-                           phase_label=phase.label)
+                           atom_suspected=atom, phase_label=phase.label)
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +489,10 @@ def weighted_density_closed_form(phase: Phase, h, t) -> float | np.ndarray:
     tt = np.asarray(t, dtype=float)
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
+    _require_finite_levels(tt)
     base = _closed_form_values(phase, tt)
     if h is None:
         vals = base
-    elif isinstance(h, (int, float)):
-        vals = float(h) * base
     elif isinstance(h, LevelFunction) and phase.kind == geometry.LINEAR and h.axis == phase.axis:
         vals = base * np.asarray(h.profile(tt), dtype=float)
     elif isinstance(h, RadialFunction) and phase.kind in _RADIAL_CLOSED:
@@ -580,8 +549,6 @@ def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *,
     if subdivide < 1:
         raise ConfigError(f"grid evaluation needs subdivide >= 1, got {subdivide!r}")
     if method == MONTE_CARLO:
-        if h is None:
-            return density_monte_carlo(phase, grid, sample_count, seed)
         return weighted_density_monte_carlo(phase, h, grid, sample_count, seed)
     offsets = (np.arange(subdivide) + 0.5) / subdivide
     levels = grid.edges[:-1, None] + offsets * grid.width
@@ -611,8 +578,8 @@ def _abs_power(h, r: float):
 def fiber_norm(phase: Phase, f, r: float, t: float, method: str = COAREA, *,
                fiber_nodes: int = 2048) -> float:
     """(integral of |f|^r / |grad| over the fiber)^(1/r) at level t."""
-    if not r >= 1:
-        raise ConfigError("fiber norm exponent must be >= 1")
+    if not (math.isfinite(r) and r >= 1):
+        raise ConfigError(f"fiber norm exponent must be finite and >= 1, got {r!r}")
     weighted = weighted_density(phase, _abs_power(f, r), t, method,
                                 fiber_nodes=fiber_nodes)
     return float(weighted) ** (1.0 / r)

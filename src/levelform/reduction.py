@@ -130,15 +130,15 @@ class ReductionReport:
 def verify_reduction_identity(form: SynchronizedForm, *,
                               sample_count: int = 1_000_000, bins: int = 512,
                               seed: int = 0, method: str = CLOSED_FORM,
-                              fiber_nodes: int = 2048, subdivide: int = 5,
-                              rel_tol: float = 0.01) -> ReductionReport:
-    """Compare the direct and reduced evaluations of the same form."""
+                              fiber_nodes: int = 2048, subdivide: int = 5) -> ReductionReport:
+    """Compare the direct and reduced evaluations of the same form; the
+    tolerance is the larger of the sampling error bound and 1% of the scale."""
     lhs = lhs_direct(form, sample_count=sample_count, seed=seed)
     rhs = rhs_reduced(form, bins=bins, method=method, fiber_nodes=fiber_nodes,
                       subdivide=subdivide, sample_count=sample_count, seed=seed)
     disc = abs(lhs.value - rhs.value)
     scale = max(abs(lhs.value), abs(rhs.value), 1e-12)
-    tol = max(3.0 * lhs.error + rhs.error, rel_tol * scale)
+    tol = max(3.0 * lhs.error + rhs.error, 0.01 * scale)
     return ReductionReport(lhs=lhs, rhs=rhs, discrepancy=disc, tolerance=tol,
                            relative_discrepancy=disc / scale,
                            passed=disc <= tol)
@@ -230,8 +230,10 @@ def integrability_scan(beta: float, a: float) -> IntegrabilityScan:
     2^(a beta - 1), and the scan declares convergence when the last three
     measured ratios sit below 0.97.
     """
-    if a < 0:
-        raise ConfigError("integrability scan needs a nonnegative exponent")
+    if not math.isfinite(beta):
+        raise ConfigError(f"integrability scan needs a finite beta, got {beta!r}")
+    if not (math.isfinite(a) and a >= 0):
+        raise ConfigError(f"integrability scan needs a finite exponent a >= 0, got {a!r}")
     p = -a * beta
     increments = []
     for k in range(3, 25):
@@ -368,6 +370,8 @@ def density_supremum(phase: Phase) -> float:
 def function_norm(domain: Domain, f, r: float, sample_count: int = 1 << 16,
                   seed: int = 0) -> float:
     """Quasi Monte Carlo L^r norm of f over the domain."""
+    if not (math.isfinite(r) and r > 0):
+        raise ConfigError(f"function norm needs a finite exponent r > 0, got {r!r}")
     _require_samples(sample_count)
     pts = sample_domain(domain, sample_count, seed, tag=7)
     vals = np.abs(np.asarray(f(pts), dtype=float)) ** r
@@ -401,8 +405,8 @@ def uniform_bound_check(phase_in: Phase, phase_out: Phase, kernel: Kernel1D,
     """
     _require_uniform(phase_in)
     _require_uniform(phase_out)
-    if not r > 1:
-        raise ConfigError("uniform budget needs r > 1")
+    if not (math.isfinite(r) and r > 1):
+        raise ConfigError(f"uniform budget needs a finite r > 1, got {r!r}")
     r_dual = r / (r - 1.0)
 
     pairings = _level_pairings(phase_in, phase_out, kernel, f, g, eps_values, bins,

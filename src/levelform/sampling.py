@@ -25,10 +25,14 @@ then.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import Domain
+
+if TYPE_CHECKING:
+    from .geometry import Domain
 
 _MAX_BATCH = 2**18
 # floor on the expected acceptance rate when sizing a batch

@@ -42,10 +42,6 @@ class DyadicInterval:
     def relative_measure(self) -> Fraction:
         return Fraction(1, 1 << self.generation)
 
-    def span(self, a: float, b: float) -> tuple[float, float]:
-        width = (b - a) / (1 << self.generation)
-        return (a + self.index * width, a + (self.index + 1) * width)
-
 
 @dataclass
 class SparseFamily:

@@ -95,7 +95,7 @@ def test_02_density_oracles(capsys):
     for _, phase, _ in cases:
         for t in _pick_levels(phase, 20):
             exact = lf.weighted_density_closed_form(phase, None, float(t))
-            approx = lf.density_coarea(phase, float(t), fiber_nodes=4096)
+            approx = lf.weighted_density_coarea(phase, None, float(t), fiber_nodes=4096)
             worst_rel = max(worst_rel, abs(approx - exact) / abs(exact))
     coarea_ok = worst_rel <= 1e-3
 
@@ -294,7 +294,8 @@ def test_08_fiber_operators(capsys):
                                               fiber_nodes=512)
                     m_val = lf.fiber_norm(phase, f, r, float(t), lf.COAREA,
                                           fiber_nodes=512)
-                    w_val = lf.density_coarea(phase, float(t), fiber_nodes=512)
+                    w_val = lf.weighted_density_coarea(phase, None, float(t),
+                                                       fiber_nodes=512)
                     bound = w_val ** conj * m_val
                     if bound > 0:
                         worst_holder = max(worst_holder, abs(avg) / bound)

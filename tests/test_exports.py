@@ -1,6 +1,7 @@
-"""Every name that `levelform/__init__.py` exports has a reader besides its
-own unit tests: package code outside the name's own definition, the
-acceptance checks, the scripts, the benchmark workloads or the README.
+"""Every name that `levelform/__init__.py` exports, and every public method
+and property of an exported class, has a reader besides its own unit tests:
+package code outside its own definition, the acceptance checks, the scripts,
+the benchmark workloads or the README.
 """
 
 import ast
@@ -33,22 +34,51 @@ def definition_lines(tree, name):
     return set()
 
 
-def test_every_export_has_a_reader():
-    modules = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "__init__.py":
-            text = path.read_text()
-            modules.append((text.splitlines(), ast.parse(text)))
-    readers = "\n".join(path.read_text() for path in READERS)
+def package_modules():
+    """(lines, tree) of every package module but `__init__`."""
+    texts = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"]
+    return [(text.splitlines(), ast.parse(text)) for text in texts]
 
-    unread = []
-    for name in exported_names((PACKAGE / "__init__.py").read_text()):
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        in_package = False
-        for lines, tree in modules:
-            own = definition_lines(tree, name)
-            in_package = in_package or any(word.search(line) for number, line
-                                           in enumerate(lines, start=1) if number not in own)
-        if not (in_package or word.search(readers)):
-            unread.append(name)
+
+def reader_text():
+    return "\n".join(path.read_text() for path in READERS)
+
+
+def has_reader(pattern, modules, readers, own):
+    """Whether `pattern` matches the reader text, or a package line outside `own(tree)`."""
+    word = re.compile(pattern)
+    if word.search(readers):
+        return True
+    for lines, tree in modules:
+        skip = own(tree)
+        if any(word.search(line) for number, line in enumerate(lines, start=1)
+               if number not in skip):
+            return True
+    return False
+
+
+def test_every_export_has_a_reader():
+    modules, readers = package_modules(), reader_text()
+    unread = [name for name in exported_names((PACKAGE / "__init__.py").read_text())
+              if not has_reader(rf"\b{re.escape(name)}\b", modules, readers,
+                                lambda tree, name=name: definition_lines(tree, name))]
     assert not unread, f"exported names with no reader: {unread}"
+
+
+def test_every_public_member_of_an_exported_class_has_a_reader():
+    exported = set(exported_names((PACKAGE / "__init__.py").read_text()))
+    modules, readers = package_modules(), reader_text()
+    unread = []
+    for _, home in modules:
+        for cls in home.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exported):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                own = set(range(node.lineno, node.end_lineno + 1))
+                if not has_reader(rf"\.{re.escape(node.name)}\b", modules, readers,
+                                  lambda tree, home=home, own=own: own if tree is home else ()):
+                    unread.append(f"{cls.name}.{node.name}")
+    assert not unread, f"exported class members with no reader: {unread}"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levelform as lf
+from levelform import geometry
 from levelform.geometry import SINGULAR_RADIUS
 
 
@@ -67,7 +68,8 @@ CATALOG = [
 def test_gradient_matches_finite_differences(phase):
     rng = np.random.default_rng(3)
     pts = lf.sample_domain(phase.domain, 64, seed=1) * 0.9
-    grads = lf.grad_phase(phase, pts, on_undefined="nan")
+    grads, undefined = geometry._grad_values(phase, pts)
+    grads[undefined] = np.nan
     eh = 1e-6
     for i in range(phase.domain.n):
         shift = np.zeros(phase.domain.n)
@@ -89,14 +91,8 @@ def test_gradient_undefined_at_origin_for_fractional_radial():
     phase = lf.radial_power_phase(lf.ball(2), 1.5)
     with pytest.raises(lf.GradientUndefinedError):
         lf.grad_phase(phase, [[0.0, 0.0]])
-    g = lf.grad_phase(phase, [[0.0, 0.0]], on_undefined="nan")
-    assert np.all(np.isnan(g))
-
-
-def test_grad_phase_rejects_unknown_on_undefined():
-    phase = lf.radial_power_phase(lf.ball(2), 1.5)
-    with pytest.raises(lf.ConfigError):
-        lf.grad_phase(phase, [[0.0, 0.0]], on_undefined="bogus")
+    _, undefined = geometry._grad_values(phase, np.zeros((1, 2)))
+    assert undefined.tolist() == [True]
 
 
 def test_critical_values_catalog():

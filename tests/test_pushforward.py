@@ -109,14 +109,14 @@ COAREA_CASES = [
 def test_coarea_matches_closed_form(phase, levels):
     for t in levels:
         cf = lf.weighted_density_closed_form(phase, None, float(t))
-        co = lf.density_coarea(phase, float(t), fiber_nodes=4096)
+        co = lf.weighted_density_coarea(phase, None, float(t), fiber_nodes=4096)
         assert co == pytest.approx(cf, rel=2e-4), (phase.label, t)
 
 
 def test_coarea_rejects_near_critical_levels():
     phase = lf.radial_quadratic_phase(BALL2)
     with pytest.raises(lf.CriticalValueError):
-        lf.density_coarea(phase, 1e-12)
+        lf.weighted_density_coarea(phase, None, 1e-12)
 
 
 def test_weighted_coarea_linear_segment():
@@ -157,9 +157,6 @@ def test_weighted_closed_form_routes():
     want = 2.0 * np.sqrt(1.0 - t * t) * t ** 2
     got = lf.weighted_density_closed_form(phase, h, t)
     assert np.allclose(got, want, rtol=1e-12)
-    # scalar weights scale the base density
-    assert lf.weighted_density_closed_form(phase, 2.5, 0.3) == pytest.approx(
-        2.5 * lf.weighted_density_closed_form(phase, None, 0.3))
     with pytest.raises(lf.NoClosedFormError):
         lf.weighted_density_closed_form(phase, lambda p: p[:, 0], 0.3)
 
@@ -221,9 +218,9 @@ def test_monte_carlo_rejects_empty_sample(count):
     phase = lf.linear_phase(BALL2)
     grid = lf.LevelGrid(-1.0, 1.0, 8)
     with pytest.raises(lf.ConfigError):
-        lf.density_monte_carlo(phase, grid, count, seed=0)
-    with pytest.raises(lf.ConfigError):
         lf.weighted_density_monte_carlo(phase, None, grid, count, seed=0)
+    with pytest.raises(lf.ConfigError):
+        lf.weighted_density_monte_carlo(phase, lambda p: p[:, 0], grid, count, seed=0)
 
 
 def test_coarea_rejects_empty_fiber():
@@ -231,7 +228,7 @@ def test_coarea_rejects_empty_fiber():
     with pytest.raises(lf.ConfigError):
         lf.weighted_density_coarea(phase, None, 0.1, fiber_nodes=0)
     with pytest.raises(lf.ConfigError):
-        lf.density_coarea(phase, 0.1, fiber_nodes=-3)
+        lf.weighted_density_coarea(phase, lambda p: p[:, 1], 0.1, fiber_nodes=-3)
 
 
 @pytest.mark.parametrize("method", [lf.CLOSED_FORM, lf.COAREA, lf.MONTE_CARLO])
@@ -344,7 +341,7 @@ def test_fiber_norm_exponent_floor():
 @settings(max_examples=30, deadline=None)
 def test_radial_quadratic_coarea_invariant(t):
     phase = lf.radial_quadratic_phase(BALL2)
-    got = lf.density_coarea(phase, t, fiber_nodes=512)
+    got = lf.weighted_density_coarea(phase, None, t, fiber_nodes=512)
     assert got == pytest.approx(math.pi, rel=1e-9)
 
 
@@ -352,8 +349,9 @@ def test_radial_quadratic_coarea_invariant(t):
 @settings(max_examples=30, deadline=None)
 def test_weighted_density_scales_linearly(t, c):
     phase = lf.linear_phase(BALL2)
-    base = lf.weighted_density_closed_form(phase, 1.0, t)
-    assert lf.weighted_density_closed_form(phase, c, t) == pytest.approx(
+    base = lf.weighted_density_closed_form(phase, None, t)
+    h = lf.LevelFunction(lambda s: np.full_like(s, c))
+    assert lf.weighted_density_closed_form(phase, h, t) == pytest.approx(
         c * base, rel=1e-12)
 
 
@@ -620,7 +618,7 @@ def test_coarea_levels_reject_critical_level_before_any_weight_call(phase):
 def test_coarea_rejects_non_finite_levels(bad):
     phase = lf.linear_phase(BALL2)
     with pytest.raises(lf.ConfigError):
-        lf.density_coarea(phase, bad)
+        lf.weighted_density_coarea(phase, None, bad)
     h, calls = counting(lambda pts: pts[:, 1] ** 2)
     with pytest.raises(lf.ConfigError):
         lf.weighted_density(phase, h, np.array([0.1, bad]), lf.COAREA)

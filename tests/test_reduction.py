@@ -102,6 +102,33 @@ def test_function_norm_rejects_empty_sample(count):
         lf.function_norm(BALL2, lambda p: p[:, 0], 2.0, sample_count=count)
 
 
+def first_axis(p):
+    return p[:, 0]
+
+
+MISUSE = {
+    "function_norm r=0": lambda: lf.function_norm(BALL2, first_axis, 0.0),
+    "function_norm r=nan": lambda: lf.function_norm(BALL2, first_axis, math.nan),
+    "fiber_norm r=inf": lambda: lf.fiber_norm(lf.linear_phase(BALL2), None, math.inf, 0.1),
+    "uniform_bound_check r=inf": lambda: lf.uniform_bound_check(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
+        first_axis, first_axis, math.inf, [0.1]),
+    "integrability_scan beta=nan": lambda: lf.integrability_scan(math.nan, 1.0),
+    "LevelGrid bins=2.5": lambda: lf.LevelGrid(0.0, 1.0, 2.5),
+    "closed form t=nan": lambda: lf.weighted_density_closed_form(
+        lf.linear_phase(BALL2), None, math.nan),
+    "oscillatory_phase a=nan": lambda: lf.oscillatory_phase(BALL2, math.nan, 1.0),
+    "ball radius=inf": lambda: lf.ball(2, math.inf),
+    "box bound=inf": lambda: lf.box([(0.0, math.inf), (0.0, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("call", MISUSE.values(), ids=MISUSE.keys())
+def test_misuse_fails_loudly(call):
+    with pytest.raises(lf.ConfigError):
+        call()
+
+
 def test_form_rejects_nonpositive_eps():
     with pytest.raises(lf.ConfigError):
         lf.SynchronizedForm(phase_in=lf.linear_phase(BALL2),

@@ -6,7 +6,6 @@ from scipy.stats import qmc
 
 import levelform as lf
 from levelform import geometry, sampling
-from levelform.pushforward import _level_statistics
 from levelform.sampling import derived_rng
 
 DOMAINS = [lf.ball(1), lf.ball(2), lf.ball(3, 0.7), lf.ball(5, 2.0),
@@ -105,25 +104,29 @@ def test_negative_seeds_rejected(seed, tag):
         lf.sample_domain(lf.ball(2), 8, seed, tag)
 
 
-def add_at_statistics(phase, grid, weight_fns, sample_count, seed):
-    """Bin the full stream with np.add.at, in stream order."""
+def add_at_estimate(phase, grid, h, sample_count, seed):
+    """Values and stderr of the full stream binned with np.add.at, in stream order."""
     pts = oracle_domain(phase.domain, sample_count, seed)
     levels = geometry._eval_values(phase, pts)
     idx = np.floor((levels - grid.t_min) / grid.width).astype(np.int64)
     idx[levels == grid.t_max] = grid.bin_count - 1
     ok = (idx >= 0) & (idx < grid.bin_count)
-    counts = np.zeros(grid.bin_count, dtype=np.int64)
-    np.add.at(counts, idx[ok], 1)
-    sums, sumsq = [], []
-    for fn in weight_fns:
-        w = np.asarray(fn(pts), dtype=float)
+    n = sample_count
+    if h is None:
+        counts = np.zeros(grid.bin_count, dtype=np.int64)
+        np.add.at(counts, idx[ok], 1)
+        mean = counts / n
+        var = mean * (1 - mean)
+    else:
+        w = np.asarray(h(pts), dtype=float)
         s = np.zeros(grid.bin_count)
         q = np.zeros(grid.bin_count)
         np.add.at(s, idx[ok], w[ok])
         np.add.at(q, idx[ok], w[ok] ** 2)
-        sums.append(s)
-        sumsq.append(q)
-    return counts, sums, sumsq
+        mean = s / n
+        var = np.maximum(q / n - mean ** 2, 0.0)
+    vol = phase.domain.volume()
+    return vol * mean / grid.width, vol * np.sqrt(var / n) / grid.width
 
 
 PHASES = [lf.linear_phase(lf.ball(2)), lf.radial_quadratic_phase(lf.ball(3)),
@@ -141,12 +144,11 @@ def test_monte_carlo_binning_matches_add_at(phase, count, bins, seed):
     lo, hi = geometry.image_interval(phase)
     # a grid narrower than the image drops the points outside it
     grid = lf.LevelGrid(lo + 0.1 * (hi - lo), hi, bins)
-    stats = _level_statistics(phase, grid, WEIGHTS, count, seed)
-    counts, sums, sumsq = add_at_statistics(phase, grid, WEIGHTS, count, seed)
-    assert np.array_equal(stats.counts, counts)
-    for got, want in zip(stats.sums + stats.sumsq, sums + sumsq):
-        assert np.array_equal(got, want)
-    assert stats.accepted == count
+    for h in [None, *WEIGHTS]:
+        est = lf.weighted_density_monte_carlo(phase, h, grid, count, seed)
+        values, stderr = add_at_estimate(phase, grid, h, count, seed)
+        assert np.array_equal(est.values, values)
+        assert np.array_equal(est.stderr, stderr)
 
 
 def test_monte_carlo_estimates_share_no_state():
@@ -154,9 +156,9 @@ def test_monte_carlo_estimates_share_no_state():
     phase = lf.linear_phase(lf.ball(2))
     other = lf.radial_quadratic_phase(lf.ball(2))
     grid = lf.LevelGrid(-1.0, 1.0, 16)
-    first = lf.density_monte_carlo(phase, grid, 70_000, seed=3)
-    lf.density_monte_carlo(other, lf.LevelGrid(0.0, 1.0, 16), 140_000, seed=4)
-    again = lf.density_monte_carlo(phase, grid, 70_000, seed=3)
+    first = lf.weighted_density_monte_carlo(phase, None, grid, 70_000, seed=3)
+    lf.weighted_density_monte_carlo(other, None, lf.LevelGrid(0.0, 1.0, 16), 140_000, seed=4)
+    again = lf.weighted_density_monte_carlo(phase, None, grid, 70_000, seed=3)
     assert np.array_equal(first.values, again.values)
 
 
