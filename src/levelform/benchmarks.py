@@ -55,22 +55,23 @@ class DominationBenchmark:
     max_eps_spread: float
 
 
-def domination_benchmark(pairs: int = 20, cells: int = 1024, depth: int = 8,
-                         lam: float = 4.0, k_min: int = 2,
-                         k_max: int = 8) -> DominationBenchmark:
-    """Sparse domination ratios for bump-mixture pairs across a radius ladder.
+def domination_benchmark() -> DominationBenchmark:
+    """Sparse domination ratios for 20 bump-mixture pairs on 1024 cells of
+    [-1, 1], families of depth 8 with stopping factor 4, across the radius
+    ladder 2^-2 .. 2^-8. The frozen baseline holds for these sizes only.
 
     The spread is the largest ratio-range factor any pair shows across the
     ladder, a truncation-stability measure for the sparse bound.
     """
-    eps_values = tuple(eps_ladder(k_min, k_max))
+    pairs = 20
+    eps_values = tuple(eps_ladder(2, 8))
     all_ratios: list[tuple[float, ...]] = []
     etas: list[Fraction] = []
     spread = 0.0
     for pair in range(pairs):
-        F = bump_mixture(-1.0, 1.0, cells, 2 * pair)
-        G = bump_mixture(-1.0, 1.0, cells, 2 * pair + 1)
-        result = pair_domination(F, G, eps_values, lam, depth)
+        F = bump_mixture(-1.0, 1.0, 1024, 2 * pair)
+        G = bump_mixture(-1.0, 1.0, 1024, 2 * pair + 1)
+        result = pair_domination(F, G, eps_values, 4.0, 8)
         etas.append(result.eta)
         all_ratios.append(result.ratios)
         spread = max(spread, max(result.ratios) / min(result.ratios))
@@ -90,21 +91,23 @@ class UniformBenchmark:
     max_ratio: float
 
 
-def uniform_benchmark(pairs: int = 20, r: float = 2.0, bins: int = 256,
-                      fiber_nodes: int = 512, k_min: int = 2,
-                      k_max: int = 6) -> UniformBenchmark:
-    """Uniform-regime budget ratios for random smooth pairs on two phases."""
+def uniform_benchmark() -> UniformBenchmark:
+    """Uniform-regime budget ratios at r = 2 for 20 random smooth pairs on the
+    linear and radial-quadratic phases of the unit disk, with 256 bins, 512
+    fiber nodes and the radius ladder 2^-2 .. 2^-6. The frozen baseline holds
+    for these sizes only."""
+    pairs, r = 20, 2.0
     phase_in = geometry.linear_phase(geometry.ball(2))
     phase_out = geometry.radial_quadratic_phase(geometry.ball(2))
     kernel = hilbert_kernel()
-    eps_values = tuple(eps_ladder(k_min, k_max))
+    eps_values = tuple(eps_ladder(2, 6))
     reports = []
     for pair in range(pairs):
         f = random_smooth_function(phase_in.domain, pair, tag=0)
         g = random_smooth_function(phase_out.domain, pair, tag=1)
         reports.append(uniform_bound_check(
-            phase_in, phase_out, kernel, f, g, r, eps_values, bins=bins,
-            fiber_nodes=fiber_nodes, subdivide=3, norm_seed=pair))
+            phase_in, phase_out, kernel, f, g, r, eps_values, bins=256,
+            fiber_nodes=512, subdivide=3, norm_seed=pair))
     max_ratio = max(rep.max_ratio for rep in reports)
     return UniformBenchmark(pair_count=pairs, r=r, eps_values=eps_values,
                             reports=tuple(reports), max_ratio=max_ratio)

@@ -26,8 +26,8 @@ from .errors import LevelformError
 from .geometry import Phase
 from .benchmarks import pair_domination
 from .kernels import bump_mixture, eps_ladder, hilbert_kernel
-from .pushforward import (CLOSED_FORM, METHODS, MONTE_CARLO, LevelFunction,
-                          LevelGrid, RadialFunction, density_on_grid)
+from .pushforward import (CLOSED_FORM, METHODS, LevelFunction, LevelGrid,
+                          RadialFunction, density_on_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +214,7 @@ def _cmd_regime(args) -> int:
         phase, t_lo=args.t_lo, t_hi=args.t_hi, bins=args.bins,
         method=args.method, fiber_nodes=args.fiber_nodes,
         sample_count=args.samples, seed=args.seed)
-    atom = False
-    if args.method == MONTE_CARLO:
-        lo, hi = geometry.image_interval(phase)
-        est = density_on_grid(phase, LevelGrid(lo, hi, args.bins),
-                              MONTE_CARLO, sample_count=args.samples,
-                              seed=args.seed)
-        atom = est.atom_suspected
-    regime = reduction.classify_regime(profile, atom_suspected=atom)
+    regime = reduction.classify_regime(profile)
     window = reduction.critical_window(profile.beta, profile.beta)
     payload = {
         "phase": phase.label,

@@ -68,7 +68,10 @@ def domain_from_config(cfg: dict[str, str]) -> geometry.Domain:
             bits = chunk.split(":")
             if len(bits) != 2:
                 raise ConfigError(f"bad bounds chunk {chunk!r}")
-            pairs.append((float(bits[0]), float(bits[1])))
+            try:
+                pairs.append((float(bits[0]), float(bits[1])))
+            except ValueError as exc:
+                raise ConfigError(f"domain.bounds: {exc}") from exc
         if len(pairs) != n:
             raise ConfigError("domain.bounds must list one lo:hi pair per axis")
         return geometry.box(pairs)

@@ -190,8 +190,8 @@ def radial_quadratic_phase(domain: Domain) -> Phase:
 
 def radial_power_phase(domain: Domain, gamma: float) -> Phase:
     _require_ball(domain, RADIAL_POWER)
-    if not gamma >= 1:
-        raise ConfigError("radial power exponent must be >= 1")
+    if not (math.isfinite(gamma) and gamma >= 1):
+        raise ConfigError(f"radial power exponent must be finite and >= 1, got {gamma!r}")
     return Phase(kind=RADIAL_POWER, domain=domain, gamma=float(gamma))
 
 

@@ -10,7 +10,6 @@ fiber (`h=None` is the plain density); the fiber r-norm is derived from them.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -39,6 +38,11 @@ MONTE_CARLO = "monte_carlo"
 METHODS = (CLOSED_FORM, COAREA, MONTE_CARLO)
 
 
+def _require_count(value, name: str) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ConfigError(f"{name} must be a whole number >= 1, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # level grids and density estimates
 # ---------------------------------------------------------------------------
@@ -54,8 +58,7 @@ class LevelGrid:
     def __post_init__(self):
         if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
             raise ConfigError(f"level grid needs finite ends, got [{self.t_min!r}, {self.t_max!r}]")
-        if not (isinstance(self.bin_count, (int, np.integer)) and self.bin_count >= 1):
-            raise ConfigError(f"level grid needs a whole bin count >= 1, got {self.bin_count!r}")
+        _require_count(self.bin_count, "level grid bin count")
         if not self.t_max > self.t_min:
             raise ConfigError("level grid needs t_max > t_min")
 
@@ -142,6 +145,9 @@ class LevelFunction:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if not -pts.shape[1] <= self.axis < pts.shape[1]:
+            raise ConfigError(f"level function axis {self.axis!r} outside a "
+                              f"{pts.shape[1]}-d point")
         return np.asarray(self.profile(pts[:, self.axis]), dtype=float)
 
 
@@ -210,27 +216,21 @@ def critical_exponent(phase: Phase) -> float:
     raise NoClosedFormError(f"no catalog exponent for {phase.label}")
 
 
-def weighted_density_coarea(phase: Phase, h, t: float, fiber_nodes: int = 2048) -> float:
-    """Fiber quadrature of h/|grad| over the level set at t.
+def weighted_density_coarea(phase: Phase, h, t, fiber_nodes: int = 2048) -> float | np.ndarray:
+    """Fiber quadrature of h/|grad| over the level set at each level of t.
 
-    Composite midpoint in the catalog parametrization. `h=None` means the
-    constant 1; any other weight must be pointwise, because grid evaluations
-    call it on blocks of fiber points that span many levels. Raises if the
-    level is not finite or sits on a critical value, or if no
+    Composite midpoint in the catalog parametrization; a scalar t gives a
+    float, an array t an array shaped like it. `h=None` means the constant 1;
+    any other weight must be pointwise, because it is called on blocks of
+    fiber points that span many levels. Every input is checked before h is
+    first called, and levels outside the image read 0 without reaching h.
+    Raises if a level is not finite or sits on a critical value, or if no
     parametrization supports this phase/weight combination.
     """
-    return float(_coarea_levels(phase, h, np.array([float(t)]), fiber_nodes)[0])
-
-
-def _coarea_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndarray:
-    """Fiber quadrature of h/|grad| at every level of `tt`, shaped like `tt`.
-
-    Every input is checked before h is first called. Levels outside the
-    image read 0 and never reach h.
-    """
-    if fiber_nodes < 1:
-        raise ConfigError(f"fiber quadrature needs fiber_nodes >= 1, got {fiber_nodes!r}")
-    tt = np.asarray(tt, dtype=float)
+    _require_count(fiber_nodes, "fiber_nodes")
+    tt = np.asarray(t, dtype=float)
+    scalar = tt.ndim == 0
+    tt = np.atleast_1d(tt)
     _require_finite_levels(tt)
     for v in geometry.critical_values(phase):
         near = np.abs(tt - v) < CRITICAL_LEVEL_TOL
@@ -240,18 +240,17 @@ def _coarea_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
     lo, hi = geometry.image_interval(phase)
     live = (tt >= lo) & (tt <= hi)
     out = np.zeros(tt.shape)
-    if not np.any(live):
-        return out
-    k = phase.kind
-    if k == geometry.LINEAR:
-        out[live] = _linear_levels(phase, h, tt[live], fiber_nodes)
-    elif k == geometry.SADDLE:
-        out[live] = _saddle_levels(phase, h, tt[live], fiber_nodes)
-    elif k in (geometry.RADIAL_QUADRATIC, geometry.RADIAL_POWER, geometry.BOUNDARY_REPARAM):
-        out[live] = _radial_levels(phase, h, tt[live], fiber_nodes)
-    else:
-        raise NoParametrizationError(f"no fiber parametrization for {phase.label}")
-    return out
+    if np.any(live):
+        k = phase.kind
+        if k == geometry.LINEAR:
+            out[live] = _linear_levels(phase, h, tt[live], fiber_nodes)
+        elif k == geometry.SADDLE:
+            out[live] = _saddle_levels(phase, h, tt[live], fiber_nodes)
+        elif k in (geometry.RADIAL_QUADRATIC, geometry.RADIAL_POWER, geometry.BOUNDARY_REPARAM):
+            out[live] = _radial_levels(phase, h, tt[live], fiber_nodes)
+        else:
+            raise NoParametrizationError(f"no fiber parametrization for {phase.label}")
+    return float(out[0]) if scalar else out
 
 
 def _require_finite_levels(tt: np.ndarray) -> None:
@@ -442,17 +441,12 @@ def _saddle_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
 # Monte Carlo route
 # ---------------------------------------------------------------------------
 
-def _require_samples(sample_count: int) -> None:
-    if sample_count < 1:
-        raise ConfigError(f"sampling needs sample_count >= 1, got {sample_count!r}")
-
-
 def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count: int,
                                  seed: int) -> DensityEstimate:
     """Histogram estimate of the h-weighted level density (h may be signed)
     from one seeded stream. `h=None` gives the plain density with binomial
     stderr and the atom flag; a weight gives the sample stderr of its bins."""
-    _require_samples(sample_count)
+    _require_count(sample_count, "sample_count")
     pts = sample_domain(phase.domain, sample_count, seed)
     levels = geometry._eval_values(phase, pts)
     idx = np.floor((levels - grid.t_min) / grid.width).astype(np.int64)
@@ -517,23 +511,17 @@ def _radius_of_level(phase: Phase, tt: np.ndarray) -> np.ndarray:
 def weighted_density(phase: Phase, h, t, method: str = COAREA, *,
                      fiber_nodes: int = 2048, grid: LevelGrid | None = None,
                      sample_count: int = 100_000, seed: int = 0):
-    """Dispatcher over the three density routes."""
-    _require_method(method)
+    """The one dispatcher over the three density routes: levels t for the
+    closed form and coarea, a level grid for Monte Carlo (which ignores t)."""
     if method == CLOSED_FORM:
         return weighted_density_closed_form(phase, h, t)
     if method == COAREA:
-        tt = np.asarray(t, dtype=float)
-        if tt.ndim == 0:
-            return weighted_density_coarea(phase, h, float(tt), fiber_nodes=fiber_nodes)
-        return _coarea_levels(phase, h, tt, fiber_nodes)
-    if grid is None:
-        raise ConfigError("monte_carlo weighted density needs a level grid")
-    return weighted_density_monte_carlo(phase, h, grid, sample_count, seed)
-
-
-def _require_method(method: str) -> None:
-    if method not in METHODS:
-        raise ConfigError(f"unknown density method {method!r}")
+        return weighted_density_coarea(phase, h, t, fiber_nodes=fiber_nodes)
+    if method == MONTE_CARLO:
+        if grid is None:
+            raise ConfigError("monte_carlo weighted density needs a level grid")
+        return weighted_density_monte_carlo(phase, h, grid, sample_count, seed)
+    raise ConfigError(f"unknown density method {method!r}")
 
 
 def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *,
@@ -545,17 +533,14 @@ def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *,
     For deterministic routes, `subdivide=K` averages K midpoint evaluations
     per bin, which keeps integrable blow-ups honest in bin units.
     """
-    _require_method(method)
-    if subdivide < 1:
-        raise ConfigError(f"grid evaluation needs subdivide >= 1, got {subdivide!r}")
+    _require_count(subdivide, "subdivide")
     if method == MONTE_CARLO:
-        return weighted_density_monte_carlo(phase, h, grid, sample_count, seed)
+        return weighted_density(phase, h, None, method, grid=grid,
+                                sample_count=sample_count, seed=seed)
     offsets = (np.arange(subdivide) + 0.5) / subdivide
     levels = grid.edges[:-1, None] + offsets * grid.width
-    if method == CLOSED_FORM:
-        vals = np.asarray(weighted_density_closed_form(phase, h, levels.ravel()), dtype=float)
-    else:
-        vals = _coarea_levels(phase, h, levels, fiber_nodes)
+    vals = np.asarray(weighted_density(phase, h, levels.ravel(), method,
+                                       fiber_nodes=fiber_nodes), dtype=float)
     values = vals.reshape(grid.bin_count, subdivide).mean(axis=1)
     return DensityEstimate(grid=grid, values=values, method=method,
                            phase_label=phase.label)

@@ -24,9 +24,8 @@ from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
                      PhaseNotUniformError, UnsupportedPhaseError)
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
-from .pushforward import (CLOSED_FORM, COAREA, LevelGrid, _abs_power,
-                          _require_samples, density_on_grid, weighted_density,
-                          weighted_density_closed_form)
+from .pushforward import (CLOSED_FORM, COAREA, LevelGrid, _abs_power, _require_count,
+                          density_on_grid, weighted_density_closed_form)
 from .sampling import derived_rng, sample_domain, sample_domain_pairs
 
 POWER_REGIME = "critical-power"
@@ -66,7 +65,7 @@ class SynchronizedForm:
 def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
                seed: int = 0) -> Estimate:
     """Direct quasi Monte Carlo evaluation over the product of the domains."""
-    _require_samples(sample_count)
+    _require_count(sample_count, "sample_count")
     xs, ys = sample_domain_pairs(form.phase_in.domain, form.phase_out.domain,
                                  sample_count, seed)
     t = geometry.eval_phase(form.phase_in, xs)
@@ -159,16 +158,19 @@ class CriticalProfile:
     slope: float
     intercept: float
     log_coefficients: tuple[float, float]
+    atom_suspected: bool
 
 
 def estimate_beta(phase: Phase, *, t_lo: float = 1e-3, t_hi: float = 1e-1,
                   bins: int = 400, method: str = CLOSED_FORM,
-                  fiber_nodes: int = 2048, subdivide: int = 1,
-                  sample_count: int = 100_000, seed: int = 0) -> CriticalProfile:
+                  fiber_nodes: int = 2048, sample_count: int = 100_000,
+                  seed: int = 0) -> CriticalProfile:
     """Fit w(t) ~ c t^(-beta) against w(t) ~ a log(1/t) + b on [t_lo, t_hi].
 
     The returned kind picks whichever model reproduces the measured density
-    with smaller relative RMS error; beta is clamped to [0, 1).
+    with smaller relative RMS error; beta is clamped to [0, 1). The atom flag
+    is the fitted estimate's own: only a Monte Carlo histogram on more than
+    1000 bins can raise it, and only for an atom inside [t_lo, t_hi].
     """
     if not 0 < t_lo < t_hi:
         raise ConfigError("need 0 < t_lo < t_hi")
@@ -176,8 +178,7 @@ def estimate_beta(phase: Phase, *, t_lo: float = 1e-3, t_hi: float = 1e-1,
         raise InsufficientDecadesError("need at least one decade of levels")
     grid = LevelGrid(t_lo, t_hi, bins)
     est = density_on_grid(phase, grid, method, fiber_nodes=fiber_nodes,
-                          subdivide=subdivide, sample_count=sample_count,
-                          seed=seed)
+                          sample_count=sample_count, seed=seed)
     t = grid.centers
     w = est.values
     keep = np.isfinite(w) & (w > 0)
@@ -201,7 +202,8 @@ def estimate_beta(phase: Phase, *, t_lo: float = 1e-3, t_hi: float = 1e-1,
     return CriticalProfile(beta=beta, kind=kind, rel_rms_power=rel_power,
                            rel_rms_log=rel_log, slope=float(slope),
                            intercept=float(intercept),
-                           log_coefficients=(float(a_log), float(b_log)))
+                           log_coefficients=(float(a_log), float(b_log)),
+                           atom_suspected=est.atom_suspected)
 
 
 def critical_window(beta_in: float, beta_out: float) -> tuple[float, float]:
@@ -289,25 +291,24 @@ class PullbackReport:
     divergent: bool
 
 
-def pullback_norm(phase: Phase, f, r: float, delta: float = 0.01, *,
-                  method: str = CLOSED_FORM, fiber_nodes: int = 2048) -> PullbackReport:
+def pullback_norm(phase: Phase, f, r: float, delta: float = 0.01) -> PullbackReport:
     """Level-space norm of f at exponent r away from critical levels.
 
-    Integrates the |f|^r-weighted density over the part of the image at
-    distance at least delta from every critical level, then halves delta
-    twice. Mass growth above 25 percent at every halving flags divergence.
+    Integrates the closed-form |f|^r-weighted density, so f must be constant
+    on fibers, over the part of the image at distance at least delta from
+    every critical level, then halves delta twice. Mass growth above 25
+    percent at every halving flags divergence.
     """
     from scipy.integrate import quad
 
-    if not r >= 1:
-        raise ConfigError("pullback exponent must be >= 1")
-    if not delta > 0:
-        raise ConfigError("need a positive core margin")
+    if not (math.isfinite(r) and r >= 1):
+        raise ConfigError(f"pullback exponent must be finite and >= 1, got {r!r}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ConfigError(f"core margin must be finite and > 0, got {delta!r}")
     habs = _abs_power(f, r)
 
     def integrand(t: float) -> float:
-        return float(weighted_density(phase, habs, t, method,
-                                      fiber_nodes=fiber_nodes))
+        return weighted_density_closed_form(phase, habs, t)
 
     lo, hi = geometry.image_interval(phase)
     crits = geometry.critical_values(phase)
@@ -372,7 +373,7 @@ def function_norm(domain: Domain, f, r: float, sample_count: int = 1 << 16,
     """Quasi Monte Carlo L^r norm of f over the domain."""
     if not (math.isfinite(r) and r > 0):
         raise ConfigError(f"function norm needs a finite exponent r > 0, got {r!r}")
-    _require_samples(sample_count)
+    _require_count(sample_count, "sample_count")
     pts = sample_domain(domain, sample_count, seed, tag=7)
     vals = np.abs(np.asarray(f(pts), dtype=float)) ** r
     return float(np.mean(vals) * domain.volume()) ** (1.0 / r)
@@ -394,8 +395,7 @@ class UniformReport:
 
 def uniform_bound_check(phase_in: Phase, phase_out: Phase, kernel: Kernel1D,
                         f, g, r: float, eps_values: Sequence[float], *,
-                        bins: int = 256, method: str = COAREA,
-                        fiber_nodes: int = 512, subdivide: int = 3,
+                        bins: int = 256, fiber_nodes: int = 512, subdivide: int = 3,
                         norm_seed: int = 0) -> UniformReport:
     """Truncation-uniform pairing bound in the bounded-density regime.
 
@@ -410,7 +410,7 @@ def uniform_bound_check(phase_in: Phase, phase_out: Phase, kernel: Kernel1D,
     r_dual = r / (r - 1.0)
 
     pairings = _level_pairings(phase_in, phase_out, kernel, f, g, eps_values, bins,
-                               method, (0, 0), fiber_nodes=fiber_nodes,
+                               COAREA, (0, 0), fiber_nodes=fiber_nodes,
                                subdivide=subdivide)
     sup_in = density_supremum(phase_in)
     sup_out = density_supremum(phase_out)
@@ -429,10 +429,10 @@ UNIFORM_REGIME = "uniform"
 ATOMIC_REGIME = "atomic"
 
 
-def classify_regime(profile: CriticalProfile, atom_suspected: bool = False) -> str:
-    """Name the small-level regime of a fitted density profile; a power-law
-    exponent under 0.05 counts as uniform."""
-    if atom_suspected:
+def classify_regime(profile: CriticalProfile) -> str:
+    """Name the small-level regime of a fitted density profile: atomic if its
+    estimate flagged an atom; a power-law exponent under 0.05 counts as uniform."""
+    if profile.atom_suspected:
         return ATOMIC_REGIME
     if profile.kind == LOG_REGIME:
         return LOG_REGIME

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import levelform as lf
-from levelform import benchmarks, cli
+from levelform import benchmarks, cli, pushforward
 from levelform.cli import entry, main
 from levelform.config import parse_kv_text, phase_from_config
+from levelform.sampling import sample_domain
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -104,11 +105,11 @@ def test_sparse_command(tmp_path, capsys):
 def test_sparse_command_reproduces_benchmark_pair(tmp_path, capsys):
     # --seed p draws the signals of domination_benchmark's pair p
     out_json = tmp_path / "sparse.json"
-    rc = main(["sparse", "--cells", "256", "--depth", "6", "--seed", "1",
+    rc = main(["sparse", "--cells", "1024", "--depth", "8", "--eps-max", "8", "--seed", "1",
                "--json", str(out_json)])
     assert rc == 0
     payload = read_report(out_json)["payload"]
-    bench = benchmarks.domination_benchmark(pairs=2, cells=256, depth=6, k_max=6)
+    bench = benchmarks.domination_benchmark()
     assert [row["ratio"] for row in payload["ratios"]] == list(bench.ratios[1])
     assert len(payload["members"]) > 1
     assert "members=1 " not in capsys.readouterr().out
@@ -125,6 +126,51 @@ def test_regime_command_power(tmp_path, capsys):
     assert payload["window"][0] == pytest.approx(1.5)
     assert payload["window"][1] == pytest.approx(3.0)
     assert "beta=0.5000" in capsys.readouterr().out
+
+
+def test_regime_monte_carlo_draws_one_stream(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(domain, count, seed, **kwargs):
+        calls.append(count)
+        return sample_domain(domain, count, seed, **kwargs)
+
+    monkeypatch.setattr(pushforward, "sample_domain", counted)
+    rc = main(["regime", "--method", "monte_carlo", "--samples", "20000", "--bins", "64",
+               "--json", str(tmp_path / "regime.json")])
+    assert rc == 0
+    assert calls == [20000]
+
+
+def test_regime_judges_atoms_on_the_fitted_window(tmp_path):
+    # r^50 puts three quarters of the disk below level 5e-4, outside [1e-3, 1e-1]
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text("phase.kind = radial-power\nphase.gamma = 50\n")
+    out_json = tmp_path / "regime.json"
+    rc = main(["regime", "--config", str(cfg), "--method", "monte_carlo", "--bins", "2048",
+               "--json", str(out_json)])
+    assert rc == 0
+    assert read_report(out_json)["payload"]["regime"] == lf.POWER_REGIME
+
+
+def test_density_monte_carlo_json_carries_sampling_provenance(tmp_path):
+    out_json = tmp_path / "mc.json"
+    rc = main(["density", "--method", "monte_carlo", "--samples", "2000", "--seed", "3",
+               "--bins", "16", "--json", str(out_json)])
+    assert rc == 0
+    payload = read_report(out_json)["payload"]
+    assert len(payload["stderr"]) == 16
+    assert payload["sample_count"] == 2000
+    assert payload["seed"] == 3
+
+
+def test_density_without_outputs_prints_the_report(capsys):
+    assert main(["density", "--bins", "8"]) == 0
+    summary, _, body = capsys.readouterr().out.partition("\n")
+    assert summary.startswith("density[") and "mass=" in summary
+    report = json.loads(body)
+    assert report["command"] == "density"
+    assert len(report["payload"]["values"]) == 8
 
 
 def test_regime_command_saddle_inf_window(tmp_path, capsys):
@@ -175,6 +221,45 @@ def test_config_parsing_helpers():
     phase = phase_from_config(cfg)
     assert phase.domain.n == 3
     assert phase.domain.radius == 2.0
+
+
+def test_config_box_domain():
+    phase = phase_from_config(parse_kv_text(
+        "domain.shape = box\ndomain.bounds = 0:2;-1:1\nphase.kind = linear\nphase.axis = 1\n"))
+    assert phase == lf.linear_phase(lf.box([(0.0, 2.0), (-1.0, 1.0)]), axis=1)
+
+
+def test_config_oscillatory_phase():
+    phase = phase_from_config(parse_kv_text("phase.kind = oscillatory\nphase.a = 0.25\n"
+                                            "phase.N = 3\n"))
+    assert phase == lf.oscillatory_phase(lf.ball(2), 0.25, 3.0)
+
+
+BOX = "domain.shape = box\nphase.kind = linear\n"
+CONFIG_ERRORS = {
+    "no equals sign": "phase.kind linear",
+    "empty key": "= linear",
+    "empty value": "phase.kind =",
+    "duplicate key": "phase.kind = linear\nphase.kind = saddle",
+    "unknown domain key": "domain.size = 2\nphase.kind = linear",
+    "unknown phase key": "phase.kind = linear\nphase.tilt = 1",
+    "missing phase.kind": "domain.n = 2",
+    "unknown phase.kind": "phase.kind = cubic",
+    "unknown shape": "domain.shape = torus\nphase.kind = linear",
+    "box without bounds": BOX,
+    "bad bounds chunk": BOX + "domain.bounds = 0:1:2;0:1",
+    "wrong number of pairs": BOX + "domain.bounds = 0:1",
+    "non-numeric bound": BOX + "domain.bounds = 0:x;0:1",
+    "non-numeric dimension": "domain.n = two\nphase.kind = linear",
+    "non-numeric radius": "domain.R = wide\nphase.kind = linear",
+    "non-numeric exponent": "phase.kind = radial-power\nphase.gamma = steep",
+}
+
+
+@pytest.mark.parametrize("text", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+def test_config_errors_are_config_errors(text):
+    with pytest.raises(lf.ConfigError):
+        phase_from_config(parse_kv_text(text))
 
 
 def test_entry_exit_code_on_config_error(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,7 @@ import levelform as lf
 from levelform import geometry
 from levelform.geometry import ball_volume, sphere_area
 from levelform.pushforward import (ATOM_MASS_FRACTION, CRITICAL_LEVEL_TOL, _BLOCK_POINTS,
-                                   _coarea_levels, _radial_level)
+                                   _radial_level)
 
 
 BALL2 = lf.ball(2)
@@ -548,7 +548,7 @@ def test_coarea_levels_match_scalar_oracle(case, weight, fractions, fiber_nodes)
     h = oracle_weight(weight, phase.domain.n)
     tt = np.array(_levels(phase, fractions))
     want = outcome(lambda: np.array([scalar_coarea(phase, h, t, fiber_nodes) for t in tt]))
-    assert_same_outcome(outcome(lambda: _coarea_levels(phase, h, tt, fiber_nodes)), want)
+    assert_same_outcome(outcome(lambda: lf.weighted_density_coarea(phase, h, tt, fiber_nodes)), want)
     assert_same_outcome(outcome(lambda: lf.weighted_density(phase, h, tt, lf.COAREA,
                                                             fiber_nodes=fiber_nodes)), want)
     if len(tt) and not isinstance(want, type):
@@ -566,7 +566,7 @@ def test_coarea_levels_match_scalar_oracle_at_block_edge(case, weight, fractions
     h = oracle_weight(weight, phase.domain.n)
     tt = np.array(_levels(phase, fractions))
     want = outcome(lambda: np.array([scalar_coarea(phase, h, t, fiber_nodes) for t in tt]))
-    assert_same_outcome(outcome(lambda: _coarea_levels(phase, h, tt, fiber_nodes)), want)
+    assert_same_outcome(outcome(lambda: lf.weighted_density_coarea(phase, h, tt, fiber_nodes)), want)
 
 
 @given(case=st.integers(0, len(ORACLE_PHASES) - 1), weight=st.sampled_from(WEIGHT_KINDS),

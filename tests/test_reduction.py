@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,6 +121,25 @@ MISUSE = {
     "oscillatory_phase a=nan": lambda: lf.oscillatory_phase(BALL2, math.nan, 1.0),
     "ball radius=inf": lambda: lf.ball(2, math.inf),
     "box bound=inf": lambda: lf.box([(0.0, math.inf), (0.0, 1.0)]),
+    "pullback_norm r=inf": lambda: lf.pullback_norm(
+        lf.radial_quadratic_phase(BALL2), None, math.inf),
+    "pullback_norm delta=inf": lambda: lf.pullback_norm(
+        lf.radial_quadratic_phase(BALL2), None, 2.0, delta=math.inf),
+    "radial_power_phase gamma=inf": lambda: lf.radial_power_phase(BALL2, math.inf),
+    "density_on_grid sample_count=2.5": lambda: lf.density_on_grid(
+        lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO, sample_count=2.5),
+    "lhs_direct sample_count=2.5": lambda: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
+        first_axis, first_axis), sample_count=2.5),
+    "coarea fiber_nodes=2.5": lambda: lf.weighted_density_coarea(
+        lf.linear_phase(BALL2), None, 0.1, fiber_nodes=2.5),
+    "density_on_grid subdivide=2.5": lambda: lf.density_on_grid(
+        lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.CLOSED_FORM, subdivide=2.5),
+    "coarea LevelFunction axis=5": lambda: lf.weighted_density_coarea(
+        lf.linear_phase(BALL2), lf.LevelFunction(np.cos, axis=5), 0.1),
+    "monte_carlo LevelFunction axis=5": lambda: lf.density_on_grid(
+        lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
+        sample_count=100, h=lf.LevelFunction(np.cos, axis=5)),
 }
 
 
@@ -188,7 +208,16 @@ def test_classify_regime():
     logp = lf.estimate_beta(lf.saddle_phase(BALL2), t_lo=1e-6, t_hi=1e-3,
                             bins=64)
     assert lf.classify_regime(logp) == lf.LOG_REGIME
-    assert lf.classify_regime(prof, atom_suspected=True) == lf.ATOMIC_REGIME
+    assert not prof.atom_suspected
+    assert lf.classify_regime(replace(prof, atom_suspected=True)) == lf.ATOMIC_REGIME
+
+
+def test_estimate_beta_flags_an_atom_inside_its_window():
+    # max(x0, 0.05) sends about half the disk to the level 0.05
+    phase = lf.custom_phase(BALL2, lambda p: np.maximum(p[:, 0], 0.05))
+    prof = lf.estimate_beta(phase, bins=2000, method=lf.MONTE_CARLO, sample_count=50_000)
+    assert prof.atom_suspected
+    assert lf.classify_regime(prof) == lf.ATOMIC_REGIME
 
 
 # ---------------------------------------------------------------------------
