@@ -22,12 +22,12 @@ import numpy as np
 
 from . import geometry, reduction, sparse
 from .config import parse_kv_text, phase_from_config
-from .errors import LevelformError
+from .errors import ConfigError, LevelformError
 from .geometry import Phase
 from .benchmarks import pair_domination
 from .kernels import bump_mixture, eps_ladder, hilbert_kernel
-from .pushforward import (CLOSED_FORM, METHODS, LevelFunction, LevelGrid,
-                          RadialFunction, density_on_grid)
+from .pushforward import (CLOSED_FORM, METHODS, MONTE_CARLO, LevelFunction,
+                          LevelGrid, RadialFunction, density_on_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,25 @@ def write_report(path: str | None, command: str, payload: dict,
 # subcommands
 # ---------------------------------------------------------------------------
 
+# quadrature flags of the closed-form and coarea routes, with their defaults;
+# the Monte Carlo route reads neither
+_QUADRATURE_DEFAULTS = {"fiber_nodes": 1024, "subdivide": 3}
+
+
+def _quadrature_flags(args) -> None:
+    """Fill in the quadrature flags left unset; refuse any set with Monte Carlo."""
+    for name, default in _QUADRATURE_DEFAULTS.items():
+        if name not in vars(args):
+            continue
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.method == MONTE_CARLO:
+            raise ConfigError(f"--{name.replace('_', '-')} has no effect with "
+                              f"--method {MONTE_CARLO}")
+
+
 def _cmd_density(args) -> int:
+    _quadrature_flags(args)
     phase = _load_phase(args)
     lo, hi = geometry.image_interval(phase)
     t_lo = args.t_lo if args.t_lo is not None else lo
@@ -150,6 +168,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    _quadrature_flags(args)
     phase_in, phase_out, f, g = preset_pair(args.preset)
     form = reduction.SynchronizedForm(phase_in=phase_in, phase_out=phase_out,
                                       kernel=hilbert_kernel(), f=f, g=g,
@@ -209,6 +228,7 @@ def _cmd_sparse(args) -> int:
 
 
 def _cmd_regime(args) -> int:
+    _quadrature_flags(args)
     phase = _load_phase(args)
     profile = reduction.estimate_beta(
         phase, t_lo=args.t_lo, t_hi=args.t_hi, bins=args.bins,
@@ -256,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", default=preset_default, choices=list(PRESETS))
         p.add_argument("--method", default=CLOSED_FORM, choices=METHODS)
         p.add_argument("--bins", type=int, default=256)
-        p.add_argument("--fiber-nodes", type=int, default=1024)
+        p.add_argument("--fiber-nodes", type=int)
         p.add_argument("--samples", type=int, default=200_000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", help="write a JSON report here")
@@ -264,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="tabulate a pushforward density")
     common(p)
     p.add_argument("--config", help="key = value phase description file")
-    p.add_argument("--subdivide", type=int, default=3)
+    p.add_argument("--subdivide", type=int)
     p.add_argument("--t-lo", type=float)
     p.add_argument("--t-hi", type=float)
     p.add_argument("--csv", help="write the density table here")
@@ -272,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="check the reduction identity")
     common(p)
-    p.add_argument("--subdivide", type=int, default=3)
+    p.add_argument("--subdivide", type=int)
     p.add_argument("--eps", type=float, default=0.25)
     p.set_defaults(func=_cmd_reduce)
 

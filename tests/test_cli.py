@@ -416,6 +416,38 @@ def test_options_a_command_ignores_are_rejected(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--subdivide", "7"],
+    ["density", "--fiber-nodes", "70"],
+    ["reduce", "--subdivide", "7"],
+    ["reduce", "--fiber-nodes", "70"],
+    ["regime", "--fiber-nodes", "70"],
+    ["density", "--subdivide", "3"],
+])
+def test_quadrature_flags_are_rejected_with_monte_carlo(argv, tmp_path, monkeypatch, capsys):
+    # the Monte Carlo route reads neither flag; naming one, even at its
+    # default, is a usage error
+    monkeypatch.setenv("LEVELFORM_OUT", str(tmp_path))
+    monkeypatch.setattr("sys.argv", ["levelform", *argv, "--method", "monte_carlo",
+                                     "--samples", "2000", "--bins", "16"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("levelform", run_name="__main__")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "no effect with --method monte_carlo" in err and "Traceback" not in err
+
+
+def test_quadrature_defaults_are_echoed(tmp_path):
+    for method in ("monte_carlo", "coarea"):
+        out = tmp_path / f"{method}.json"
+        assert main(["density", "--method", method, "--samples", "2000", "--bins", "16",
+                     "--fiber-nodes" if method == "coarea" else "--seed", "64",
+                     "--json", str(out)]) == 0
+        config = read_report(out)["metadata"]["config"]
+        assert (config["fiber_nodes"], config["subdivide"]) == (
+            (1024, 3) if method == "monte_carlo" else (64, 3))
+
+
 def test_all_presets_run_small(tmp_path):
     for preset in ["linear", "radial2", "radial-power4", "radial-power8",
                    "saddle"]:

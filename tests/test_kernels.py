@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,6 +486,87 @@ def test_hl_maximal_invariants(vals):
     # scaling equivariance
     M2 = lf.hl_maximal(lf.GridFunction1D(0.0, 1.0, 3.0 * np.array(vals)))
     assert np.allclose(M2.values, 3.0 * M.values, rtol=1e-12, atol=1e-12)
+
+
+def hl_maximal_scan(values):
+    """O(m^2) oracle: every window's average (P[b] - P[a]) / (b - a), each
+    start's suffix maxima spread over the cells its windows cover."""
+    absv = np.abs(np.asarray(values)).astype(float)
+    m = len(absv)
+    prefix = np.concatenate([[0.0], np.cumsum(absv)])
+    out = np.zeros(m)
+    for j in range(m):
+        lengths = np.arange(1, m - j + 1, dtype=float)
+        avg = (prefix[j + 1:] - prefix[j]) / lengths
+        suffix = np.maximum.accumulate(avg[::-1])[::-1]
+        np.maximum(out[j:], suffix, out=out[j:])
+    return out
+
+
+def assert_maximal_matches_scan(values):
+    got = lf.hl_maximal(lf.GridFunction1D(0.0, 1.0, values)).values
+    want = hl_maximal_scan(values)
+    assert np.array_equal(got, want), np.flatnonzero(got != want)[:10]
+
+
+@st.composite
+def maximal_inputs(draw):
+    """Signals of up to 300 cells built from noise, zero runs, plateaus and
+    small-integer ties, at scales from subnormal to 1e300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for kind, n in draw(st.lists(st.tuples(
+            st.sampled_from(["noise", "zeros", "plateau", "ties"]), st.integers(1, 120)),
+            min_size=1, max_size=8)):
+        if kind == "noise":
+            parts.append(rng.standard_normal(n))
+        elif kind == "zeros":
+            parts.append(np.zeros(n))
+        elif kind == "plateau":
+            parts.append(np.full(n, rng.uniform(-3.0, 3.0)))
+        else:
+            parts.append(rng.integers(-2, 3, n).astype(float))
+    scale = draw(st.sampled_from([1e-320, 1e-300, 1e-8, 1.0, 1e6, 1e300]))
+    return scale * np.concatenate(parts)[:300]
+
+
+@given(maximal_inputs())
+@settings(max_examples=150, deadline=None)
+def test_hl_maximal_equals_scan(values):
+    assert_maximal_matches_scan(values)
+
+
+@pytest.mark.parametrize("kind", ["bump", "noise"])
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129, 257, 4099])
+def test_hl_maximal_equals_scan_across_block_edges(m, kind):
+    if kind == "bump":
+        values = lf.bump_mixture(-2.0, 2.0, m, seed=m).values
+    else:
+        values = noise_function(m, seed=m).values
+    assert_maximal_matches_scan(values)
+
+
+def test_hl_maximal_keeps_ends_a_zero_tolerance_would_pop():
+    # plateaus of five cells: with no rounding tolerance the chain pops an
+    # end whose float average over cells 1..294 beats every kept end's
+    code = "230113101331232303213022113230111202220032001022121202111100"
+    values = np.repeat(np.array([0.1, 0.2, 0.3, 0.7])[[int(c) for c in code]], 5)
+    assert_maximal_matches_scan(values)
+
+
+def test_hl_maximal_constant_keeps_every_point_in_bounded_memory():
+    # every point of a constant signal is a near-tie, so no kept set shrinks;
+    # the quotient table is still built in chunks (a whole top-level table
+    # would be 2048 x 2048 doubles, 32 MiB)
+    values = np.full(4096, 0.7)
+    tracemalloc.start()
+    try:
+        got = lf.hl_maximal(lf.GridFunction1D(0.0, 1.0, values)).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, hl_maximal_scan(values))
+    assert peak < 4 * 2 ** 20
 
 
 def test_residual_bounded_by_maximal():

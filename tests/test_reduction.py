@@ -140,6 +140,12 @@ MISUSE = {
     "monte_carlo LevelFunction axis=5": lambda: lf.density_on_grid(
         lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
         sample_count=100, h=lf.LevelFunction(np.cos, axis=5)),
+    "hl_maximal inf entry": lambda: lf.hl_maximal(
+        lf.GridFunction1D(0.0, 1.0, [1.0, math.inf, 2.0])),
+    "hl_maximal nan entry": lambda: lf.hl_maximal(
+        lf.GridFunction1D(0.0, 1.0, [1.0, math.nan, 2.0])),
+    "hl_maximal overflowing sum": lambda: lf.hl_maximal(
+        lf.GridFunction1D(0.0, 1.0, [1e308, 1e308, 1e308])),
 }
 
 
