@@ -486,12 +486,14 @@ def hl_maximal(F: GridFunction1D) -> GridFunction1D:
         upper_next, lower_next = [], []
         for k, lo in enumerate(range(0, m, 2 * width)):
             mid, hi = lo + width, min(lo + 2 * width, m)
-            if mid >= m:
+            if mid >= m:  # a half with no partner moves up unmerged
                 upper_next.append(upper[2 * k])
                 lower_next.append(lower[2 * k])
                 continue
             starts, ends = np.arange(lo, mid), np.arange(mid + 1, hi + 1)
             right_upper, left_lower = upper[2 * k + 1], lower[2 * k]
+            # when near-ties keep most points, the whole start-by-end table
+            # is the cheaper scan, and it gives both maxima at once
             if len(starts) * len(right_upper) + len(ends) * len(left_lower) \
                     < len(starts) * len(ends):
                 from_start, _ = _window_maxima(prefix, starts, np.array(right_upper))
