@@ -36,7 +36,7 @@ from .reduction import (ATOMIC_REGIME, LOG_REGIME, POWER_REGIME,
                         UNIFORM_REGIME, CriticalProfile, Estimate,
                         IntegrabilityScan,
                         PullbackReport, ReductionReport, SynchronizedForm,
-                        UniformReport, WindowVerdict, classify_regime,
+                        UniformReport, WindowVerdict,
                         critical_window, density_supremum, estimate_beta,
                         function_norm, integrability_scan, lhs_direct,
                         pullback_norm, random_smooth_function, rhs_reduced,

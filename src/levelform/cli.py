@@ -26,8 +26,9 @@ from .errors import ConfigError, LevelformError
 from .geometry import Phase
 from .benchmarks import pair_domination
 from .kernels import bump_mixture, eps_ladder, hilbert_kernel
-from .pushforward import (CLOSED_FORM, METHODS, MONTE_CARLO, LevelFunction,
-                          LevelGrid, RadialFunction, density_on_grid)
+from .pushforward import (CLOSED_FORM, COAREA, METHODS, MONTE_CARLO,
+                          LevelFunction, LevelGrid, RadialFunction,
+                          density_on_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -126,25 +127,30 @@ def write_report(path: str | None, command: str, payload: dict,
 # subcommands
 # ---------------------------------------------------------------------------
 
-# quadrature flags of the closed-form and coarea routes, with their defaults;
-# the Monte Carlo route reads neither
-_QUADRATURE_DEFAULTS = {"fiber_nodes": 1024, "subdivide": 3}
+# route flags: each one's default and the density routes that read it;
+# reduce also reads --samples on every route, for its sampled left side
+_ROUTE_FLAGS = {
+    "fiber_nodes": (1024, (COAREA,)),
+    "subdivide": (3, (CLOSED_FORM, COAREA)),
+    "samples": (200_000, (MONTE_CARLO,)),
+}
 
 
-def _quadrature_flags(args) -> None:
-    """Fill in the quadrature flags left unset; refuse any set with Monte Carlo."""
-    for name, default in _QUADRATURE_DEFAULTS.items():
+def _route_flags(args) -> None:
+    """Fill in the route flags left unset; refuse any set that the route ignores."""
+    for name, (default, routes) in _ROUTE_FLAGS.items():
         if name not in vars(args):
             continue
+        if args.command == "reduce" and name == "samples":
+            routes = METHODS
         if getattr(args, name) is None:
             setattr(args, name, default)
-        elif args.method == MONTE_CARLO:
+        elif args.method not in routes:
             raise ConfigError(f"--{name.replace('_', '-')} has no effect with "
-                              f"--method {MONTE_CARLO}")
+                              f"--method {args.method}")
 
 
-def _cmd_density(args) -> int:
-    _quadrature_flags(args)
+def _cmd_density(args) -> tuple[dict, str, bool]:
     phase = _load_phase(args)
     lo, hi = geometry.image_interval(phase)
     t_lo = args.t_lo if args.t_lo is not None else lo
@@ -156,19 +162,12 @@ def _cmd_density(args) -> int:
     csv_path = _resolve(args.csv)
     if csv_path:
         est.to_csv(csv_path)
-    payload = est.to_json_dict()
-    report = write_report(_resolve(args.json), "density", payload,
-                          _config_echo(args), args.seed)
-    print(f"density[{phase.label}] bins={args.bins} method={args.method} "
-          f"mass={est.mass():.6g}")
-    if not args.json and not csv_path:
-        json.dump(report, sys.stdout, indent=1)
-        print()
-    return 0
+    line = (f"density[{phase.label}] bins={args.bins} method={args.method} "
+            f"mass={est.mass():.6g}")
+    return est.to_json_dict(), line, True
 
 
-def _cmd_reduce(args) -> int:
-    _quadrature_flags(args)
+def _cmd_reduce(args) -> tuple[dict, str, bool]:
     phase_in, phase_out, f, g = preset_pair(args.preset)
     form = reduction.SynchronizedForm(phase_in=phase_in, phase_out=phase_out,
                                       kernel=hilbert_kernel(), f=f, g=g,
@@ -188,16 +187,14 @@ def _cmd_reduce(args) -> int:
         "relative_discrepancy": report.relative_discrepancy,
         "passed": report.passed,
     }
-    write_report(_resolve(args.json), "reduce", payload, _config_echo(args),
-                 args.seed)
     status = "ok" if report.passed else "FAIL"
-    print(f"reduce[{args.preset}] eps={args.eps} lhs={report.lhs.value:.6g} "
-          f"rhs={report.rhs.value:.6g} disc={report.discrepancy:.3g} "
-          f"tol={report.tolerance:.3g} {status}")
-    return 0 if report.passed else 1
+    line = (f"reduce[{args.preset}] eps={args.eps} lhs={report.lhs.value:.6g} "
+            f"rhs={report.rhs.value:.6g} disc={report.discrepancy:.3g} "
+            f"tol={report.tolerance:.3g} {status}")
+    return payload, line, report.passed
 
 
-def _cmd_sparse(args) -> int:
+def _cmd_sparse(args) -> tuple[dict, str, bool]:
     # --seed p draws the bump-mixture signals of domination_benchmark's pair p
     F = bump_mixture(-1.0, 1.0, args.cells, 2 * args.seed)
     G = bump_mixture(-1.0, 1.0, args.cells, 2 * args.seed + 1)
@@ -217,28 +214,24 @@ def _cmd_sparse(args) -> int:
     payload["ratios"] = [
         {"epsilon": eps, "lhs": lhs, "sparse_value": sp, "ratio": ratio}
         for eps, lhs, sp, ratio in rows]
-    write_report(_resolve(args.json), "sparse", payload, _config_echo(args),
-                 args.seed)
     ok = result.eta >= Fraction(1, 2)
-    print(f"sparse cells={args.cells} depth={args.depth} members="
-          f"{len(result.family.members)} eta={float(result.eta):.4f} "
-          f"max_ratio={max(result.ratios):.4f} "
-          f"{'ok' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    line = (f"sparse cells={args.cells} depth={args.depth} members="
+            f"{len(result.family.members)} eta={float(result.eta):.4f} "
+            f"max_ratio={max(result.ratios):.4f} "
+            f"{'ok' if ok else 'FAIL'}")
+    return payload, line, ok
 
 
-def _cmd_regime(args) -> int:
-    _quadrature_flags(args)
+def _cmd_regime(args) -> tuple[dict, str, bool]:
     phase = _load_phase(args)
     profile = reduction.estimate_beta(
         phase, t_lo=args.t_lo, t_hi=args.t_hi, bins=args.bins,
         method=args.method, fiber_nodes=args.fiber_nodes,
         sample_count=args.samples, seed=args.seed)
-    regime = reduction.classify_regime(profile)
     window = reduction.critical_window(profile.beta, profile.beta)
     payload = {
         "phase": phase.label,
-        "regime": regime,
+        "regime": profile.regime,
         "beta": profile.beta,
         "window": [window[0], window[1]],
         "fit": {
@@ -249,17 +242,10 @@ def _cmd_regime(args) -> int:
             "log_coefficients": list(profile.log_coefficients),
         },
     }
-    write_report(_resolve(args.json), "regime", payload, _config_echo(args),
-                 args.seed)
     upper = "inf" if math.isinf(window[1]) else f"{window[1]:.4g}"
-    print(f"regime[{phase.label}] {regime} beta={profile.beta:.4f} "
-          f"window=({window[0]:.4g}, {upper})")
-    return 0
-
-
-def _config_echo(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    line = (f"regime[{phase.label}] {profile.regime} beta={profile.beta:.4f} "
+            f"window=({window[0]:.4g}, {upper})")
+    return payload, line, True
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", default=CLOSED_FORM, choices=METHODS)
         p.add_argument("--bins", type=int, default=256)
         p.add_argument("--fiber-nodes", type=int)
-        p.add_argument("--samples", type=int, default=200_000)
+        p.add_argument("--samples", type=int)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", help="write a JSON report here")
 
@@ -320,8 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its handler returns the payload, the printed line
+    and whether it passed, and only here is the report written."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    _route_flags(args)
+    try:
+        payload, line, passed = args.func(args)
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        report = write_report(_resolve(args.json), args.command, payload, config,
+                              args.seed)
+    except OSError as exc:  # --json, --csv, --config or LEVELFORM_OUT
+        raise ConfigError(f"cannot use file: {exc}") from exc
+    print(line)
+    if args.command == "density" and not (args.json or args.csv):
+        json.dump(report, sys.stdout, indent=1)
+        print()
+    return 0 if passed else 1
 
 
 def entry() -> None:

@@ -13,9 +13,9 @@ the 2m - 1 node offsets, applied to every column at once by FFT convolution;
 off-grid output points use the same cell weights in a matrix product.
 
 The convolution runs on numpy.fft at the lengths scipy.fft.next_fast_len
-picks, and its output is bit for bit that of scipy.fft. For complex input,
-the stencil spectra are the rfft plus the conjugate-symmetric half, which is
-how scipy.fft.fft transforms a real array.
+picks for real input, and its output is bit for bit that of scipy.fft.
+Complex columns go through the same real transform as their real and
+imaginary parts.
 """
 
 from __future__ import annotations
@@ -209,14 +209,14 @@ def _cell_weights(kernel: Kernel1D, u: np.ndarray, h: float, eps: float,
     return weights
 
 
-def _next_fast_len(n: int, real: bool) -> int:
-    """Smallest length >= n with no prime factor above 5 (real) or 11 (complex).
+def _next_fast_len(n: int) -> int:
+    """Smallest length >= n with no prime factor above 5.
 
-    These are the lengths scipy.fft.next_fast_len returns.
+    These are the lengths scipy.fft.next_fast_len returns for real input.
     """
     top = 1 << (n - 1).bit_length()
     odd = [1]
-    for p in (3, 5) if real else (3, 5, 7, 11):
+    for p in (3, 5):
         grown = []
         for q in odd:
             while q <= top:
@@ -233,17 +233,14 @@ def _toeplitz_apply(stencils: np.ndarray, V: np.ndarray) -> np.ndarray:
     `stencils` is real, (jobs, 2m - 1); V is (m, columns), real or complex.
     Returns (jobs, m, columns).
     """
+    if np.iscomplexobj(V):
+        columns = V.shape[1]
+        parts = _toeplitz_apply(stencils, np.hstack([V.real, V.imag]))
+        return parts[:, :, :columns] + 1j * parts[:, :, columns:]
     m = len(V)
-    complex_input = np.iscomplexobj(V)
-    n = _next_fast_len(3 * m - 2, real=not complex_input)
-    half = np.fft.rfft(stencils, n=n, axis=1)
-    if complex_input:
-        spectra = np.empty((len(stencils), n), dtype=complex)
-        spectra[:, :half.shape[1]] = half
-        spectra[:, half.shape[1]:] = np.conj(half[:, n - half.shape[1]:0:-1])
-        full = np.fft.ifft(spectra[:, :, None] * np.fft.fft(V, n=n, axis=0)[None], n=n, axis=1)
-    else:
-        full = np.fft.irfft(half[:, :, None] * np.fft.rfft(V, n=n, axis=0)[None], n=n, axis=1)
+    n = _next_fast_len(3 * m - 2)
+    spectra = np.fft.rfft(stencils, n=n, axis=1)
+    full = np.fft.irfft(spectra[:, :, None] * np.fft.rfft(V, n=n, axis=0)[None], n=n, axis=1)
     return full[:, m - 1:2 * m - 1].copy()
 
 

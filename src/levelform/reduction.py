@@ -30,6 +30,8 @@ from .sampling import derived_rng, sample_domain, sample_domain_pairs
 
 POWER_REGIME = "critical-power"
 LOG_REGIME = "critical-log"
+UNIFORM_REGIME = "uniform"
+ATOMIC_REGIME = "atomic"
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,14 @@ def verify_reduction_identity(form: SynchronizedForm, *,
                               seed: int = 0, method: str = CLOSED_FORM,
                               fiber_nodes: int = 2048, subdivide: int = 5) -> ReductionReport:
     """Compare the direct and reduced evaluations of the same form; the
-    tolerance is the larger of the sampling error bound and 1% of the scale."""
+    tolerance is the larger of the sampling error bound and 1% of the scale.
+    A radius at least the widest level gap is refused: both sides vanish there."""
+    lo_in, hi_in = geometry.image_interval(form.phase_in)
+    lo_out, hi_out = geometry.image_interval(form.phase_out)
+    widest = max(hi_out - lo_in, hi_in - lo_out)
+    if form.eps >= widest:
+        raise ConfigError(f"truncation radius {form.eps!r} is at least the widest "
+                          f"level gap {widest!r}, so both sides vanish")
     lhs = lhs_direct(form, sample_count=sample_count, seed=seed)
     rhs = rhs_reduced(form, bins=bins, method=method, fiber_nodes=fiber_nodes,
                       subdivide=subdivide, sample_count=sample_count, seed=seed)
@@ -152,7 +161,7 @@ class CriticalProfile:
     """Fitted small-level behavior of a density."""
 
     beta: float
-    kind: str
+    regime: str
     rel_rms_power: float
     rel_rms_log: float
     slope: float
@@ -167,10 +176,12 @@ def estimate_beta(phase: Phase, *, t_lo: float = 1e-3, t_hi: float = 1e-1,
                   seed: int = 0) -> CriticalProfile:
     """Fit w(t) ~ c t^(-beta) against w(t) ~ a log(1/t) + b on [t_lo, t_hi].
 
-    The returned kind picks whichever model reproduces the measured density
-    with smaller relative RMS error; beta is clamped to [0, 1). The atom flag
-    is the fitted estimate's own: only a Monte Carlo histogram on more than
-    1000 bins can raise it, and only for an atom inside [t_lo, t_hi].
+    The regime is decided here, in this order: atomic if the fitted estimate
+    flagged an atom (only a Monte Carlo histogram on more than 1000 bins can,
+    and only for an atom inside [t_lo, t_hi]); log if the log model has a
+    positive log term and the smaller relative RMS error, which sets beta to
+    0; uniform if the power-law beta, clamped to [0, 1), is under 0.05; power
+    otherwise.
     """
     if not 0 < t_lo < t_hi:
         raise ConfigError("need 0 < t_lo < t_hi")
@@ -195,11 +206,17 @@ def estimate_beta(phase: Phase, *, t_lo: float = 1e-3, t_hi: float = 1e-1,
     pred_log = design @ np.array([a_log, b_log])
     rel_log = float(np.sqrt(np.mean(((pred_log - w) / w) ** 2)))
 
-    kind = LOG_REGIME if (a_log > 0 and rel_log < rel_power) else POWER_REGIME
-    beta = min(max(-float(slope), 0.0), 1.0 - 1e-9)
-    if kind == LOG_REGIME:
-        beta = 0.0
-    return CriticalProfile(beta=beta, kind=kind, rel_rms_power=rel_power,
+    log_wins = a_log > 0 and rel_log < rel_power
+    beta = 0.0 if log_wins else min(max(-float(slope), 0.0), 1.0 - 1e-9)
+    if est.atom_suspected:
+        regime = ATOMIC_REGIME
+    elif log_wins:
+        regime = LOG_REGIME
+    elif beta < 0.05:
+        regime = UNIFORM_REGIME
+    else:
+        regime = POWER_REGIME
+    return CriticalProfile(beta=beta, regime=regime, rel_rms_power=rel_power,
                            rel_rms_log=rel_log, slope=float(slope),
                            intercept=float(intercept),
                            log_coefficients=(float(a_log), float(b_log)),
@@ -423,22 +440,6 @@ def uniform_bound_check(phase_in: Phase, phase_out: Phase, kernel: Kernel1D,
                          pairings=tuple(pairings), budget_base=base,
                          ratios=ratios, max_ratio=max(ratios), sup_in=sup_in,
                          sup_out=sup_out, norm_f=norm_f, norm_g=norm_g)
-
-
-UNIFORM_REGIME = "uniform"
-ATOMIC_REGIME = "atomic"
-
-
-def classify_regime(profile: CriticalProfile) -> str:
-    """Name the small-level regime of a fitted density profile: atomic if its
-    estimate flagged an atom; a power-law exponent under 0.05 counts as uniform."""
-    if profile.atom_suspected:
-        return ATOMIC_REGIME
-    if profile.kind == LOG_REGIME:
-        return LOG_REGIME
-    if profile.beta < 0.05:
-        return UNIFORM_REGIME
-    return POWER_REGIME
 
 
 def random_smooth_function(domain: Domain, seed: int, *, tag: int = 0) -> Callable:

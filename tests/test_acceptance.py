@@ -157,7 +157,7 @@ def test_04_beta_recovery(capsys):
             sample_count=1_000_000,
             seed=0,
         )
-        ok = ok and profile.kind == lf.POWER_REGIME and lo <= profile.beta <= hi
+        ok = ok and profile.regime == lf.POWER_REGIME and lo <= profile.beta <= hi
         results.append(f"gamma={gamma:g}: beta={profile.beta:.4f} in [{lo}, {hi}]")
     _line(capsys, 4, "beta-recovery", ok, "; ".join(results))
     assert ok, results

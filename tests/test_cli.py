@@ -313,6 +313,7 @@ def test_module_entry_exit_code_on_negative_seed(argv, monkeypatch, capsys):
     (["reduce", "--eps", "inf"], "truncation radius"),
     (["sparse", "--lam", "nan"], "stopping factor"),
     (["sparse", "--cells", "0"], "cell count"),
+    (["reduce", "--eps", "100"], "both sides vanish"),
 ])
 def test_module_entry_exit_code_on_non_finite_or_empty_input(argv, message, tmp_path,
                                                              monkeypatch, capsys):
@@ -323,6 +324,26 @@ def test_module_entry_exit_code_on_non_finite_or_empty_input(argv, message, tmp_
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--json", "d.json"],
+    ["density", "--csv", "d.csv"],
+    ["sparse", "--cells", "256", "--depth", "6", "--csv", "s.csv"],
+    ["regime", "--config", "missing.kv"],
+    ["reduce", "--bins", "16", "--samples", "2000", "--json", "{directory}"],
+])
+def test_module_entry_exit_code_on_bad_paths(argv, tmp_path, monkeypatch, capsys):
+    # LEVELFORM_OUT names a directory that does not exist
+    monkeypatch.setenv("LEVELFORM_OUT", str(tmp_path / "missing"))
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(directory=tmp_path) for a in argv]
+    monkeypatch.setattr("sys.argv", ["levelform", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("levelform", run_name="__main__")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot use file" in err and "Traceback" not in err
 
 
 def test_cold_start_loads_no_scipy(tmp_path):
@@ -385,7 +406,7 @@ def test_preset_configs_build_the_catalog_phases(name, build):
     assert phase_from_config(cli.PRESETS[name]) == build(lf.ball(2))
 
 
-def test_every_parsed_option_is_read(tmp_path):
+def test_every_parsed_option_is_read(tmp_path, monkeypatch):
     reads = set()
 
     class Recording(argparse.Namespace):
@@ -393,18 +414,32 @@ def test_every_parsed_option_is_read(tmp_path):
             reads.add(name)
             return super().__getattribute__(name)
 
-    parser = cli.build_parser()
+    build = cli.build_parser
+    parsed = []
+
+    def recording_parser():
+        parser = build()
+        parse = parser.parse_args
+
+        def parse_args(argv):
+            parsed.append(parse(argv, namespace=Recording()))
+            # parsing probes every dest; count only what main and the handler read
+            reads.clear()
+            return parsed[-1]
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
     unread = {}
     for argv in (["density", "--bins", "8"],
-                 ["reduce", "--samples", "2000", "--bins", "16", "--fiber-nodes", "64"],
+                 ["reduce", "--samples", "2000", "--bins", "16", "--method", "coarea",
+                  "--fiber-nodes", "64"],
                  ["sparse", "--cells", "256", "--depth", "4"],
                  ["regime", "--bins", "32"]):
         argv += ["--json", str(tmp_path / f"{argv[0]}.json")]
-        args = parser.parse_args(argv, namespace=Recording())
-        # parsing probes every dest; count only what the handler reads
-        reads.clear()
-        args.func(args)
-        unread[argv[0]] = set(vars(args)) - reads - {"func", "command"}
+        main(argv)
+        unread[argv[0]] = set(vars(parsed[-1])) - reads - {"func", "command"}
     assert unread == {"density": set(), "reduce": set(), "sparse": set(), "regime": set()}
 
 
@@ -438,14 +473,39 @@ def test_quadrature_flags_are_rejected_with_monte_carlo(argv, tmp_path, monkeypa
 
 
 def test_quadrature_defaults_are_echoed(tmp_path):
-    for method in ("monte_carlo", "coarea"):
+    for method, flag, value in (("monte_carlo", "--samples", "2000"),
+                                ("coarea", "--fiber-nodes", "64")):
         out = tmp_path / f"{method}.json"
-        assert main(["density", "--method", method, "--samples", "2000", "--bins", "16",
-                     "--fiber-nodes" if method == "coarea" else "--seed", "64",
+        assert main(["density", "--method", method, flag, value, "--bins", "16",
                      "--json", str(out)]) == 0
         config = read_report(out)["metadata"]["config"]
-        assert (config["fiber_nodes"], config["subdivide"]) == (
-            (1024, 3) if method == "monte_carlo" else (64, 3))
+        assert (config["fiber_nodes"], config["subdivide"], config["samples"]) == (
+            (1024, 3, 2000) if method == "monte_carlo" else (64, 3, 200_000))
+
+
+# the density routes that read each route flag; reduce reads --samples on
+# every route, for its sampled left side
+FLAG_READERS = {"--fiber-nodes": {"coarea"}, "--subdivide": {"closed_form", "coarea"},
+                "--samples": {"monte_carlo"}}
+ROUTE_FLAG_CASES = [(command, method, flag)
+                    for command in ("density", "reduce", "regime")
+                    for method in pushforward.METHODS for flag in FLAG_READERS
+                    if (command, flag) != ("regime", "--subdivide")]
+
+
+@pytest.mark.parametrize("command,method,flag", ROUTE_FLAG_CASES)
+def test_route_flags_are_read_or_rejected(command, method, flag, tmp_path):
+    value = {"--fiber-nodes": "64", "--subdivide": "2", "--samples": "20000"}[flag]
+    out = tmp_path / "r.json"
+    argv = [command, "--method", method, flag, value, "--bins", "16", "--json", str(out)]
+    if method in FLAG_READERS[flag] or (command, flag) == ("reduce", "--samples"):
+        main(argv)
+        config = read_report(out)["metadata"]["config"]
+        assert config[flag[2:].replace("-", "_")] == int(value)
+    else:
+        with pytest.raises(lf.ConfigError, match=f"{flag} has no effect with --method {method}"):
+            main(argv)
+        assert not out.exists()
 
 
 def test_all_presets_run_small(tmp_path):

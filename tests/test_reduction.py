@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import levelform as lf
+from levelform import reduction
 
 
 BALL2 = lf.ball(2)
@@ -140,6 +141,9 @@ MISUSE = {
     "monte_carlo LevelFunction axis=5": lambda: lf.density_on_grid(
         lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
         sample_count=100, h=lf.LevelFunction(np.cos, axis=5)),
+    "verify_reduction_identity eps=2": lambda: lf.verify_reduction_identity(
+        lf.SynchronizedForm(lf.linear_phase(BALL2), lf.linear_phase(BALL2),
+                            lf.hilbert_kernel(), first_axis, first_axis, eps=2.0)),
     "hl_maximal inf entry": lambda: lf.hl_maximal(
         lf.GridFunction1D(0.0, 1.0, [1.0, math.inf, 2.0])),
     "hl_maximal nan entry": lambda: lf.hl_maximal(
@@ -171,7 +175,7 @@ def test_form_rejects_nonpositive_eps():
 def test_estimate_beta_radial_power_4():
     prof = lf.estimate_beta(lf.radial_power_phase(BALL2, 4.0),
                             t_lo=1e-3, t_hi=1e-1, bins=64)
-    assert prof.kind == lf.POWER_REGIME
+    assert prof.regime == lf.POWER_REGIME
     assert prof.beta == pytest.approx(0.5, abs=1e-9)
     assert prof.rel_rms_power < 1e-9
 
@@ -185,7 +189,7 @@ def test_estimate_beta_radial_power_8():
 def test_estimate_beta_saddle_is_log():
     prof = lf.estimate_beta(lf.saddle_phase(BALL2), t_lo=1e-6, t_hi=1e-3,
                             bins=64)
-    assert prof.kind == lf.LOG_REGIME
+    assert prof.regime == lf.LOG_REGIME
     assert prof.beta == 0.0
     assert prof.log_coefficients[0] > 0
     assert prof.rel_rms_log < prof.rel_rms_power
@@ -194,7 +198,7 @@ def test_estimate_beta_saddle_is_log():
 def test_estimate_beta_bounded_density_flat():
     prof = lf.estimate_beta(lf.radial_quadratic_phase(BALL2),
                             t_lo=1e-3, t_hi=1e-1, bins=64)
-    assert prof.kind == lf.POWER_REGIME
+    assert prof.regime == lf.UNIFORM_REGIME
     assert abs(prof.beta) < 0.02
 
 
@@ -204,18 +208,23 @@ def test_estimate_beta_needs_a_decade():
                          t_lo=0.02, t_hi=0.1, bins=64)
 
 
-def test_classify_regime():
-    prof = lf.estimate_beta(lf.radial_power_phase(BALL2, 4.0),
-                            t_lo=1e-3, t_hi=1e-1, bins=64)
-    assert lf.classify_regime(prof) == lf.POWER_REGIME
-    flat = lf.estimate_beta(lf.radial_quadratic_phase(BALL2),
-                            t_lo=1e-3, t_hi=1e-1, bins=64)
-    assert lf.classify_regime(flat) == lf.UNIFORM_REGIME
-    logp = lf.estimate_beta(lf.saddle_phase(BALL2), t_lo=1e-6, t_hi=1e-3,
-                            bins=64)
-    assert lf.classify_regime(logp) == lf.LOG_REGIME
-    assert not prof.atom_suspected
-    assert lf.classify_regime(replace(prof, atom_suspected=True)) == lf.ATOMIC_REGIME
+def test_classify_regime(monkeypatch):
+    # estimate_beta decides the regime once: atomic, then log, then uniform
+    # for beta under 0.05, else power
+    cases = [(lf.radial_power_phase(BALL2, 4.0), 1e-3, 1e-1, lf.POWER_REGIME),
+             (lf.radial_quadratic_phase(BALL2), 1e-3, 1e-1, lf.UNIFORM_REGIME),
+             (lf.saddle_phase(BALL2), 1e-6, 1e-3, lf.LOG_REGIME)]
+    fitted = [lf.estimate_beta(phase, t_lo=lo, t_hi=hi, bins=64) for phase, lo, hi, _ in cases]
+    assert [prof.regime for prof in fitted] == [regime for *_, regime in cases]
+    assert not any(prof.atom_suspected for prof in fitted)
+    # an atom flag on the fitted estimate overrides every other verdict
+    fit = reduction.density_on_grid
+    monkeypatch.setattr(reduction, "density_on_grid",
+                        lambda *a, **k: replace(fit(*a, **k), atom_suspected=True))
+    for (phase, lo, hi, _), prof in zip(cases, fitted):
+        flagged = lf.estimate_beta(phase, t_lo=lo, t_hi=hi, bins=64)
+        assert flagged.regime == lf.ATOMIC_REGIME
+        assert replace(flagged, regime=prof.regime, atom_suspected=False) == prof
 
 
 def test_estimate_beta_flags_an_atom_inside_its_window():
@@ -223,7 +232,7 @@ def test_estimate_beta_flags_an_atom_inside_its_window():
     phase = lf.custom_phase(BALL2, lambda p: np.maximum(p[:, 0], 0.05))
     prof = lf.estimate_beta(phase, bins=2000, method=lf.MONTE_CARLO, sample_count=50_000)
     assert prof.atom_suspected
-    assert lf.classify_regime(prof) == lf.ATOMIC_REGIME
+    assert prof.regime == lf.ATOMIC_REGIME
 
 
 # ---------------------------------------------------------------------------
