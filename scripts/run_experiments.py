@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Drive the full desk-scale experiment suite and drop reports in ./out.
 
-Covers every preset: density tables by all three routes, reduction identity
-checks, a sparse domination table, and regime classification. Every command
+Covers every preset: closed-form density tables, reduction identity checks, a
+sparse domination table, and regime classification. Every command
 runs in this process through `levelform.cli.main`, so the package only has to
 be importable, not installed as a console script.
 """

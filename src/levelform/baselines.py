@@ -6,13 +6,11 @@ test suite can assert they reproduce exactly on rerun.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from importlib import resources
 
 from .errors import ConfigError
 
 
-@lru_cache(maxsize=1)
 def load_baselines() -> dict[str, float]:
     text = resources.files(__package__).joinpath("baselines.txt").read_text()
     out: dict[str, float] = {}

@@ -150,15 +150,19 @@ def _route_flags(args) -> None:
                               f"--method {args.method}")
 
 
+def _density(args, phase: Phase, t_lo: float, t_hi: float):
+    """The estimate `density` and `regime` read; regime has no --subdivide."""
+    return density_on_grid(phase, LevelGrid(t_lo, t_hi, args.bins), args.method,
+                           fiber_nodes=args.fiber_nodes,
+                           subdivide=getattr(args, "subdivide", 1),
+                           sample_count=args.samples, seed=args.seed)
+
+
 def _cmd_density(args) -> tuple[dict, str, bool]:
     phase = _load_phase(args)
     lo, hi = geometry.image_interval(phase)
-    t_lo = args.t_lo if args.t_lo is not None else lo
-    t_hi = args.t_hi if args.t_hi is not None else hi
-    grid = LevelGrid(t_lo, t_hi, args.bins)
-    est = density_on_grid(phase, grid, args.method, fiber_nodes=args.fiber_nodes,
-                          subdivide=args.subdivide, sample_count=args.samples,
-                          seed=args.seed)
+    est = _density(args, phase, lo if args.t_lo is None else args.t_lo,
+                   hi if args.t_hi is None else args.t_hi)
     csv_path = _resolve(args.csv)
     if csv_path:
         est.to_csv(csv_path)
@@ -224,10 +228,7 @@ def _cmd_sparse(args) -> tuple[dict, str, bool]:
 
 def _cmd_regime(args) -> tuple[dict, str, bool]:
     phase = _load_phase(args)
-    profile = reduction.estimate_beta(
-        phase, t_lo=args.t_lo, t_hi=args.t_hi, bins=args.bins,
-        method=args.method, fiber_nodes=args.fiber_nodes,
-        sample_count=args.samples, seed=args.seed)
+    profile = reduction.estimate_beta(_density(args, phase, args.t_lo, args.t_hi))
     window = reduction.critical_window(profile.beta, profile.beta)
     payload = {
         "phase": phase.label,

@@ -511,15 +511,17 @@ def _radius_of_level(phase: Phase, tt: np.ndarray) -> np.ndarray:
 def weighted_density(phase: Phase, h, t, method: str = COAREA, *,
                      fiber_nodes: int = 2048, grid: LevelGrid | None = None,
                      sample_count: int = 100_000, seed: int = 0):
-    """The one dispatcher over the three density routes: levels t for the
-    closed form and coarea, a level grid for Monte Carlo (which ignores t)."""
+    """The one dispatcher over the three density routes: levels t and no grid
+    for the closed form and coarea, a level grid and t=None for Monte Carlo."""
+    if method in (CLOSED_FORM, COAREA) and grid is not None:
+        raise ConfigError(f"{method} weighted density takes levels t, not a grid")
     if method == CLOSED_FORM:
         return weighted_density_closed_form(phase, h, t)
     if method == COAREA:
         return weighted_density_coarea(phase, h, t, fiber_nodes=fiber_nodes)
     if method == MONTE_CARLO:
-        if grid is None:
-            raise ConfigError("monte_carlo weighted density needs a level grid")
+        if grid is None or t is not None:
+            raise ConfigError("monte_carlo weighted density takes a level grid and t=None")
         return weighted_density_monte_carlo(phase, h, grid, sample_count, seed)
     raise ConfigError(f"unknown density method {method!r}")
 

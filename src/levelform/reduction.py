@@ -24,14 +24,16 @@ from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
                      PhaseNotUniformError, UnsupportedPhaseError)
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
-from .pushforward import (CLOSED_FORM, COAREA, LevelGrid, _abs_power, _require_count,
-                          density_on_grid, weighted_density_closed_form)
+from .pushforward import (CLOSED_FORM, COAREA, DensityEstimate, LevelGrid, _abs_power,
+                          _require_count, density_on_grid, weighted_density_closed_form)
 from .sampling import derived_rng, sample_domain, sample_domain_pairs
 
 POWER_REGIME = "critical-power"
 LOG_REGIME = "critical-log"
 UNIFORM_REGIME = "uniform"
 ATOMIC_REGIME = "atomic"
+# a beta under this reads uniform; a log term must move w by this fraction
+_REGIME_CUT = 0.05
 
 
 @dataclass(frozen=True)
@@ -167,31 +169,26 @@ class CriticalProfile:
     slope: float
     intercept: float
     log_coefficients: tuple[float, float]
-    atom_suspected: bool
 
 
-def estimate_beta(phase: Phase, *, t_lo: float = 1e-3, t_hi: float = 1e-1,
-                  bins: int = 400, method: str = CLOSED_FORM,
-                  fiber_nodes: int = 2048, sample_count: int = 100_000,
-                  seed: int = 0) -> CriticalProfile:
-    """Fit w(t) ~ c t^(-beta) against w(t) ~ a log(1/t) + b on [t_lo, t_hi].
+def estimate_beta(estimate: DensityEstimate) -> CriticalProfile:
+    """Fit w(t) ~ c t^(-beta) against w(t) ~ a log(1/t) + b over the levels
+    of a density estimate, whose grid must start above 0 and span a decade.
 
-    The regime is decided here, in this order: atomic if the fitted estimate
-    flagged an atom (only a Monte Carlo histogram on more than 1000 bins can,
-    and only for an atom inside [t_lo, t_hi]); log if the log model has a
-    positive log term and the smaller relative RMS error, which sets beta to
-    0; uniform if the power-law beta, clamped to [0, 1), is under 0.05; power
-    otherwise.
+    The regime is decided here, in this order: atomic if the estimate flagged
+    an atom (only a Monte Carlo histogram on more than 1000 bins can); log if
+    the log model has the smaller relative RMS error and a log term that is
+    material, a ln(t_max/t_min) >= 5% of the mean fitted w; uniform if the
+    power-law beta, clamped to [0, 1), is under 0.05; power otherwise. A log
+    or uniform verdict reports beta = 0 exactly.
     """
-    if not 0 < t_lo < t_hi:
-        raise ConfigError("need 0 < t_lo < t_hi")
-    if t_hi / t_lo < 10.0:
+    grid = estimate.grid
+    if not grid.t_min > 0:
+        raise ConfigError("an exponent fit needs levels above 0")
+    if grid.t_max / grid.t_min < 10.0:
         raise InsufficientDecadesError("need at least one decade of levels")
-    grid = LevelGrid(t_lo, t_hi, bins)
-    est = density_on_grid(phase, grid, method, fiber_nodes=fiber_nodes,
-                          sample_count=sample_count, seed=seed)
     t = grid.centers
-    w = est.values
+    w = estimate.values
     keep = np.isfinite(w) & (w > 0)
     if np.count_nonzero(keep) < 8:
         raise ConfigError("too few usable levels for an exponent fit")
@@ -206,21 +203,21 @@ def estimate_beta(phase: Phase, *, t_lo: float = 1e-3, t_hi: float = 1e-1,
     pred_log = design @ np.array([a_log, b_log])
     rel_log = float(np.sqrt(np.mean(((pred_log - w) / w) ** 2)))
 
-    log_wins = a_log > 0 and rel_log < rel_power
-    beta = 0.0 if log_wins else min(max(-float(slope), 0.0), 1.0 - 1e-9)
-    if est.atom_suspected:
+    log_wins = (rel_log < rel_power and a_log * math.log(grid.t_max / grid.t_min)
+                >= _REGIME_CUT * np.mean(w))
+    beta = 0.0 if log_wins or -slope < _REGIME_CUT else min(-float(slope), 1.0 - 1e-9)
+    if estimate.atom_suspected:
         regime = ATOMIC_REGIME
     elif log_wins:
         regime = LOG_REGIME
-    elif beta < 0.05:
+    elif beta == 0.0:
         regime = UNIFORM_REGIME
     else:
         regime = POWER_REGIME
     return CriticalProfile(beta=beta, regime=regime, rel_rms_power=rel_power,
                            rel_rms_log=rel_log, slope=float(slope),
                            intercept=float(intercept),
-                           log_coefficients=(float(a_log), float(b_log)),
-                           atom_suspected=est.atom_suspected)
+                           log_coefficients=(float(a_log), float(b_log)))
 
 
 def critical_window(beta_in: float, beta_out: float) -> tuple[float, float]:

@@ -148,15 +148,14 @@ def test_04_beta_recovery(capsys):
     results = []
     ok = True
     for gamma, lo, hi in ((4.0, 0.45, 0.55), (8.0, 0.70, 0.80)):
-        profile = lf.estimate_beta(
+        estimate = lf.density_on_grid(
             lf.radial_power_phase(B2, gamma),
-            t_lo=1e-3,
-            t_hi=1e-1,
-            bins=400,
-            method=lf.MONTE_CARLO,
+            lf.LevelGrid(1e-3, 1e-1, 400),
+            lf.MONTE_CARLO,
             sample_count=1_000_000,
             seed=0,
         )
+        profile = lf.estimate_beta(estimate)
         ok = ok and profile.regime == lf.POWER_REGIME and lo <= profile.beta <= hi
         results.append(f"gamma={gamma:g}: beta={profile.beta:.4f} in [{lo}, {hi}]")
     _line(capsys, 4, "beta-recovery", ok, "; ".join(results))

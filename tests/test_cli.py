@@ -153,6 +153,30 @@ def test_regime_judges_atoms_on_the_fitted_window(tmp_path):
     assert read_report(out_json)["payload"]["regime"] == lf.POWER_REGIME
 
 
+# the closed-form asymptotics of each preset near level 0: bounded densities
+# read uniform, r^gamma on the disk a power with beta = 1 - n/gamma, the saddle a log
+PRESET_REGIMES = {"linear": (lf.UNIFORM_REGIME, 0.0), "radial2": (lf.UNIFORM_REGIME, 0.0),
+                  "radial-power4": (lf.POWER_REGIME, 0.5),
+                  "radial-power8": (lf.POWER_REGIME, 0.75), "saddle": (lf.LOG_REGIME, 0.0)}
+
+
+@pytest.mark.parametrize("method", pushforward.METHODS)
+@pytest.mark.parametrize("preset", cli.PRESETS)
+def test_regime_of_every_preset_on_every_route(preset, method, tmp_path):
+    out_json = tmp_path / "regime.json"
+    assert main(["regime", "--preset", preset, "--method", method,
+                 "--json", str(out_json)]) == 0
+    payload = read_report(out_json)["payload"]
+    regime, beta = PRESET_REGIMES[preset]
+    assert payload["regime"] == regime
+    if regime == lf.POWER_REGIME:
+        assert payload["beta"] == pytest.approx(beta, abs=0.01 if method == lf.MONTE_CARLO
+                                                else 1e-9)
+    else:
+        # beta exactly 0, so the window is (1, inf), its upper end serialized as null
+        assert (payload["beta"], payload["window"]) == (0.0, [1.0, None])
+
+
 def test_density_monte_carlo_json_carries_sampling_provenance(tmp_path):
     out_json = tmp_path / "mc.json"
     rc = main(["density", "--method", "monte_carlo", "--samples", "2000", "--seed", "3",

@@ -1,4 +1,5 @@
-"""Every name a package module imports is read in that module."""
+"""Every name a package module imports is read in that module, and no
+package module relies on an `assert`."""
 
 import ast
 import pathlib
@@ -23,3 +24,11 @@ def test_no_unused_import():
     unused = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
               if path.name != "__init__.py" and (names := unused_imports(path.read_text()))}
     assert not unused, f"imported but never read: {unused}"
+
+
+def test_no_assert_statement():
+    # `python -O` strips asserts, so a failure must not depend on one
+    asserting = sorted(path.name for path in PACKAGE.glob("*.py")
+                       if any(isinstance(node, ast.Assert)
+                              for node in ast.walk(ast.parse(path.read_text()))))
+    assert not asserting, f"assert statements in: {asserting}"

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import levelform as lf
-from levelform import reduction
 
 
 BALL2 = lf.ball(2)
@@ -141,6 +140,13 @@ MISUSE = {
     "monte_carlo LevelFunction axis=5": lambda: lf.density_on_grid(
         lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
         sample_count=100, h=lf.LevelFunction(np.cos, axis=5)),
+    "weighted_density monte_carlo with levels": lambda: lf.weighted_density(
+        lf.linear_phase(BALL2), None, 0.1, lf.MONTE_CARLO, grid=lf.LevelGrid(-1.0, 1.0, 4),
+        sample_count=100),
+    "weighted_density closed_form with a grid": lambda: lf.weighted_density(
+        lf.linear_phase(BALL2), None, 0.1, lf.CLOSED_FORM, grid=lf.LevelGrid(-1.0, 1.0, 4)),
+    "weighted_density coarea with a grid": lambda: lf.weighted_density(
+        lf.linear_phase(BALL2), None, 0.1, lf.COAREA, grid=lf.LevelGrid(-1.0, 1.0, 4)),
     "verify_reduction_identity eps=2": lambda: lf.verify_reduction_identity(
         lf.SynchronizedForm(lf.linear_phase(BALL2), lf.linear_phase(BALL2),
                             lf.hilbert_kernel(), first_axis, first_axis, eps=2.0)),
@@ -172,23 +178,25 @@ def test_form_rejects_nonpositive_eps():
 # critical exponent extraction
 # ---------------------------------------------------------------------------
 
+def fit(phase, t_lo=1e-3, t_hi=1e-1, bins=64, method=lf.CLOSED_FORM, **kwargs):
+    return lf.estimate_beta(lf.density_on_grid(phase, lf.LevelGrid(t_lo, t_hi, bins), method,
+                                               **kwargs))
+
+
 def test_estimate_beta_radial_power_4():
-    prof = lf.estimate_beta(lf.radial_power_phase(BALL2, 4.0),
-                            t_lo=1e-3, t_hi=1e-1, bins=64)
+    prof = fit(lf.radial_power_phase(BALL2, 4.0))
     assert prof.regime == lf.POWER_REGIME
     assert prof.beta == pytest.approx(0.5, abs=1e-9)
     assert prof.rel_rms_power < 1e-9
 
 
 def test_estimate_beta_radial_power_8():
-    prof = lf.estimate_beta(lf.radial_power_phase(BALL2, 8.0),
-                            t_lo=1e-3, t_hi=1e-1, bins=64)
+    prof = fit(lf.radial_power_phase(BALL2, 8.0))
     assert prof.beta == pytest.approx(0.75, abs=1e-9)
 
 
 def test_estimate_beta_saddle_is_log():
-    prof = lf.estimate_beta(lf.saddle_phase(BALL2), t_lo=1e-6, t_hi=1e-3,
-                            bins=64)
+    prof = fit(lf.saddle_phase(BALL2), t_lo=1e-6, t_hi=1e-3)
     assert prof.regime == lf.LOG_REGIME
     assert prof.beta == 0.0
     assert prof.log_coefficients[0] > 0
@@ -196,42 +204,41 @@ def test_estimate_beta_saddle_is_log():
 
 
 def test_estimate_beta_bounded_density_flat():
-    prof = lf.estimate_beta(lf.radial_quadratic_phase(BALL2),
-                            t_lo=1e-3, t_hi=1e-1, bins=64)
+    prof = fit(lf.radial_quadratic_phase(BALL2))
     assert prof.regime == lf.UNIFORM_REGIME
     assert abs(prof.beta) < 0.02
 
 
 def test_estimate_beta_needs_a_decade():
     with pytest.raises(lf.InsufficientDecadesError):
-        lf.estimate_beta(lf.radial_power_phase(BALL2, 4.0),
-                         t_lo=0.02, t_hi=0.1, bins=64)
+        fit(lf.radial_power_phase(BALL2, 4.0), t_lo=0.02, t_hi=0.1)
 
 
-def test_classify_regime(monkeypatch):
+def test_estimate_beta_needs_positive_levels():
+    with pytest.raises(lf.ConfigError):
+        fit(lf.radial_power_phase(BALL2, 4.0), t_lo=-0.1, t_hi=0.1)
+
+
+def test_classify_regime():
     # estimate_beta decides the regime once: atomic, then log, then uniform
     # for beta under 0.05, else power
     cases = [(lf.radial_power_phase(BALL2, 4.0), 1e-3, 1e-1, lf.POWER_REGIME),
              (lf.radial_quadratic_phase(BALL2), 1e-3, 1e-1, lf.UNIFORM_REGIME),
              (lf.saddle_phase(BALL2), 1e-6, 1e-3, lf.LOG_REGIME)]
-    fitted = [lf.estimate_beta(phase, t_lo=lo, t_hi=hi, bins=64) for phase, lo, hi, _ in cases]
-    assert [prof.regime for prof in fitted] == [regime for *_, regime in cases]
-    assert not any(prof.atom_suspected for prof in fitted)
-    # an atom flag on the fitted estimate overrides every other verdict
-    fit = reduction.density_on_grid
-    monkeypatch.setattr(reduction, "density_on_grid",
-                        lambda *a, **k: replace(fit(*a, **k), atom_suspected=True))
-    for (phase, lo, hi, _), prof in zip(cases, fitted):
-        flagged = lf.estimate_beta(phase, t_lo=lo, t_hi=hi, bins=64)
+    for phase, lo, hi, regime in cases:
+        est = lf.density_on_grid(phase, lf.LevelGrid(lo, hi, 64), lf.CLOSED_FORM)
+        prof = lf.estimate_beta(est)
+        assert prof.regime == regime
+        # an atom flag on the estimate overrides every other verdict
+        flagged = lf.estimate_beta(replace(est, atom_suspected=True))
         assert flagged.regime == lf.ATOMIC_REGIME
-        assert replace(flagged, regime=prof.regime, atom_suspected=False) == prof
+        assert replace(flagged, regime=prof.regime) == prof
 
 
 def test_estimate_beta_flags_an_atom_inside_its_window():
     # max(x0, 0.05) sends about half the disk to the level 0.05
     phase = lf.custom_phase(BALL2, lambda p: np.maximum(p[:, 0], 0.05))
-    prof = lf.estimate_beta(phase, bins=2000, method=lf.MONTE_CARLO, sample_count=50_000)
-    assert prof.atom_suspected
+    prof = fit(phase, bins=2000, method=lf.MONTE_CARLO, sample_count=50_000)
     assert prof.regime == lf.ATOMIC_REGIME
 
 
@@ -443,3 +450,14 @@ def test_random_smooth_function_deterministic():
     pts = lf.sample_domain(BALL2, 64, seed=0)
     assert np.array_equal(f(pts), g(pts))
     assert not np.array_equal(f(pts), h(pts))
+
+
+# ---------------------------------------------------------------------------
+# frozen baselines
+# ---------------------------------------------------------------------------
+
+def test_baselines_are_not_shared_state():
+    # every call reads a fresh table, so no caller can change another's baselines
+    frozen = lf.baseline("uniform_budget_constant")
+    lf.load_baselines()["uniform_budget_constant"] = 0.0
+    assert lf.baseline("uniform_budget_constant") == frozen != 0.0
