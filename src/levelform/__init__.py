@@ -3,7 +3,7 @@ bilinear forms: pushforward densities, one-dimensional truncation machinery,
 sparse domination, and critical-regime analysis.
 """
 
-from .baselines import baseline, load_baselines
+from .benchmarks import baseline, load_baselines
 from .errors import (ConfigError, CriticalValueError, EmptyIntersectionError,
                      GradientUndefinedError, InsufficientDecadesError,
                      LevelformError, LevelOutsideImageError,

@@ -1,22 +1,39 @@
 """Pinned benchmark experiments whose outcomes are frozen in baselines.txt.
 
 Each function fixes every seed and size so reruns are bit-reproducible; the
-refresh script records the results and the test suite asserts they hold.
+refresh script records the results, `load_baselines` reads them back and the
+test suite asserts they hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 
 from . import geometry
+from .config import parse_kv_text
+from .errors import ConfigError
 from .kernels import (GridFunction1D, bump_mixture, eps_ladder,
                       hard_truncation, hilbert_kernel)
 from .reduction import UniformReport, random_smooth_function, uniform_bound_check
 from .sparse import (SparseFamily, build_sparse_greedy, ratio_to_sparse,
                      sparse_form, verify_sparsity)
+
+
+def load_baselines() -> dict[str, float]:
+    """The frozen constants of baselines.txt, as a fresh dict on every call."""
+    text = resources.files(__package__).joinpath("baselines.txt").read_text()
+    return {name: float(value) for name, value in parse_kv_text(text).items()}
+
+
+def baseline(name: str) -> float:
+    table = load_baselines()
+    if name not in table:
+        raise ConfigError(f"unknown baseline {name!r}")
+    return table[name]
 
 
 @dataclass(frozen=True)
@@ -46,47 +63,31 @@ def pair_domination(F: GridFunction1D, G: GridFunction1D, eps_values, lam: float
 
 @dataclass(frozen=True)
 class DominationBenchmark:
-    pair_count: int
-    eps_values: tuple[float, ...]
     ratios: tuple[tuple[float, ...], ...]
-    etas: tuple[Fraction, ...]
     worst_eta: Fraction
     max_ratio: float
-    max_eps_spread: float
 
 
 def domination_benchmark() -> DominationBenchmark:
     """Sparse domination ratios for 20 bump-mixture pairs on 1024 cells of
     [-1, 1], families of depth 8 with stopping factor 4, across the radius
-    ladder 2^-2 .. 2^-8. The frozen baseline holds for these sizes only.
-
-    The spread is the largest ratio-range factor any pair shows across the
-    ladder, a truncation-stability measure for the sparse bound.
-    """
-    pairs = 20
-    eps_values = tuple(eps_ladder(2, 8))
+    ladder 2^-2 .. 2^-8. The frozen baseline holds for these sizes only."""
+    eps_values = eps_ladder(2, 8)
     all_ratios: list[tuple[float, ...]] = []
     etas: list[Fraction] = []
-    spread = 0.0
-    for pair in range(pairs):
+    for pair in range(20):
         F = bump_mixture(-1.0, 1.0, 1024, 2 * pair)
         G = bump_mixture(-1.0, 1.0, 1024, 2 * pair + 1)
         result = pair_domination(F, G, eps_values, 4.0, 8)
         etas.append(result.eta)
         all_ratios.append(result.ratios)
-        spread = max(spread, max(result.ratios) / min(result.ratios))
     flat = [r for row in all_ratios for r in row]
-    return DominationBenchmark(pair_count=pairs, eps_values=eps_values,
-                               ratios=tuple(all_ratios), etas=tuple(etas),
-                               worst_eta=min(etas), max_ratio=max(flat),
-                               max_eps_spread=spread)
+    return DominationBenchmark(ratios=tuple(all_ratios), worst_eta=min(etas),
+                               max_ratio=max(flat))
 
 
 @dataclass(frozen=True)
 class UniformBenchmark:
-    pair_count: int
-    r: float
-    eps_values: tuple[float, ...]
     reports: tuple[UniformReport, ...]
     max_ratio: float
 
@@ -96,18 +97,16 @@ def uniform_benchmark() -> UniformBenchmark:
     linear and radial-quadratic phases of the unit disk, with 256 bins, 512
     fiber nodes and the radius ladder 2^-2 .. 2^-6. The frozen baseline holds
     for these sizes only."""
-    pairs, r = 20, 2.0
     phase_in = geometry.linear_phase(geometry.ball(2))
     phase_out = geometry.radial_quadratic_phase(geometry.ball(2))
     kernel = hilbert_kernel()
-    eps_values = tuple(eps_ladder(2, 6))
+    eps_values = eps_ladder(2, 6)
     reports = []
-    for pair in range(pairs):
+    for pair in range(20):
         f = random_smooth_function(phase_in.domain, pair, tag=0)
         g = random_smooth_function(phase_out.domain, pair, tag=1)
         reports.append(uniform_bound_check(
-            phase_in, phase_out, kernel, f, g, r, eps_values, bins=256,
+            phase_in, phase_out, kernel, f, g, 2.0, eps_values, bins=256,
             fiber_nodes=512, subdivide=3, norm_seed=pair))
-    max_ratio = max(rep.max_ratio for rep in reports)
-    return UniformBenchmark(pair_count=pairs, r=r, eps_values=eps_values,
-                            reports=tuple(reports), max_ratio=max_ratio)
+    return UniformBenchmark(reports=tuple(reports),
+                            max_ratio=max(rep.max_ratio for rep in reports))

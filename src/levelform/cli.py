@@ -100,6 +100,14 @@ def _sanitize(obj):
     return _finite_or_none(obj)
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """One header line, then the rows; csv writes each float as its repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_report(path: str | None, command: str, payload: dict,
                  config: dict, seed: int | None) -> dict:
     payload = _sanitize(payload)
@@ -165,7 +173,11 @@ def _cmd_density(args) -> tuple[dict, str, bool]:
                    hi if args.t_hi is None else args.t_hi)
     csv_path = _resolve(args.csv)
     if csv_path:
-        est.to_csv(csv_path)
+        edges = est.grid.edges.tolist()
+        se = np.zeros_like(est.values) if est.stderr is None else est.stderr
+        _write_csv(csv_path, ["t_lo", "t_hi", "value", "stderr", "method"],
+                   [[lo, hi, v, s, est.method] for lo, hi, v, s
+                    in zip(edges, edges[1:], est.values.tolist(), se.tolist())])
     line = (f"density[{phase.label}] bins={args.bins} method={args.method} "
             f"mass={est.mass():.6g}")
     return est.to_json_dict(), line, True
@@ -208,12 +220,8 @@ def _cmd_sparse(args) -> tuple[dict, str, bool]:
             for eps, lhs, ratio in zip(eps_values, result.pairings, result.ratios)]
     csv_path = _resolve(args.csv)
     if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epsilon", "lhs", "sparse_value", "ratio", "seed"])
-            for eps, lhs, sp, ratio in rows:
-                writer.writerow([repr(eps), repr(lhs), repr(sp), repr(ratio),
-                                 args.seed])
+        _write_csv(csv_path, ["epsilon", "lhs", "sparse_value", "ratio", "seed"],
+                   [[*row, args.seed] for row in rows])
     payload = dict(sparse.family_to_json_dict(result.family))
     payload["ratios"] = [
         {"epsilon": eps, "lhs": lhs, "sparse_value": sp, "ratio": ratio}

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the whole-number guard."""
+
+import numbers
 
 
 class LevelformError(Exception):
@@ -67,3 +69,10 @@ class PhaseNotUniformError(LevelformError, ValueError):
 
 class UnsupportedPhaseError(LevelformError, ValueError):
     """Operation not defined for this phase kind."""
+
+
+def require_whole(value, name: str, minimum: int = 1) -> None:
+    """Refuse anything but an integer (Python or numpy) of at least `minimum`."""
+    # `int` first: the abstract Integral check costs ten times more
+    if not (isinstance(value, (int, numbers.Integral)) and value >= minimum):
+        raise ConfigError(f"{name} must be a whole number >= {minimum}, got {value!r}")

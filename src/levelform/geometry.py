@@ -24,6 +24,7 @@ from .errors import (
     OdeBlowUpError,
     PointOutsideDomainError,
     UnsupportedPhaseError,
+    require_whole,
 )
 from .sampling import sample_domain
 
@@ -69,8 +70,7 @@ class Domain:
     def __post_init__(self):
         if self.shape not in ("ball", "box"):
             raise ConfigError(f"unknown domain shape {self.shape!r}")
-        if self.n < 1:
-            raise ConfigError("domain dimension must be >= 1")
+        require_whole(self.n, "domain dimension")
         if self.shape == "ball" and not (math.isfinite(self.radius) and self.radius > 0):
             raise ConfigError(f"ball radius must be finite and > 0, got {self.radius!r}")
         if self.shape == "box":
@@ -178,7 +178,8 @@ class Phase:
 
 
 def linear_phase(domain: Domain, axis: int = 0) -> Phase:
-    if not 0 <= axis < domain.n:
+    require_whole(axis, "linear phase axis", minimum=0)
+    if axis >= domain.n:
         raise ConfigError("linear phase axis out of range")
     return Phase(kind=LINEAR, domain=domain, axis=axis)
 
@@ -416,6 +417,7 @@ def check_gamma_profile(phase: Phase, profile: GammaProfile, sample_count: int =
     Points with undefined gradient, or with level outside the profile's
     validity interval, are skipped and counted.
     """
+    require_whole(sample_count, "sample_count")
     pts = sample_domain(phase.domain, sample_count, seed)
     grads, undefined = _grad_values(phase, pts)
     grads[undefined] = np.nan
@@ -487,6 +489,7 @@ def boundary_transversality(phase: Phase, t: float, samples: int = 4096) -> floa
     and oscillatory phases in n = 2 locate the level on the boundary circle
     from `samples` angles and measure the gradient there.
     """
+    require_whole(samples, "samples")
     dom = phase.domain
     if dom.shape != "ball":
         raise UnsupportedPhaseError("boundary transversality implemented for balls")

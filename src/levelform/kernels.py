@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError
+from .errors import ConfigError, ResolutionError, require_whole
 from .sampling import derived_rng
 
 HARD = "hard"
@@ -145,8 +145,7 @@ def bump_mixture(a: float, b: float, m: int, seed: int) -> GridFunction1D:
 
     Concentrated enough that stopping-time constructions actually fire.
     """
-    if not m > 0:
-        raise ConfigError(f"bump mixture needs a cell count > 0, got {m!r}")
+    require_whole(m, "bump mixture cell count")
     rng = derived_rng(seed, 41)
     t = np.linspace(a, b, m, endpoint=False) + (b - a) / (2 * m)
     v = 0.05 * np.abs(rng.standard_normal(m))

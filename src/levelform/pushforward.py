@@ -9,7 +9,6 @@ fiber (`h=None` is the plain density); the fiber r-norm is derived from them.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -22,6 +21,7 @@ from .errors import (
     CriticalValueError,
     NoClosedFormError,
     NoParametrizationError,
+    require_whole,
 )
 from .geometry import Phase, ball_volume, sphere_area
 from .sampling import sample_domain
@@ -36,11 +36,6 @@ CLOSED_FORM = "closed_form"
 COAREA = "coarea"
 MONTE_CARLO = "monte_carlo"
 METHODS = (CLOSED_FORM, COAREA, MONTE_CARLO)
-
-
-def _require_count(value, name: str) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ConfigError(f"{name} must be a whole number >= 1, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +53,7 @@ class LevelGrid:
     def __post_init__(self):
         if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
             raise ConfigError(f"level grid needs finite ends, got [{self.t_min!r}, {self.t_max!r}]")
-        _require_count(self.bin_count, "level grid bin count")
+        require_whole(self.bin_count, "level grid bin count")
         if not self.t_max > self.t_min:
             raise ConfigError("level grid needs t_max > t_min")
 
@@ -90,16 +85,6 @@ class DensityEstimate:
 
     def mass(self) -> float:
         return float(np.sum(self.values) * self.grid.width)
-
-    def to_csv(self, path):
-        edges = self.grid.edges
-        se = self.stderr if self.stderr is not None else np.zeros_like(self.values)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_lo", "t_hi", "value", "stderr", "method"])
-            for i, v in enumerate(self.values):
-                writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])),
-                                 repr(float(v)), repr(float(se[i])), self.method])
 
     def to_json_dict(self) -> dict:
         out = {
@@ -145,9 +130,10 @@ class LevelFunction:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if not -pts.shape[1] <= self.axis < pts.shape[1]:
-            raise ConfigError(f"level function axis {self.axis!r} outside a "
-                              f"{pts.shape[1]}-d point")
+        n = pts.shape[1]
+        require_whole(self.axis, "level function axis", minimum=-n)
+        if self.axis >= n:
+            raise ConfigError(f"level function axis {self.axis!r} outside a {n}-d point")
         return np.asarray(self.profile(pts[:, self.axis]), dtype=float)
 
 
@@ -227,7 +213,7 @@ def weighted_density_coarea(phase: Phase, h, t, fiber_nodes: int = 2048) -> floa
     Raises if a level is not finite or sits on a critical value, or if no
     parametrization supports this phase/weight combination.
     """
-    _require_count(fiber_nodes, "fiber_nodes")
+    require_whole(fiber_nodes, "fiber_nodes")
     tt = np.asarray(t, dtype=float)
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
@@ -446,7 +432,7 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
     """Histogram estimate of the h-weighted level density (h may be signed)
     from one seeded stream. `h=None` gives the plain density with binomial
     stderr and the atom flag; a weight gives the sample stderr of its bins."""
-    _require_count(sample_count, "sample_count")
+    require_whole(sample_count, "sample_count")
     pts = sample_domain(phase.domain, sample_count, seed)
     levels = geometry._eval_values(phase, pts)
     idx = np.floor((levels - grid.t_min) / grid.width).astype(np.int64)
@@ -535,7 +521,7 @@ def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *,
     For deterministic routes, `subdivide=K` averages K midpoint evaluations
     per bin, which keeps integrable blow-ups honest in bin units.
     """
-    _require_count(subdivide, "subdivide")
+    require_whole(subdivide, "subdivide")
     if method == MONTE_CARLO:
         return weighted_density(phase, h, None, method, grid=grid,
                                 sample_count=sample_count, seed=seed)

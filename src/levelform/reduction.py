@@ -21,11 +21,11 @@ import numpy as np
 
 from . import geometry
 from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
-                     PhaseNotUniformError, UnsupportedPhaseError)
+                     PhaseNotUniformError, UnsupportedPhaseError, require_whole)
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
 from .pushforward import (CLOSED_FORM, COAREA, DensityEstimate, LevelGrid, _abs_power,
-                          _require_count, density_on_grid, weighted_density_closed_form)
+                          density_on_grid, weighted_density_closed_form)
 from .sampling import derived_rng, sample_domain, sample_domain_pairs
 
 POWER_REGIME = "critical-power"
@@ -42,7 +42,6 @@ class Estimate:
 
     value: float
     error: float
-    label: str = ""
     sample_count: int | None = None
 
 
@@ -69,7 +68,7 @@ class SynchronizedForm:
 def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
                seed: int = 0) -> Estimate:
     """Direct quasi Monte Carlo evaluation over the product of the domains."""
-    _require_count(sample_count, "sample_count")
+    require_whole(sample_count, "sample_count")
     xs, ys = sample_domain_pairs(form.phase_in.domain, form.phase_out.domain,
                                  sample_count, seed)
     t = geometry.eval_phase(form.phase_in, xs)
@@ -85,8 +84,7 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
     scale = form.phase_in.domain.volume() * form.phase_out.domain.volume()
     value = float(np.mean(vals)) * scale
     stderr = float(np.std(vals)) / math.sqrt(sample_count) * scale
-    return Estimate(value=value, error=stderr, label="direct",
-                    sample_count=sample_count)
+    return Estimate(value=value, error=stderr, sample_count=sample_count)
 
 
 def _level_pairings(phase_in: Phase, phase_out: Phase, kernel: Kernel1D, f, g,
@@ -117,7 +115,7 @@ def rhs_reduced(form: SynchronizedForm, bins: int = 512,
                                     fiber_nodes=fiber_nodes, subdivide=subdivide,
                                     sample_count=sample_count)[0]
                     for level_bins in (bins, 2 * bins))
-    return Estimate(value=fine, error=abs(fine - coarse), label="reduced")
+    return Estimate(value=fine, error=abs(fine - coarse))
 
 
 @dataclass(frozen=True)
@@ -387,7 +385,7 @@ def function_norm(domain: Domain, f, r: float, sample_count: int = 1 << 16,
     """Quasi Monte Carlo L^r norm of f over the domain."""
     if not (math.isfinite(r) and r > 0):
         raise ConfigError(f"function norm needs a finite exponent r > 0, got {r!r}")
-    _require_count(sample_count, "sample_count")
+    require_whole(sample_count, "sample_count")
     pts = sample_domain(domain, sample_count, seed, tag=7)
     vals = np.abs(np.asarray(f(pts), dtype=float)) ** r
     return float(np.mean(vals) * domain.volume()) ** (1.0 / r)

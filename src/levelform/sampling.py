@@ -29,14 +29,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_whole
 
 if TYPE_CHECKING:
     from .geometry import Domain
 
 _MAX_BATCH = 2**18
-# floor on the expected acceptance rate when sizing a batch
-_MIN_RATE = 1e-4
 _BITS = 30
 # Joe & Kuo (2008), file new-joe-kuo-6.21201, dimensions 2..32: the primitive
 # polynomial over GF(2) as bits, its leading and constant terms included, and
@@ -61,8 +59,8 @@ _JOE_KUO = (
 
 def derived_rng(seed: int, tag: int) -> np.random.Generator:
     """Generator for sub-stream `tag` of master seed `seed`."""
-    if seed < 0 or tag < 0:
-        raise ConfigError(f"seeds and stream tags must be >= 0, got seed {seed!r}, tag {tag!r}")
+    require_whole(seed, "seed", minimum=0)
+    require_whole(tag, "stream tag", minimum=0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag,)))
 
 
@@ -148,18 +146,16 @@ def _sobol_blocks(dim: int, rng: np.random.Generator, batch: int):
 
 
 def _accepted_stream(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag: int,
-                     accept=None, rate: float = 1.0) -> np.ndarray:
+                     accept=None) -> np.ndarray:
     """First `count` points of the seeded stream on [lo, hi] that `accept` keeps.
 
-    `accept=None` keeps every point; `rate` is the expected acceptance rate and
-    only sizes the batches.
+    `accept=None` keeps every point. The batch size depends on `count` alone;
+    it cannot move a point, since the stream is prefix-stable.
     """
-    if count < 0:
-        raise ConfigError(f"sample count must be >= 0, got {count!r}")
+    require_whole(count, "sample count", minimum=0)
     rng = derived_rng(seed, tag)
     out = np.empty((count, len(lo)), dtype=float)
-    target = count / max(rate, _MIN_RATE) * 1.2
-    batch = 1 << int(np.ceil(np.log2(min(max(target, 64), _MAX_BATCH))))
+    batch = 1 << int(np.ceil(np.log2(min(max(count * 1.2, 64), _MAX_BATCH))))
     blocks = _sobol_blocks(len(lo), rng, batch)
     got = 0
     while got < count:
@@ -177,8 +173,7 @@ def sample_domain(domain: Domain, count: int, seed: int, tag: int = 0) -> np.nda
     lo, hi = domain.bounding_box()
     if domain.shape == "box":
         return _accepted_stream(lo, hi, count, seed, tag)
-    rate = domain.volume() / float(np.prod(hi - lo))
-    return _accepted_stream(lo, hi, count, seed, tag, domain.contains, rate)
+    return _accepted_stream(lo, hi, count, seed, tag, domain.contains)
 
 
 def sample_domain_pairs(domain_x: Domain, domain_y: Domain, count: int, seed: int,
@@ -191,8 +186,6 @@ def sample_domain_pairs(domain_x: Domain, domain_y: Domain, count: int, seed: in
     def accept(pts):
         return domain_x.contains(pts[:, :nx]) & domain_y.contains(pts[:, nx:])
 
-    rate = (domain_x.volume() * domain_y.volume()
-            / float(np.prod(hi_x - lo_x) * np.prod(hi_y - lo_y)))
     pts = _accepted_stream(np.concatenate([lo_x, lo_y]), np.concatenate([hi_x, hi_y]),
-                           count, seed, tag, accept, rate)
+                           count, seed, tag, accept)
     return pts[:, :nx], pts[:, nx:]

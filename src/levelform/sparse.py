@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError, SparseDominationError
+from .errors import ConfigError, ResolutionError, SparseDominationError, require_whole
 from .kernels import GridFunction1D
 
 
@@ -26,7 +26,9 @@ class DyadicInterval:
     index: int
 
     def __post_init__(self):
-        if self.generation < 0 or not 0 <= self.index < (1 << self.generation):
+        require_whole(self.generation, "dyadic generation", minimum=0)
+        require_whole(self.index, "dyadic index", minimum=0)
+        if self.index >= 1 << self.generation:
             raise ConfigError("dyadic address out of range")
 
     @property
@@ -89,8 +91,9 @@ def build_sparse_greedy(F: GridFunction1D, G: GridFunction1D, lam: float = 4.0,
         raise ConfigError(f"stopping factor must be finite and > 2, got {lam!r}")
     if F.a != G.a or F.b != G.b or len(F.values) != len(G.values):
         raise ConfigError("sparse construction needs matching grids")
+    require_whole(max_depth, "max_depth", minimum=0)
     m = len(F.values)
-    if max_depth < 0 or m % (1 << max_depth) != 0:
+    if m % (1 << max_depth) != 0:
         raise ResolutionError(f"{m} cells do not refine to depth {max_depth}")
 
     pf = np.concatenate([[0.0], np.cumsum(np.abs(F.values), dtype=float)])

@@ -45,9 +45,10 @@ def test_density_command_writes_csv_and_json(tmp_path, capsys):
     rows = out_csv.read_text().strip().splitlines()
     assert rows[0] == "t_lo,t_hi,value,stderr,method"
     assert len(rows) == 33
-    # CSV masses agree with reported values
+    assert float(rows[1].split(",")[0]) == report["payload"]["grid"]["t_min"]
+    # every CSV value parses back to the reported float exactly
     vals = [float(r.split(",")[2]) for r in rows[1:]]
-    assert np.allclose(vals, report["payload"]["values"])
+    assert vals == report["payload"]["values"]
     assert "mass=" in capsys.readouterr().out
 
 

@@ -278,20 +278,6 @@ def test_level_grid_basics():
         lf.LevelGrid(-1.0, 1.0, 0)
 
 
-def test_density_estimate_csv_roundtrip(tmp_path):
-    phase = lf.linear_phase(BALL2)
-    grid = lf.LevelGrid(-1.0, 1.0, 16)
-    est = lf.density_on_grid(phase, grid, lf.CLOSED_FORM, subdivide=3)
-    path = tmp_path / "density.csv"
-    est.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "t_lo,t_hi,value,stderr,method"
-    assert len(rows) == 17
-    cells = rows[1].split(",")
-    assert float(cells[0]) == -1.0
-    assert float(cells[2]) == pytest.approx(est.values[0], rel=1e-15)
-
-
 def test_density_estimate_json_schema():
     phase = lf.linear_phase(BALL2)
     grid = lf.LevelGrid(-1.0, 1.0, 8)

@@ -156,6 +156,20 @@ MISUSE = {
         lf.GridFunction1D(0.0, 1.0, [1.0, math.nan, 2.0])),
     "hl_maximal overflowing sum": lambda: lf.hl_maximal(
         lf.GridFunction1D(0.0, 1.0, [1e308, 1e308, 1e308])),
+    "ball n=2.5": lambda: lf.ball(2.5),
+    "linear_phase axis=1.5": lambda: lf.linear_phase(BALL2, axis=1.5),
+    "LevelFunction axis=0.5": lambda: lf.LevelFunction(np.cos, axis=0.5)(np.zeros((1, 2))),
+    "bump_mixture m=2.5": lambda: lf.bump_mixture(0.0, 1.0, 2.5, 0),
+    "build_sparse_greedy max_depth=2.5": lambda: lf.build_sparse_greedy(
+        lf.bump_mixture(0.0, 1.0, 8, 0), lf.bump_mixture(0.0, 1.0, 8, 1), max_depth=2.5),
+    "sample_domain count=2.5": lambda: lf.sample_domain(BALL2, 2.5, 0),
+    "derived_rng seed=1.5": lambda: lf.derived_rng(1.5, 0),
+    "DyadicInterval generation=1.5": lambda: lf.DyadicInterval(1.5, 0),
+    "check_gamma_profile sample_count=2.5": lambda: lf.check_gamma_profile(
+        lf.radial_quadratic_phase(BALL2), lf.GammaProfile(lambda t: t, 0.0, 1.0),
+        sample_count=2.5),
+    "boundary_transversality samples=2.5": lambda: lf.boundary_transversality(
+        lf.saddle_phase(BALL2), 0.0, samples=2.5),
 }
 
 

@@ -178,11 +178,11 @@ def test_sobol_blocks_match_scipy_engine(dim):
 
 
 @given(dim=st.integers(1, 33), seed=seeds, tag=tags,
-       count=st.integers(0, 5000), rate=st.floats(0.05, 1.0))
+       count=st.integers(0, 5000))
 @settings(max_examples=40, deadline=None)
-def test_accepted_stream_matches_scipy_engine(dim, seed, tag, count, rate):
-    # every point kept: the stream itself, whatever batch size `rate` picks
+def test_accepted_stream_matches_scipy_engine(dim, seed, tag, count):
+    # every point kept: the stream itself, whatever batch size `count` picks
     lo, hi = np.zeros(dim), np.ones(dim)
-    got = sampling._accepted_stream(lo, hi, count, seed, tag, rate=rate)
+    got = sampling._accepted_stream(lo, hi, count, seed, tag)
     want = scipy_sobol(dim, seed, tag).random(1 << max(count - 1, 0).bit_length())[:count]
     assert got.tobytes() == want.tobytes()
