@@ -39,7 +39,7 @@ from .reduction import (ATOMIC_REGIME, LOG_REGIME, POWER_REGIME,
                         UniformReport, WindowVerdict,
                         critical_window, density_supremum, estimate_beta,
                         function_norm, integrability_scan, lhs_direct,
-                        pullback_norm, random_smooth_function, rhs_reduced,
+                        pullback_norm, random_smooth_function,
                         uniform_bound_check, verify_reduction_identity,
                         window_verdict)
 from .sampling import derived_rng, sample_domain, sample_domain_pairs

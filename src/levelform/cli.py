@@ -26,9 +26,8 @@ from .errors import ConfigError, LevelformError
 from .geometry import Phase
 from .benchmarks import pair_domination
 from .kernels import bump_mixture, eps_ladder, hilbert_kernel
-from .pushforward import (CLOSED_FORM, COAREA, METHODS, MONTE_CARLO,
-                          LevelFunction, LevelGrid, RadialFunction,
-                          density_on_grid)
+from .pushforward import (CLOSED_FORM, METHODS, ROUTE_PARAMETERS, LevelFunction,
+                          LevelGrid, RadialFunction, density_on_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -135,25 +134,22 @@ def write_report(path: str | None, command: str, payload: dict,
 # subcommands
 # ---------------------------------------------------------------------------
 
-# route flags: each one's default and the density routes that read it;
-# reduce also reads --samples on every route, for its sampled left side
-_ROUTE_FLAGS = {
-    "fiber_nodes": (1024, (COAREA,)),
-    "subdivide": (3, (CLOSED_FORM, COAREA)),
-    "samples": (200_000, (MONTE_CARLO,)),
-}
+# the command line's own route-flag defaults; ROUTE_PARAMETERS says which routes
+# read each, and reduce reads --samples on every route, for its sampled left side
+_ROUTE_FLAGS = {"fiber_nodes": 1024, "subdivide": 3, "samples": 200_000}
 
 
 def _route_flags(args) -> None:
-    """Fill in the route flags left unset; refuse any set that the route ignores."""
-    for name, (default, routes) in _ROUTE_FLAGS.items():
+    """Fill in the unset route flags that the route reads; refuse any set that
+    it ignores, which stays None."""
+    for name, default in _ROUTE_FLAGS.items():
         if name not in vars(args):
             continue
-        if args.command == "reduce" and name == "samples":
-            routes = METHODS
+        routes = ROUTE_PARAMETERS["sample_count" if name == "samples" else name]
+        reads = args.method in routes or (args.command, name) == ("reduce", "samples")
         if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif args.method not in routes:
+            setattr(args, name, default if reads else None)
+        elif not reads:
             raise ConfigError(f"--{name.replace('_', '-')} has no effect with "
                               f"--method {args.method}")
 
@@ -162,8 +158,9 @@ def _density(args, phase: Phase, t_lo: float, t_hi: float):
     """The estimate `density` and `regime` read; regime has no --subdivide."""
     return density_on_grid(phase, LevelGrid(t_lo, t_hi, args.bins), args.method,
                            fiber_nodes=args.fiber_nodes,
-                           subdivide=getattr(args, "subdivide", 1),
-                           sample_count=args.samples, seed=args.seed)
+                           subdivide=getattr(args, "subdivide", None),
+                           sample_count=args.samples,
+                           seed=args.seed if args.method in ROUTE_PARAMETERS["seed"] else None)
 
 
 def _cmd_density(args) -> tuple[dict, str, bool]:

@@ -446,8 +446,8 @@ def design_reparametrization(profile: GammaProfile, m: Callable, h0: float,
     with an error carrying the exit location.
     """
     s0, s1 = float(s_range[0]), float(s_range[1])
-    if not (s1 > s0 and step > 0):
-        raise ConfigError("need increasing s_range and positive step")
+    if not (math.isfinite(s0) and math.isfinite(s1) and s1 > s0 and step > 0):
+        raise ConfigError("need a finite increasing s_range and positive step")
 
     def rhs(s: float, h: float) -> float:
         if not (profile.lo <= h <= profile.hi):

@@ -100,6 +100,9 @@ def linear_ramp_cutoff() -> Cutoff:
 
 
 def eps_ladder(k_min: int = 2, k_max: int = 8) -> list[float]:
+    for k in (k_min, k_max):
+        # 2.0 ** 1024 overflows
+        require_whole(k, "dyadic exponent", minimum=-1023)
     if k_max < k_min:
         raise ConfigError("need k_max >= k_min")
     return [2.0 ** (-k) for k in range(k_min, k_max + 1)]
@@ -125,8 +128,8 @@ class GridFunction1D:
         self.values = np.asarray(self.values)
         if self.values.ndim != 1 or len(self.values) < 1:
             raise ConfigError("grid function needs a 1d value array")
-        if not self.b > self.a:
-            raise ConfigError("grid function needs b > a")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
+            raise ConfigError(f"grid function needs finite a < b, got [{self.a!r}, {self.b!r}]")
 
     @property
     def spacing(self) -> float:
@@ -146,6 +149,8 @@ def bump_mixture(a: float, b: float, m: int, seed: int) -> GridFunction1D:
     Concentrated enough that stopping-time constructions actually fire.
     """
     require_whole(m, "bump mixture cell count")
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise ConfigError(f"bump mixture needs finite a < b, got [{a!r}, {b!r}]")
     rng = derived_rng(seed, 41)
     t = np.linspace(a, b, m, endpoint=False) + (b - a) / (2 * m)
     v = 0.05 * np.abs(rng.standard_normal(m))
@@ -261,6 +266,8 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
     if not jobs:
         raise ConfigError("need at least one truncation job")
     for mode, cutoff in jobs:
+        if mode not in (HARD, SMOOTH, RESIDUAL):
+            raise ConfigError(f"unknown truncation mode {mode!r}")
         if mode in (SMOOTH, RESIDUAL) and cutoff is None:
             raise ConfigError("smooth/residual actions need a cutoff")
     if not np.all(np.isfinite(V)):
@@ -273,6 +280,8 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
 
     t = F.nodes
     s = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    if not np.all(np.isfinite(s)):
+        raise ConfigError("truncation evaluation points must be finite")
     outs = [np.empty((len(s), V.shape[1]), np.result_type(V, float)) for _ in jobs]
     chunk = max(1, (1 << 22) // m)
     for c0 in range(0, len(s), chunk):

@@ -36,6 +36,9 @@ CLOSED_FORM = "closed_form"
 COAREA = "coarea"
 MONTE_CARLO = "monte_carlo"
 METHODS = (CLOSED_FORM, COAREA, MONTE_CARLO)
+# the routes that read each route parameter; every other route refuses it
+ROUTE_PARAMETERS = {"fiber_nodes": (COAREA,), "subdivide": (CLOSED_FORM, COAREA),
+                    "sample_count": (MONTE_CARLO,), "seed": (MONTE_CARLO,), "grid": (MONTE_CARLO,)}
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +131,12 @@ class LevelFunction:
     profile: Callable
     axis: int = 0
 
+    def __post_init__(self):
+        require_whole(self.axis, "level function axis", minimum=0)
+
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = pts.shape[1]
-        require_whole(self.axis, "level function axis", minimum=-n)
         if self.axis >= n:
             raise ConfigError(f"level function axis {self.axis!r} outside a {n}-d point")
         return np.asarray(self.profile(pts[:, self.axis]), dtype=float)
@@ -494,41 +499,49 @@ def _radius_of_level(phase: Phase, tt: np.ndarray) -> np.ndarray:
     return safe ** (1.0 / phase.gamma)
 
 
-def weighted_density(phase: Phase, h, t, method: str = COAREA, *,
-                     fiber_nodes: int = 2048, grid: LevelGrid | None = None,
-                     sample_count: int = 100_000, seed: int = 0):
-    """The one dispatcher over the three density routes: levels t and no grid
-    for the closed form and coarea, a level grid and t=None for Monte Carlo."""
-    if method in (CLOSED_FORM, COAREA) and grid is not None:
-        raise ConfigError(f"{method} weighted density takes levels t, not a grid")
+def route_parameters(method: str, **given) -> dict:
+    """The given route parameters (None means not given) that `method` reads;
+    one that it does not read raises ConfigError."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown density method {method!r}")
+    for name, value in given.items():
+        if value is not None and method not in ROUTE_PARAMETERS[name]:
+            raise ConfigError(f"{name} has no effect on the {method} route")
+    return {name: value for name, value in given.items() if value is not None}
+
+
+def weighted_density(phase: Phase, h, t, method: str = COAREA, *, fiber_nodes=None,
+                     grid: LevelGrid | None = None, sample_count=None, seed=None):
+    """The one dispatcher over the three density routes: levels t for the
+    closed form and coarea, a level grid and t=None for Monte Carlo."""
+    route = route_parameters(method, fiber_nodes=fiber_nodes, grid=grid,
+                             sample_count=sample_count, seed=seed)
     if method == CLOSED_FORM:
         return weighted_density_closed_form(phase, h, t)
     if method == COAREA:
-        return weighted_density_coarea(phase, h, t, fiber_nodes=fiber_nodes)
-    if method == MONTE_CARLO:
-        if grid is None or t is not None:
-            raise ConfigError("monte_carlo weighted density takes a level grid and t=None")
-        return weighted_density_monte_carlo(phase, h, grid, sample_count, seed)
-    raise ConfigError(f"unknown density method {method!r}")
+        return weighted_density_coarea(phase, h, t, **route)
+    if grid is None or t is not None:
+        raise ConfigError("monte_carlo weighted density takes a level grid and t=None")
+    return weighted_density_monte_carlo(phase, h, grid, route.get("sample_count", 100_000),
+                                        route.get("seed", 0))
 
 
-def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *,
-                    fiber_nodes: int = 2048, subdivide: int = 1,
-                    sample_count: int = 100_000, seed: int = 0,
-                    h=None) -> DensityEstimate:
+def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *, fiber_nodes=None,
+                    subdivide=None, sample_count=None, seed=None, h=None) -> DensityEstimate:
     """Density estimate on a grid by any route.
 
-    For deterministic routes, `subdivide=K` averages K midpoint evaluations
-    per bin, which keeps integrable blow-ups honest in bin units.
+    For deterministic routes, `subdivide=K` (default 1) averages K midpoint
+    evaluations per bin, which keeps integrable blow-ups honest in bin units.
     """
-    require_whole(subdivide, "subdivide")
+    route = route_parameters(method, fiber_nodes=fiber_nodes, subdivide=subdivide,
+                             sample_count=sample_count, seed=seed)
     if method == MONTE_CARLO:
-        return weighted_density(phase, h, None, method, grid=grid,
-                                sample_count=sample_count, seed=seed)
+        return weighted_density(phase, h, None, method, grid=grid, **route)
+    subdivide = route.pop("subdivide", 1)
+    require_whole(subdivide, "subdivide")
     offsets = (np.arange(subdivide) + 0.5) / subdivide
     levels = grid.edges[:-1, None] + offsets * grid.width
-    vals = np.asarray(weighted_density(phase, h, levels.ravel(), method,
-                                       fiber_nodes=fiber_nodes), dtype=float)
+    vals = np.asarray(weighted_density(phase, h, levels.ravel(), method, **route), dtype=float)
     values = vals.reshape(grid.bin_count, subdivide).mean(axis=1)
     return DensityEstimate(grid=grid, values=values, method=method,
                            phase_label=phase.label)
@@ -549,7 +562,7 @@ def _abs_power(h, r: float):
 
 
 def fiber_norm(phase: Phase, f, r: float, t: float, method: str = COAREA, *,
-               fiber_nodes: int = 2048) -> float:
+               fiber_nodes=None) -> float:
     """(integral of |f|^r / |grad| over the fiber)^(1/r) at level t."""
     if not (math.isfinite(r) and r >= 1):
         raise ConfigError(f"fiber norm exponent must be finite and >= 1, got {r!r}")

@@ -24,8 +24,9 @@ from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
                      PhaseNotUniformError, UnsupportedPhaseError, require_whole)
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
-from .pushforward import (CLOSED_FORM, COAREA, DensityEstimate, LevelGrid, _abs_power,
-                          density_on_grid, weighted_density_closed_form)
+from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, DensityEstimate, LevelGrid,
+                          _abs_power, density_on_grid, route_parameters,
+                          weighted_density_closed_form)
 from .sampling import derived_rng, sample_domain, sample_domain_pairs
 
 POWER_REGIME = "critical-power"
@@ -88,34 +89,19 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
 
 
 def _level_pairings(phase_in: Phase, phase_out: Phase, kernel: Kernel1D, f, g,
-                    eps_values: Sequence[float], bins: int, method: str,
-                    seeds: tuple[int, int], **density_kwargs) -> list[float]:
+                    eps_values: Sequence[float], bins: int, method: str, *,
+                    seed: int | None = None, **route) -> list[float]:
     """Hard-truncated pairing, per eps, of the f- and g-weighted densities on
     `bins` bins over each image, the action taken at the outer grid's centres."""
     grid_t = LevelGrid(*geometry.image_interval(phase_in), bins)
     grid_s = LevelGrid(*geometry.image_interval(phase_out), bins)
-    W_f = density_on_grid(phase_in, grid_t, method, h=f, seed=seeds[0], **density_kwargs)
-    W_g = density_on_grid(phase_out, grid_s, method, h=g, seed=seeds[1], **density_kwargs)
+    W_f = density_on_grid(phase_in, grid_t, method, h=f, seed=seed, **route)
+    W_g = density_on_grid(phase_out, grid_s, method, h=g,
+                          seed=None if seed is None else seed + 1, **route)
     F = GridFunction1D(grid_t.t_min, grid_t.t_max, W_f.values)
     return [float(np.sum(hard_truncation(kernel, F, eps, eval_points=grid_s.centers)
                          * W_g.values) * grid_s.width)
             for eps in eps_values]
-
-
-def rhs_reduced(form: SynchronizedForm, bins: int = 512,
-                method: str = CLOSED_FORM, *, fiber_nodes: int = 2048,
-                subdivide: int = 5, sample_count: int = 100_000,
-                seed: int = 0) -> Estimate:
-    """Level-space evaluation through pushforward densities.
-
-    The reported error is the change under doubling the level resolution.
-    """
-    coarse, fine = (_level_pairings(form.phase_in, form.phase_out, form.kernel, form.f,
-                                    form.g, [form.eps], level_bins, method, (seed, seed + 1),
-                                    fiber_nodes=fiber_nodes, subdivide=subdivide,
-                                    sample_count=sample_count)[0]
-                    for level_bins in (bins, 2 * bins))
-    return Estimate(value=fine, error=abs(fine - coarse))
 
 
 @dataclass(frozen=True)
@@ -131,10 +117,15 @@ class ReductionReport:
 def verify_reduction_identity(form: SynchronizedForm, *,
                               sample_count: int = 1_000_000, bins: int = 512,
                               seed: int = 0, method: str = CLOSED_FORM,
-                              fiber_nodes: int = 2048, subdivide: int = 5) -> ReductionReport:
-    """Compare the direct and reduced evaluations of the same form; the
-    tolerance is the larger of the sampling error bound and 1% of the scale.
-    A radius at least the widest level gap is refused: both sides vanish there."""
+                              fiber_nodes=None, subdivide=None) -> ReductionReport:
+    """Compare the direct evaluation with the level-space one, whose error is
+    its change when the bins double (5 midpoints per bin by default on the
+    deterministic routes); the tolerance is the larger of the sampling error
+    bound and 1% of the scale. A radius at least the widest level gap is
+    refused: both sides vanish there."""
+    route = ({"sample_count": sample_count, "seed": seed} if method == MONTE_CARLO
+             else {"subdivide": 5})
+    route.update(route_parameters(method, fiber_nodes=fiber_nodes, subdivide=subdivide))
     lo_in, hi_in = geometry.image_interval(form.phase_in)
     lo_out, hi_out = geometry.image_interval(form.phase_out)
     widest = max(hi_out - lo_in, hi_in - lo_out)
@@ -142,8 +133,10 @@ def verify_reduction_identity(form: SynchronizedForm, *,
         raise ConfigError(f"truncation radius {form.eps!r} is at least the widest "
                           f"level gap {widest!r}, so both sides vanish")
     lhs = lhs_direct(form, sample_count=sample_count, seed=seed)
-    rhs = rhs_reduced(form, bins=bins, method=method, fiber_nodes=fiber_nodes,
-                      subdivide=subdivide, sample_count=sample_count, seed=seed)
+    coarse, fine = (_level_pairings(form.phase_in, form.phase_out, form.kernel, form.f,
+                                    form.g, [form.eps], level_bins, method, **route)[0]
+                    for level_bins in (bins, 2 * bins))
+    rhs = Estimate(value=fine, error=abs(fine - coarse))
     disc = abs(lhs.value - rhs.value)
     scale = max(abs(lhs.value), abs(rhs.value), 1e-12)
     tol = max(3.0 * lhs.error + rhs.error, 0.01 * scale)
@@ -422,8 +415,7 @@ def uniform_bound_check(phase_in: Phase, phase_out: Phase, kernel: Kernel1D,
     r_dual = r / (r - 1.0)
 
     pairings = _level_pairings(phase_in, phase_out, kernel, f, g, eps_values, bins,
-                               COAREA, (0, 0), fiber_nodes=fiber_nodes,
-                               subdivide=subdivide)
+                               COAREA, fiber_nodes=fiber_nodes, subdivide=subdivide)
     sup_in = density_supremum(phase_in)
     sup_out = density_supremum(phase_out)
     norm_f = function_norm(phase_in.domain, f, r, seed=norm_seed)

@@ -79,6 +79,11 @@ def _block_average(prefix: np.ndarray, cells: int, I: DyadicInterval) -> float:
     return (prefix[hi] - prefix[lo]) / (hi - lo)
 
 
+def _require_stopping_factor(lam: float) -> None:
+    if not (math.isfinite(lam) and lam > 2.0):
+        raise ConfigError(f"stopping factor must be finite and > 2, got {lam!r}")
+
+
 def build_sparse_greedy(F: GridFunction1D, G: GridFunction1D, lam: float = 4.0,
                         max_depth: int = 10) -> SparseFamily:
     """Greedy stopping-time family for the pair (|F|, |G|).
@@ -87,8 +92,7 @@ def build_sparse_greedy(F: GridFunction1D, G: GridFunction1D, lam: float = 4.0,
     times the corresponding average over the most recent member above it.
     With lam >= 4 the carriers provably keep at least half of each member.
     """
-    if not (math.isfinite(lam) and lam > 2.0):
-        raise ConfigError(f"stopping factor must be finite and > 2, got {lam!r}")
+    _require_stopping_factor(lam)
     if F.a != G.a or F.b != G.b or len(F.values) != len(G.values):
         raise ConfigError("sparse construction needs matching grids")
     require_whole(max_depth, "max_depth", minimum=0)
@@ -228,6 +232,7 @@ def family_from_json_dict(data: dict) -> SparseFamily:
         depth_exhausted = bool(data["depth_exhausted"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed sparse family: {exc!r}") from exc
+    _require_stopping_factor(lam)
     members = []
     for address in addresses:
         if [type(x) for x in address] != [int, int]:

@@ -66,6 +66,15 @@ def test_every_export_has_a_reader():
     assert not unread, f"exported names with no reader: {unread}"
 
 
+def test_defaulted_parameters_on_exports():
+    # positional and keyword-only defaults over the functions `__init__` exports
+    exported = set(exported_names((PACKAGE / "__init__.py").read_text()))
+    count = sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+                for _, tree in package_modules() for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name in exported)
+    assert count == 45
+
+
 def test_every_public_member_of_an_exported_class_has_a_reader():
     exported = set(exported_names((PACKAGE / "__init__.py").read_text()))
     modules, readers = package_modules(), reader_text()

@@ -238,6 +238,53 @@ def test_density_on_grid_rejects_zero_subdivide(method):
         lf.density_on_grid(lf.linear_phase(BALL2), grid, method, subdivide=0)
 
 
+# the routes that read each route parameter, and a value to set it to
+ROUTE_READERS = {"fiber_nodes": {lf.COAREA}, "subdivide": {lf.CLOSED_FORM, lf.COAREA},
+                 "sample_count": {lf.MONTE_CARLO}, "seed": {lf.MONTE_CARLO},
+                 "grid": {lf.MONTE_CARLO}}
+ROUTE_GRID = lf.LevelGrid(-0.9, 0.9, 8)
+ROUTE_VALUES = {"fiber_nodes": 64, "subdivide": 2, "sample_count": 2000, "seed": 3,
+                "grid": ROUTE_GRID}
+ROUTE_FORM = lf.SynchronizedForm(
+    lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
+    lf.LevelFunction(np.cos), lf.LevelFunction(np.cos), eps=0.25)
+
+
+def weighted_on_route(method, **route):
+    """A grid and no levels on Monte Carlo, one level elsewhere."""
+    if method == lf.MONTE_CARLO:
+        return lf.weighted_density(lf.linear_phase(BALL2), None, None, method,
+                                   **{"grid": ROUTE_GRID, **route})
+    return lf.weighted_density(lf.linear_phase(BALL2), None, 0.3, method, **route)
+
+
+# each dispatcher and the route parameters it takes
+ROUTE_DISPATCHERS = {
+    "density_on_grid": (lambda method, **route: lf.density_on_grid(
+        lf.linear_phase(BALL2), ROUTE_GRID, method, **route),
+        ("fiber_nodes", "subdivide", "sample_count", "seed")),
+    "weighted_density": (weighted_on_route, ("fiber_nodes", "sample_count", "seed", "grid")),
+    "fiber_norm": (lambda method, **route: lf.fiber_norm(
+        lf.linear_phase(BALL2), None, 2.0, 0.3, method, **route), ("fiber_nodes",)),
+    # the left side reads sample_count and seed on every route
+    "verify_reduction_identity": (lambda method, **route: lf.verify_reduction_identity(
+        ROUTE_FORM, sample_count=2000, bins=16, method=method, **route),
+        ("fiber_nodes", "subdivide")),
+}
+ROUTE_CASES = [(function, method, name) for function, (_, names) in ROUTE_DISPATCHERS.items()
+               for method in lf.pushforward.METHODS for name in names]
+
+
+@pytest.mark.parametrize("function,method,name", ROUTE_CASES)
+def test_route_parameters_are_read_or_refused(function, method, name):
+    call, _ = ROUTE_DISPATCHERS[function]
+    if method in ROUTE_READERS[name]:
+        call(method, **{name: ROUTE_VALUES[name]})
+    else:
+        with pytest.raises(lf.ConfigError, match=f"{name} has no effect on the {method} route"):
+            call(method, **{name: ROUTE_VALUES[name]})
+
+
 @pytest.mark.parametrize("call", [
     lambda phase, grid: lf.density_on_grid(phase, grid, "bogus"),
     lambda phase, grid: lf.weighted_density(phase, None, 0.1, "bogus"),
@@ -566,8 +613,10 @@ def test_density_on_grid_matches_per_bin_oracle(case, weight, method, bins, ends
     lo, hi = geometry.image_interval(phase)
     grid = lf.LevelGrid(lo + ends[0] * (hi - lo), lo + (ends[0] + ends[1]) * (hi - lo), bins)
     want = outcome(lambda: scalar_grid_values(phase, grid, method, h, 96, subdivide))
-    got = outcome(lambda: lf.density_on_grid(phase, grid, method, h=h, fiber_nodes=96,
-                                             subdivide=subdivide).values)
+    # only the coarea route reads fiber_nodes; the closed form refuses it
+    nodes = {"fiber_nodes": 96} if method == lf.COAREA else {}
+    got = outcome(lambda: lf.density_on_grid(phase, grid, method, h=h, subdivide=subdivide,
+                                             **nodes).values)
     assert_same_outcome(got, want)
 
 

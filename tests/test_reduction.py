@@ -170,6 +170,22 @@ MISUSE = {
         sample_count=2.5),
     "boundary_transversality samples=2.5": lambda: lf.boundary_transversality(
         lf.saddle_phase(BALL2), 0.0, samples=2.5),
+    "LevelFunction axis=-2": lambda: lf.LevelFunction(np.cos, axis=-2),
+    "eps_ladder k_min=2.5": lambda: lf.eps_ladder(2.5, 4),
+    "design_reparametrization s_range to inf": lambda: lf.design_reparametrization(
+        lf.GammaProfile(lambda t: t, 0.5, 10.0), lambda s: 1.0, 1.0, (0.0, math.inf)),
+    "bump_mixture a=nan": lambda: lf.bump_mixture(math.nan, 1.0, 8, 0),
+    "GridFunction1D a=-inf": lambda: lf.GridFunction1D(-math.inf, 1.0, np.ones(4)),
+    "hard_truncation nan eval point": lambda: lf.hard_truncation(
+        lf.hilbert_kernel(), lf.GridFunction1D(0.0, 1.0, np.ones(64)), 0.1,
+        eval_points=[math.nan]),
+    "truncation_batch unknown mode": lambda: lf.truncation_batch(
+        lf.hilbert_kernel(), [lf.GridFunction1D(0.0, 1.0, np.ones(64))], 0.1,
+        jobs=[("bogus", None)]),
+    "family_from_json_dict lam=nan": lambda: lf.family_from_json_dict(
+        {**lf.family_to_json_dict(lf.build_sparse_greedy(
+            lf.bump_mixture(0.0, 1.0, 8, 0), lf.bump_mixture(0.0, 1.0, 8, 1), max_depth=3)),
+         "lam": "nan"}),
 }
 
 
