@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the whole-number guard."""
+"""Exception types shared across the package, and the whole-number and
+real-number guards."""
 
+import math
 import numbers
 
 
@@ -76,3 +78,22 @@ def require_whole(value, name: str, minimum: int = 1) -> None:
     # `int` first: the abstract Integral check costs ten times more
     if not (isinstance(value, (int, numbers.Integral)) and value >= minimum):
         raise ConfigError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+
+
+def require_real(value, name: str, *, above: float | None = None,
+                 minimum: float | None = None) -> float:
+    """Refuse anything but a finite real (Python or numpy) that is > `above`
+    or >= `minimum` when given; return it as a float."""
+    # `float` and `int` first: the abstract Real check costs ten times more
+    if not (isinstance(value, (float, int, numbers.Real)) and math.isfinite(value)
+            and (above is None or value > above) and (minimum is None or value >= minimum)):
+        bound = "" if above is None else f" > {above}"
+        bound += "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be a finite real number{bound}, got {value!r}")
+    return float(value)
+
+
+def require_interval(lo, hi, name: str) -> tuple[float, float]:
+    """Refuse anything but finite reals lo < hi; return them as floats."""
+    lo = require_real(lo, f"{name} start")
+    return lo, require_real(hi, f"{name} end", above=lo)

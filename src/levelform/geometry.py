@@ -24,6 +24,8 @@ from .errors import (
     OdeBlowUpError,
     PointOutsideDomainError,
     UnsupportedPhaseError,
+    require_interval,
+    require_real,
     require_whole,
 )
 from .sampling import sample_domain
@@ -60,7 +62,8 @@ def sphere_area(dim: int) -> float:
 
 @dataclass(frozen=True)
 class Domain:
-    """Closed ball or axis-aligned box in R^n."""
+    """Closed ball or axis-aligned box in R^n; the radius and box sides are
+    stored as floats."""
 
     n: int
     shape: str
@@ -71,14 +74,12 @@ class Domain:
         if self.shape not in ("ball", "box"):
             raise ConfigError(f"unknown domain shape {self.shape!r}")
         require_whole(self.n, "domain dimension")
-        if self.shape == "ball" and not (math.isfinite(self.radius) and self.radius > 0):
-            raise ConfigError(f"ball radius must be finite and > 0, got {self.radius!r}")
+        object.__setattr__(self, "radius", require_real(self.radius, "domain radius", above=0))
         if self.shape == "box":
             if len(self.bounds) != self.n:
                 raise ConfigError("box bounds must list one (lo, hi) per axis")
-            for lo, hi in self.bounds:
-                if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-                    raise ConfigError(f"box bounds must be finite and increasing, got {(lo, hi)!r}")
+            object.__setattr__(self, "bounds", tuple(require_interval(lo, hi, "box side")
+                                                     for lo, hi in self.bounds))
 
     def volume(self) -> float:
         if self.shape == "ball":
@@ -101,12 +102,11 @@ class Domain:
 
 
 def ball(n: int, radius: float = 1.0) -> Domain:
-    return Domain(n=n, shape="ball", radius=float(radius))
+    return Domain(n=n, shape="ball", radius=radius)
 
 
 def box(bounds: Sequence[tuple[float, float]]) -> Domain:
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    return Domain(n=len(bounds), shape="box", bounds=bounds)
+    return Domain(n=len(bounds), shape="box", bounds=tuple(bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +123,8 @@ class ReparamTable:
         values = np.asarray(values, dtype=float)
         if s.ndim != 1 or s.shape != values.shape or len(s) < 2:
             raise ConfigError("profile table needs matching 1d arrays, length >= 2")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(values))):
+            raise ConfigError("profile table entries must be finite")
         if not np.all(np.diff(s) > 0):
             raise ConfigError("profile arguments must be strictly increasing")
         if not np.all(np.diff(values) > 0):
@@ -191,9 +193,8 @@ def radial_quadratic_phase(domain: Domain) -> Phase:
 
 def radial_power_phase(domain: Domain, gamma: float) -> Phase:
     _require_ball(domain, RADIAL_POWER)
-    if not (math.isfinite(gamma) and gamma >= 1):
-        raise ConfigError(f"radial power exponent must be finite and >= 1, got {gamma!r}")
-    return Phase(kind=RADIAL_POWER, domain=domain, gamma=float(gamma))
+    gamma = require_real(gamma, "radial power exponent gamma", minimum=1)
+    return Phase(kind=RADIAL_POWER, domain=domain, gamma=gamma)
 
 
 def saddle_phase(domain: Domain) -> Phase:
@@ -206,11 +207,9 @@ def saddle_phase(domain: Domain) -> Phase:
 def oscillatory_phase(domain: Domain, amplitude: float, frequency: float) -> Phase:
     if domain.n < 2:
         raise ConfigError("oscillatory phase requires n >= 2")
-    if not (math.isfinite(amplitude) and math.isfinite(frequency)):
-        raise ConfigError(f"oscillatory phase needs a finite amplitude and frequency, "
-                          f"got {amplitude!r}, {frequency!r}")
-    return Phase(kind=OSCILLATORY, domain=domain, amplitude=float(amplitude),
-                 frequency=float(frequency))
+    return Phase(kind=OSCILLATORY, domain=domain,
+                 amplitude=require_real(amplitude, "oscillatory amplitude"),
+                 frequency=require_real(frequency, "oscillatory frequency"))
 
 
 def boundary_reparam_phase(domain: Domain, profile: ReparamTable) -> Phase:
@@ -388,12 +387,15 @@ class GammaProfile:
     hi: float = math.inf
 
     def __post_init__(self):
+        for end in (self.lo, self.hi):
+            if end not in (-math.inf, math.inf):  # an end may be open
+                require_real(end, "profile interval end")
         if not self.hi > self.lo:
             raise ConfigError("profile validity interval is empty")
         probe = np.linspace(max(self.lo, -1e6), min(self.hi, 1e6), 257)
         vals = np.asarray(self.fn(probe), dtype=float)
-        if np.any(vals < 0):
-            raise ConfigError("profile must be nonnegative on its interval")
+        if not np.all(vals >= 0):
+            raise ConfigError("profile must be nonnegative, and not NaN, on its interval")
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
@@ -445,9 +447,9 @@ def design_reparametrization(profile: GammaProfile, m: Callable, h0: float,
     stage value leaves the profile's validity interval the integration stops
     with an error carrying the exit location.
     """
-    s0, s1 = float(s_range[0]), float(s_range[1])
-    if not (math.isfinite(s0) and math.isfinite(s1) and s1 > s0 and step > 0):
-        raise ConfigError("need a finite increasing s_range and positive step")
+    s0, s1 = require_interval(s_range[0], s_range[1], "s_range")
+    require_real(step, "step", above=0)
+    h0 = require_real(h0, "initial value h0")
 
     def rhs(s: float, h: float) -> float:
         if not (profile.lo <= h <= profile.hi):
@@ -462,8 +464,8 @@ def design_reparametrization(profile: GammaProfile, m: Callable, h0: float,
 
     n_steps = int(math.ceil((s1 - s0) / step - 1e-12))
     ss = [s0]
-    hs = [float(h0)]
-    s, h = s0, float(h0)
+    hs = [h0]
+    s, h = s0, h0
     for i in range(n_steps):
         ds = min(step, s1 - s)
         k1 = rhs(s, h)
@@ -490,6 +492,7 @@ def boundary_transversality(phase: Phase, t: float, samples: int = 4096) -> floa
     from `samples` angles and measure the gradient there.
     """
     require_whole(samples, "samples")
+    require_real(t, "transversality level")
     dom = phase.domain
     if dom.shape != "ball":
         raise UnsupportedPhaseError("boundary transversality implemented for balls")

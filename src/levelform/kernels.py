@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError, require_whole
+from .errors import ConfigError, ResolutionError, require_interval, require_real, require_whole
 from .sampling import derived_rng
 
 HARD = "hard"
@@ -48,8 +48,10 @@ class Kernel1D:
     evaluate: Callable
     size_constant: float = 1.0
     dini_modulus: Callable | None = None
-    dini_integral: float = math.nan
     label: str = "kernel"
+
+    def __post_init__(self):
+        require_real(self.size_constant, "kernel size constant", above=0)
 
 
 def _hilbert_eval(s, t):
@@ -63,14 +65,9 @@ def _hilbert_modulus(u):
 
 
 def hilbert_kernel() -> Kernel1D:
-    """Reference kernel 1/(pi (s - t)) with its verified modulus.
-
-    The Dini integral of the modulus over (0, 1) is (2/pi) times the
-    integral of 1/(1 - u/2), that is 4 ln 2 / pi.
-    """
+    """Reference kernel 1/(pi (s - t)) with its verified modulus."""
     return Kernel1D(evaluate=_hilbert_eval, size_constant=1.0 / math.pi,
-                    dini_modulus=_hilbert_modulus,
-                    dini_integral=4.0 * math.log(2.0) / math.pi, label="hilbert")
+                    dini_modulus=_hilbert_modulus, label="hilbert")
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,6 @@ class Cutoff:
     """Radial multiplier profile chi(r): 0 on [0,1], 1 on [2,inf)."""
 
     fn: Callable
-    derivative_bound: float = 1.0
     label: str = "cutoff"
 
 
@@ -92,11 +88,11 @@ def _ramp_chi(r):
 
 
 def smoothstep_cutoff() -> Cutoff:
-    return Cutoff(fn=_smoothstep_chi, derivative_bound=1.5, label="smoothstep")
+    return Cutoff(fn=_smoothstep_chi, label="smoothstep")
 
 
 def linear_ramp_cutoff() -> Cutoff:
-    return Cutoff(fn=_ramp_chi, derivative_bound=1.0, label="ramp")
+    return Cutoff(fn=_ramp_chi, label="ramp")
 
 
 def eps_ladder(k_min: int = 2, k_max: int = 8) -> list[float]:
@@ -128,8 +124,7 @@ class GridFunction1D:
         self.values = np.asarray(self.values)
         if self.values.ndim != 1 or len(self.values) < 1:
             raise ConfigError("grid function needs a 1d value array")
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
-            raise ConfigError(f"grid function needs finite a < b, got [{self.a!r}, {self.b!r}]")
+        require_interval(self.a, self.b, "grid function interval")
 
     @property
     def spacing(self) -> float:
@@ -140,6 +135,7 @@ class GridFunction1D:
         return self.a + self.spacing * (np.arange(len(self.values)) + 0.5)
 
     def norm(self, r: float = 2.0) -> float:
+        require_real(r, "grid norm exponent r", above=0)
         return float(np.sum(np.abs(self.values) ** r) * self.spacing) ** (1.0 / r)
 
 
@@ -149,8 +145,7 @@ def bump_mixture(a: float, b: float, m: int, seed: int) -> GridFunction1D:
     Concentrated enough that stopping-time constructions actually fire.
     """
     require_whole(m, "bump mixture cell count")
-    if not (math.isfinite(a) and math.isfinite(b) and b > a):
-        raise ConfigError(f"bump mixture needs finite a < b, got [{a!r}, {b!r}]")
+    require_interval(a, b, "bump mixture interval")
     rng = derived_rng(seed, 41)
     t = np.linspace(a, b, m, endpoint=False) + (b - a) / (2 * m)
     v = 0.05 * np.abs(rng.standard_normal(m))
@@ -258,8 +253,7 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
     Off the grid the same weights are evaluated on the point-to-node offsets
     and applied by matrix products in bounded row chunks.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConfigError(f"truncation radius must be finite and > 0, got {eps!r}")
+    require_real(eps, "truncation radius", above=0)
     h = F.spacing
     if eps < 2.0 * h:
         raise ResolutionError(f"eps={eps!r} under resolution floor 2h={2 * h!r}")
@@ -478,9 +472,7 @@ def hl_maximal(F: GridFunction1D) -> GridFunction1D:
     m = len(absv)
     with np.errstate(over="ignore"):
         prefix = np.concatenate([[0.0], np.cumsum(absv)])
-    if not math.isfinite(prefix[-1]):
-        raise ConfigError("maximal-function input holds non-finite values "
-                          "or sums past the float range")
+    require_real(prefix[-1], "sum of the maximal-function input")
     out = _block_maxima(prefix, m)
     tol = 64 * 2.0 ** -53 * (prefix[-1] + absv.max() * m)
     upper = _block_sets(prefix, m, tol, 1)
@@ -576,9 +568,13 @@ def smoothed_dini_constant(kernel: Kernel1D, cutoff: Cutoff,
     K_eps is the smoothly truncated kernel and w(u) = modulus(u) + u; sampling
     is restricted to 2|s - s'| <= |s - t|, 20000 samples split over the radii.
     """
+    if len(eps_values) == 0:
+        raise ConfigError("need at least one truncation radius")
+    for eps in eps_values:
+        require_real(eps, "truncation radius", above=0)
     rng = derived_rng(seed, 23)
     worst = 0.0
-    per = max(20000 // max(len(eps_values), 1), 1)
+    per = max(20000 // len(eps_values), 1)
     for eps in eps_values:
         s = rng.uniform(-2.0, 2.0, per)
         d = np.exp(rng.uniform(np.log(eps / 8), np.log(8 * eps), per))

@@ -21,6 +21,8 @@ from .errors import (
     CriticalValueError,
     NoClosedFormError,
     NoParametrizationError,
+    require_interval,
+    require_real,
     require_whole,
 )
 from .geometry import Phase, ball_volume, sphere_area
@@ -54,11 +56,8 @@ class LevelGrid:
     bin_count: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
-            raise ConfigError(f"level grid needs finite ends, got [{self.t_min!r}, {self.t_max!r}]")
+        require_interval(self.t_min, self.t_max, "level grid")
         require_whole(self.bin_count, "level grid bin count")
-        if not self.t_max > self.t_min:
-            raise ConfigError("level grid needs t_max > t_min")
 
     @property
     def width(self) -> float:
@@ -219,10 +218,9 @@ def weighted_density_coarea(phase: Phase, h, t, fiber_nodes: int = 2048) -> floa
     parametrization supports this phase/weight combination.
     """
     require_whole(fiber_nodes, "fiber_nodes")
-    tt = np.asarray(t, dtype=float)
+    tt = _finite_levels(t)
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
-    _require_finite_levels(tt)
     for v in geometry.critical_values(phase):
         near = np.abs(tt - v) < CRITICAL_LEVEL_TOL
         if np.any(near):
@@ -244,10 +242,16 @@ def weighted_density_coarea(phase: Phase, h, t, fiber_nodes: int = 2048) -> floa
     return float(out[0]) if scalar else out
 
 
-def _require_finite_levels(tt: np.ndarray) -> None:
+def _finite_levels(t) -> np.ndarray:
+    """The levels t as a float array; anything but finite reals raises."""
+    tt = np.asarray(t)
+    if tt.dtype.kind not in "biuf":
+        raise ConfigError(f"density levels must be real numbers, got {t!r}")
+    tt = np.asarray(tt, dtype=float)
     bad = ~np.isfinite(tt)
     if np.any(bad):
         raise ConfigError(f"density levels must be finite, got {float(tt[bad][0])!r}")
+    return tt
 
 
 # most fiber points handed to a weight in one call; keeps a block's memory flat
@@ -471,10 +475,9 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
 def weighted_density_closed_form(phase: Phase, h, t) -> float | np.ndarray:
     """Catalog closed-form density times a fiber-constant weight (`h=None`
     means 1); 0 outside the image, inf at a blow-up."""
-    tt = np.asarray(t, dtype=float)
+    tt = _finite_levels(t)
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
-    _require_finite_levels(tt)
     base = _closed_form_values(phase, tt)
     if h is None:
         vals = base
@@ -564,8 +567,7 @@ def _abs_power(h, r: float):
 def fiber_norm(phase: Phase, f, r: float, t: float, method: str = COAREA, *,
                fiber_nodes=None) -> float:
     """(integral of |f|^r / |grad| over the fiber)^(1/r) at level t."""
-    if not (math.isfinite(r) and r >= 1):
-        raise ConfigError(f"fiber norm exponent must be finite and >= 1, got {r!r}")
+    require_real(r, "fiber norm exponent r", minimum=1)
     weighted = weighted_density(phase, _abs_power(f, r), t, method,
                                 fiber_nodes=fiber_nodes)
     return float(weighted) ** (1.0 / r)

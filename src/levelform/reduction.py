@@ -21,7 +21,8 @@ import numpy as np
 
 from . import geometry
 from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
-                     PhaseNotUniformError, UnsupportedPhaseError, require_whole)
+                     PhaseNotUniformError, UnsupportedPhaseError, require_real,
+                     require_whole)
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
 from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, DensityEstimate, LevelGrid,
@@ -62,8 +63,7 @@ class SynchronizedForm:
     eps: float = 0.25
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError(f"truncation radius must be finite and > 0, got {self.eps!r}")
+        require_real(self.eps, "truncation radius", above=0)
 
 
 def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
@@ -214,8 +214,8 @@ def estimate_beta(estimate: DensityEstimate) -> CriticalProfile:
 def critical_window(beta_in: float, beta_out: float) -> tuple[float, float]:
     """Open exponent window (1 + beta_out, 1 + 1/beta_in); upper end inf at 0."""
     for beta in (beta_in, beta_out):
-        if not 0.0 <= beta < 1.0:
-            raise ConfigError("window endpoints need exponents in [0, 1)")
+        if require_real(beta, "window exponent beta", minimum=0) >= 1.0:
+            raise ConfigError(f"window exponent beta must be < 1, got {beta!r}")
     upper = math.inf if beta_in == 0.0 else 1.0 + 1.0 / beta_in
     return (1.0 + beta_out, upper)
 
@@ -237,10 +237,8 @@ def integrability_scan(beta: float, a: float) -> IntegrabilityScan:
     2^(a beta - 1), and the scan declares convergence when the last three
     measured ratios sit below 0.97.
     """
-    if not math.isfinite(beta):
-        raise ConfigError(f"integrability scan needs a finite beta, got {beta!r}")
-    if not (math.isfinite(a) and a >= 0):
-        raise ConfigError(f"integrability scan needs a finite exponent a >= 0, got {a!r}")
+    require_real(beta, "integrability scan beta")
+    require_real(a, "integrability scan exponent a", minimum=0)
     p = -a * beta
     increments = []
     for k in range(3, 25):
@@ -273,8 +271,7 @@ def window_verdict(beta_in: float, beta_out: float, r: float) -> WindowVerdict:
     the dual increment a = 1/(r - 1) against beta_out; the pairing converges
     only when both scans do.
     """
-    if not r > 1.0:
-        raise ConfigError("exponent scans need r > 1")
+    require_real(r, "scan exponent r", above=1)
     scan_in = integrability_scan(beta_in, r - 1.0)
     scan_out = integrability_scan(beta_out, 1.0 / (r - 1.0))
     verdict = "convergent" if (scan_in.converged and scan_out.converged) \
@@ -306,10 +303,8 @@ def pullback_norm(phase: Phase, f, r: float, delta: float = 0.01) -> PullbackRep
     """
     from scipy.integrate import quad
 
-    if not (math.isfinite(r) and r >= 1):
-        raise ConfigError(f"pullback exponent must be finite and >= 1, got {r!r}")
-    if not (math.isfinite(delta) and delta > 0):
-        raise ConfigError(f"core margin must be finite and > 0, got {delta!r}")
+    require_real(r, "pullback exponent r", minimum=1)
+    require_real(delta, "core margin delta", above=0)
     habs = _abs_power(f, r)
 
     def integrand(t: float) -> float:
@@ -376,8 +371,7 @@ def density_supremum(phase: Phase) -> float:
 def function_norm(domain: Domain, f, r: float, sample_count: int = 1 << 16,
                   seed: int = 0) -> float:
     """Quasi Monte Carlo L^r norm of f over the domain."""
-    if not (math.isfinite(r) and r > 0):
-        raise ConfigError(f"function norm needs a finite exponent r > 0, got {r!r}")
+    require_real(r, "function norm exponent r", above=0)
     require_whole(sample_count, "sample_count")
     pts = sample_domain(domain, sample_count, seed, tag=7)
     vals = np.abs(np.asarray(f(pts), dtype=float)) ** r
@@ -410,8 +404,9 @@ def uniform_bound_check(phase_in: Phase, phase_out: Phase, kernel: Kernel1D,
     """
     _require_uniform(phase_in)
     _require_uniform(phase_out)
-    if not (math.isfinite(r) and r > 1):
-        raise ConfigError(f"uniform budget needs a finite r > 1, got {r!r}")
+    require_real(r, "uniform budget exponent r", above=1)
+    if len(eps_values) == 0:
+        raise ConfigError("need at least one truncation radius")
     r_dual = r / (r - 1.0)
 
     pairings = _level_pairings(phase_in, phase_out, kernel, f, g, eps_values, bins,

@@ -7,14 +7,14 @@ averages themselves are floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError, SparseDominationError, require_whole
+from .errors import (ConfigError, ResolutionError, SparseDominationError, require_interval,
+                     require_real, require_whole)
 from .kernels import GridFunction1D
 
 
@@ -79,11 +79,6 @@ def _block_average(prefix: np.ndarray, cells: int, I: DyadicInterval) -> float:
     return (prefix[hi] - prefix[lo]) / (hi - lo)
 
 
-def _require_stopping_factor(lam: float) -> None:
-    if not (math.isfinite(lam) and lam > 2.0):
-        raise ConfigError(f"stopping factor must be finite and > 2, got {lam!r}")
-
-
 def build_sparse_greedy(F: GridFunction1D, G: GridFunction1D, lam: float = 4.0,
                         max_depth: int = 10) -> SparseFamily:
     """Greedy stopping-time family for the pair (|F|, |G|).
@@ -92,7 +87,7 @@ def build_sparse_greedy(F: GridFunction1D, G: GridFunction1D, lam: float = 4.0,
     times the corresponding average over the most recent member above it.
     With lam >= 4 the carriers provably keep at least half of each member.
     """
-    _require_stopping_factor(lam)
+    require_real(lam, "stopping factor", above=2)
     if F.a != G.a or F.b != G.b or len(F.values) != len(G.values):
         raise ConfigError("sparse construction needs matching grids")
     require_whole(max_depth, "max_depth", minimum=0)
@@ -100,8 +95,11 @@ def build_sparse_greedy(F: GridFunction1D, G: GridFunction1D, lam: float = 4.0,
     if m % (1 << max_depth) != 0:
         raise ResolutionError(f"{m} cells do not refine to depth {max_depth}")
 
-    pf = np.concatenate([[0.0], np.cumsum(np.abs(F.values), dtype=float)])
-    pg = np.concatenate([[0.0], np.cumsum(np.abs(G.values), dtype=float)])
+    with np.errstate(over="ignore"):
+        pf = np.concatenate([[0.0], np.cumsum(np.abs(F.values), dtype=float)])
+        pg = np.concatenate([[0.0], np.cumsum(np.abs(G.values), dtype=float)])
+    for prefix in (pf, pg):
+        require_real(prefix[-1], "sum of the sparse input")
 
     root = DyadicInterval(0, 0)
     members: list[DyadicInterval] = [root]
@@ -194,7 +192,7 @@ def domination_ratio(lhs_value: float, family: SparseFamily,
 
 def ratio_to_sparse(lhs_value: float, sp: float) -> float:
     """|lhs| divided by a sparse form value; raises when the sparse side degenerates."""
-    lhs = abs(lhs_value)
+    lhs = abs(require_real(lhs_value, "pairing value"))
     if sp == 0.0:
         if lhs > 0.0:
             raise SparseDominationError("sparse form vanished against nonzero pairing")
@@ -232,7 +230,8 @@ def family_from_json_dict(data: dict) -> SparseFamily:
         depth_exhausted = bool(data["depth_exhausted"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed sparse family: {exc!r}") from exc
-    _require_stopping_factor(lam)
+    a, b = require_interval(a, b, "sparse family root")
+    require_real(lam, "stopping factor", above=2)
     members = []
     for address in addresses:
         if [type(x) for x in address] != [int, int]:

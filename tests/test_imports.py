@@ -1,5 +1,5 @@
-"""Every name a package module imports is read in that module, and no
-package module relies on an `assert`."""
+"""Every name a package module imports is read in that module, no package
+module relies on an `assert`, and real numbers are checked by one guard."""
 
 import ast
 import pathlib
@@ -32,3 +32,24 @@ def test_no_assert_statement():
                        if any(isinstance(node, ast.Assert)
                               for node in ast.walk(ast.parse(path.read_text()))))
     assert not asserting, f"assert statements in: {asserting}"
+
+
+def raises_on_isfinite(tree):
+    """Line numbers of each `if` whose test calls `math.isfinite` and whose body raises."""
+    def calls_isfinite(node):
+        return any(isinstance(call, ast.Call) and ast.unparse(call.func) == "math.isfinite"
+                   for call in ast.walk(node.test))
+
+    def raises(node):
+        return any(isinstance(inner, ast.Raise) for stmt in node.body for inner in ast.walk(stmt))
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.If) and calls_isfinite(node) and raises(node))
+
+
+def test_real_guards_live_in_errors():
+    # `errors.require_real` and `require_interval` are the one real-number guard
+    hand_written = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+                    if path.name != "errors.py"
+                    and (lines := raises_on_isfinite(ast.parse(path.read_text())))}
+    assert not hand_written, f"hand-written finiteness checks: {hand_written}"

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import fft as sp_fft
-from scipy.integrate import quad
 
 import levelform as lf
 from levelform import kernels
@@ -41,22 +40,13 @@ def test_hilbert_diagonal_overflows_silently():
 def test_kernel_and_cutoff_equality_see_their_functions():
     k = lf.hilbert_kernel()
     assert k == lf.Kernel1D(evaluate=k.evaluate, size_constant=k.size_constant,
-                            dini_modulus=k.dini_modulus, dini_integral=k.dini_integral,
-                            label="hilbert")
+                            dini_modulus=k.dini_modulus, label="hilbert")
     assert lf.Kernel1D(evaluate=lambda s, t: s - t) != lf.Kernel1D(evaluate=lambda s, t: t - s)
     assert lf.Kernel1D(evaluate=k.evaluate, dini_modulus=lambda u: u) != \
         lf.Kernel1D(evaluate=k.evaluate, dini_modulus=lambda u: 2 * u)
     assert lf.smoothstep_cutoff() == lf.smoothstep_cutoff()
     assert lf.linear_ramp_cutoff() == lf.linear_ramp_cutoff()
     assert lf.Cutoff(fn=lambda r: r) != lf.Cutoff(fn=lambda r: 2 * r)
-
-
-def test_dini_integral_closed_form():
-    # integral of (2/pi) / (1 - u/2) du over (0, 1) = (4/pi) log 2, taken here
-    # by adaptive quadrature of the modulus
-    k = lf.hilbert_kernel()
-    integral, _ = quad(lambda u: float(k.dini_modulus(u)) / u, 0.0, 1.0)
-    assert k.dini_integral == pytest.approx(integral, rel=1e-10)
 
 
 def test_modulus_dominates_sampled_increments():
@@ -97,7 +87,6 @@ def test_smoothstep_cutoff_shape():
     r = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
     want = np.array([0.0, 0.0, 0.5, 1.0, 1.0])
     assert np.allclose(chi.fn(r), want)
-    assert chi.derivative_bound == pytest.approx(1.5)
 
 
 def test_linear_ramp_cutoff_shape():
@@ -105,7 +94,6 @@ def test_linear_ramp_cutoff_shape():
     r = np.array([0.5, 1.0, 1.25, 2.0, 4.0])
     want = np.array([0.0, 0.0, 0.25, 1.0, 1.0])
     assert np.allclose(chi.fn(r), want)
-    assert chi.derivative_bound == pytest.approx(1.0)
 
 
 def test_eps_ladder():

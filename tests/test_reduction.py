@@ -58,8 +58,7 @@ def test_lhs_respects_gap_mask():
     # kernel constant 1: lhs counts pairs with level gap > eps
     const_kernel = lf.Kernel1D(
         evaluate=lambda s, t: np.ones_like(s), size_constant=1.0,
-        dini_modulus=lambda u: np.zeros_like(u), dini_integral=0.0,
-        label="const")
+        dini_modulus=lambda u: np.zeros_like(u), label="const")
     phase = lf.linear_phase(BALL2)
     form = lf.SynchronizedForm(phase_in=phase, phase_out=phase,
                                kernel=const_kernel,
@@ -186,6 +185,53 @@ MISUSE = {
         {**lf.family_to_json_dict(lf.build_sparse_greedy(
             lf.bump_mixture(0.0, 1.0, 8, 0), lf.bump_mixture(0.0, 1.0, 8, 1), max_depth=3)),
          "lam": "nan"}),
+    "ball radius=None": lambda: lf.ball(2, None),
+    "ball radius='1'": lambda: lf.ball(2, "1"),
+    "box bound=None": lambda: lf.box([(0.0, None), (0.0, 1.0)]),
+    "design_reparametrization h0=None": lambda: lf.design_reparametrization(
+        lf.GammaProfile(lambda t: t, 0.5, 10.0), lambda s: 1.0, None, (0.0, 1.0)),
+    "design_reparametrization s_range from None": lambda: lf.design_reparametrization(
+        lf.GammaProfile(lambda t: t, 0.5, 10.0), lambda s: 1.0, 1.0, (None, 1.0)),
+    "GammaProfile lo=None": lambda: lf.GammaProfile(lambda t: t, None, 1.0),
+    "boundary_transversality t=None": lambda: lf.boundary_transversality(
+        lf.saddle_phase(BALL2), None),
+    "coarea level='a'": lambda: lf.weighted_density_coarea(lf.linear_phase(BALL2), None, "a"),
+    "GridFunction1D.norm r=0": lambda: lf.GridFunction1D(0.0, 1.0, np.ones(4)).norm(0),
+    "GridFunction1D.norm r=nan": lambda: lf.GridFunction1D(0.0, 1.0, np.ones(4)).norm(math.nan),
+    "GridFunction1D.norm r=None": lambda: lf.GridFunction1D(0.0, 1.0, np.ones(4)).norm(None),
+    "smoothed_dini_constant eps=0": lambda: lf.smoothed_dini_constant(
+        lf.hilbert_kernel(), lf.smoothstep_cutoff(), [0.0]),
+    "smoothed_dini_constant eps=-1": lambda: lf.smoothed_dini_constant(
+        lf.hilbert_kernel(), lf.smoothstep_cutoff(), [-1.0]),
+    "smoothed_dini_constant eps=nan": lambda: lf.smoothed_dini_constant(
+        lf.hilbert_kernel(), lf.smoothstep_cutoff(), [math.nan]),
+    "smoothed_dini_constant no radius": lambda: lf.smoothed_dini_constant(
+        lf.hilbert_kernel(), lf.smoothstep_cutoff(), []),
+    "uniform_bound_check no radius": lambda: lf.uniform_bound_check(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
+        first_axis, first_axis, 2.0, []),
+    "ReparamTable infinite knot": lambda: lf.ReparamTable([0.0, 1.0, math.inf], [0.0, 1.0, 2.0]),
+    "family_from_json_dict root=[nan, 1]": lambda: lf.family_from_json_dict(
+        {**lf.family_to_json_dict(lf.build_sparse_greedy(
+            lf.bump_mixture(0.0, 1.0, 8, 0), lf.bump_mixture(0.0, 1.0, 8, 1), max_depth=3)),
+         "root": ["nan", 1]}),
+    "family_from_json_dict root=[1, 0]": lambda: lf.family_from_json_dict(
+        {**lf.family_to_json_dict(lf.build_sparse_greedy(
+            lf.bump_mixture(0.0, 1.0, 8, 0), lf.bump_mixture(0.0, 1.0, 8, 1), max_depth=3)),
+         "root": [1, 0]}),
+    "GammaProfile NaN profile": lambda: lf.GammaProfile(lambda t: np.full_like(t, math.nan),
+                                                        0.0, 1.0),
+    "build_sparse_greedy nan value": lambda: lf.build_sparse_greedy(
+        lf.GridFunction1D(0.0, 1.0, [1.0, math.nan]), lf.GridFunction1D(0.0, 1.0, [1.0, 1.0]),
+        max_depth=1),
+    "domination_ratio lhs=nan": lambda: lf.domination_ratio(
+        math.nan, lf.build_sparse_greedy(lf.bump_mixture(0.0, 1.0, 8, 0),
+                                         lf.bump_mixture(0.0, 1.0, 8, 1), max_depth=3),
+        lf.bump_mixture(0.0, 1.0, 8, 0), lf.bump_mixture(0.0, 1.0, 8, 1)),
+    "domination_ratio lhs=None": lambda: lf.domination_ratio(
+        None, lf.build_sparse_greedy(lf.bump_mixture(0.0, 1.0, 8, 0),
+                                     lf.bump_mixture(0.0, 1.0, 8, 1), max_depth=3),
+        lf.bump_mixture(0.0, 1.0, 8, 0), lf.bump_mixture(0.0, 1.0, 8, 1)),
 }
 
 
