@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
-"""Recompute the frozen benchmark numbers and rewrite baselines.txt.
+"""Recompute the frozen benchmark numbers and the output fingerprints, and
+rewrite baselines.txt and tests/fingerprints.txt.
 
 Run from the repository root after any change that legitimately moves the
-pinned experiments, then inspect the diff before committing. It prints each
-constant as `name: old -> new`, both as `repr`, for the CHANGES.md record.
+pinned experiments or a benchmark task's output, then inspect the diff
+before committing. It prints each constant as `name: old -> new`, both as
+`repr`, and each task whose fingerprint moved as `task: old -> new`, for the
+CHANGES.md record.
 """
 
+import importlib.util
 import pathlib
+import tempfile
 
 from levelform.benchmarks import domination_benchmark, load_baselines, uniform_benchmark
 
-TARGET = pathlib.Path(__file__).resolve().parents[1] / "src" / "levelform" / "baselines.txt"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TARGET = ROOT / "src" / "levelform" / "baselines.txt"
 
 
-def main() -> None:
+def refresh_constants() -> None:
     old = load_baselines()
     dom = domination_benchmark()
     new = {"sparse_domination_max_ratio": dom.max_ratio,
@@ -24,6 +30,27 @@ def main() -> None:
     print(f"wrote {TARGET} (worst eta {dom.worst_eta})")
     for name, value in new.items():
         print(f"  {name}: {old.get(name)!r} -> {value!r}")
+
+
+def refresh_fingerprints() -> None:
+    # the table's format and the measurement belong to the test that reads them
+    spec = importlib.util.spec_from_file_location("test_fingerprints",
+                                                  ROOT / "tests" / "test_fingerprints.py")
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    _, old = table.read_table()
+    with tempfile.TemporaryDirectory() as workdir:
+        new = table.measure(workdir)
+    table.write_table(new)
+    moved = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+    print(f"wrote {table.TABLE} ({len(new)} tasks, {len(moved)} moved)")
+    for key in moved:
+        print(f"  {key}: {old.get(key)} -> {new.get(key)}")
+
+
+def main() -> None:
+    refresh_constants()
+    refresh_fingerprints()
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the whole-number and
-real-number guards."""
+"""Exception types shared across the package, and the whole-number,
+real-number and finite-array guards."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class LevelformError(Exception):
@@ -97,3 +99,15 @@ def require_interval(lo, hi, name: str) -> tuple[float, float]:
     """Refuse anything but finite reals lo < hi; return them as floats."""
     lo = require_real(lo, f"{name} start")
     return lo, require_real(hi, f"{name} end", above=lo)
+
+
+def require_finite(values, name: str) -> np.ndarray:
+    """Refuse an array holding anything but finite real or complex numbers;
+    return it as a numpy array."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biufc":
+        raise ConfigError(f"{name} must be numbers, got {values!r}")
+    bad = ~np.isfinite(arr)
+    if np.any(bad):
+        raise ConfigError(f"{name} must be finite, got {arr[bad][0].item()!r}")
+    return arr

@@ -24,6 +24,7 @@ from .errors import (
     OdeBlowUpError,
     PointOutsideDomainError,
     UnsupportedPhaseError,
+    require_finite,
     require_interval,
     require_real,
     require_whole,
@@ -119,12 +120,10 @@ class ReparamTable:
     def __init__(self, s: np.ndarray, values: np.ndarray):
         from scipy.interpolate import PchipInterpolator
 
-        s = np.asarray(s, dtype=float)
-        values = np.asarray(values, dtype=float)
+        s = require_finite(np.asarray(s, dtype=float), "profile table arguments")
+        values = require_finite(np.asarray(values, dtype=float), "profile table values")
         if s.ndim != 1 or s.shape != values.shape or len(s) < 2:
             raise ConfigError("profile table needs matching 1d arrays, length >= 2")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(values))):
-            raise ConfigError("profile table entries must be finite")
         if not np.all(np.diff(s) > 0):
             raise ConfigError("profile arguments must be strictly increasing")
         if not np.all(np.diff(values) > 0):

@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError, require_interval, require_real, require_whole
+from .errors import (ConfigError, ResolutionError, require_finite, require_interval, require_real,
+                     require_whole)
 from .sampling import derived_rng
 
 HARD = "hard"
@@ -264,8 +265,7 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
             raise ConfigError(f"unknown truncation mode {mode!r}")
         if mode in (SMOOTH, RESIDUAL) and cutoff is None:
             raise ConfigError("smooth/residual actions need a cutoff")
-    if not np.all(np.isfinite(V)):
-        raise ConfigError("truncation input holds non-finite values")
+    require_finite(V, "truncation input")
 
     m = len(F.values)
     if eval_points is None:
@@ -273,11 +273,10 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
         return list(_toeplitz_apply(np.stack(stencils), V))
 
     t = F.nodes
-    s = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    if not np.all(np.isfinite(s)):
-        raise ConfigError("truncation evaluation points must be finite")
+    s = require_finite(np.atleast_1d(np.asarray(eval_points, dtype=float)),
+                       "truncation evaluation points")
     outs = [np.empty((len(s), V.shape[1]), np.result_type(V, float)) for _ in jobs]
-    chunk = max(1, (1 << 22) // m)
+    chunk = max(1, _OFFGRID_CHUNK // m)
     for c0 in range(0, len(s), chunk):
         u = s[c0:c0 + chunk, None] - t[None, :]
         for out, W in zip(outs, _cell_weights(kernel, u, h, eps, jobs)):
@@ -333,6 +332,9 @@ def truncation_batch(kernel: Kernel1D, functions: Sequence[GridFunction1D],
 _HL_BLOCK = 64
 # and builds its quotient tables in chunks of this many elements
 _HL_CHUNK = 1 << 13
+# point-to-node offsets per row chunk of off-grid truncation; a chunk holds
+# about five live temporaries of this size, so one call stays near 13 MiB
+_OFFGRID_CHUNK = 1 << 18
 
 
 def _chord_gap(x0, y0, x1, y1, x2, y2):

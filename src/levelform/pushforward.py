@@ -21,6 +21,7 @@ from .errors import (
     CriticalValueError,
     NoClosedFormError,
     NoParametrizationError,
+    require_finite,
     require_interval,
     require_real,
     require_whole,
@@ -244,14 +245,15 @@ def weighted_density_coarea(phase: Phase, h, t, fiber_nodes: int = 2048) -> floa
 
 def _finite_levels(t) -> np.ndarray:
     """The levels t as a float array; anything but finite reals raises."""
-    tt = np.asarray(t)
-    if tt.dtype.kind not in "biuf":
+    tt = require_finite(t, "density levels")
+    if tt.dtype.kind == "c":
         raise ConfigError(f"density levels must be real numbers, got {t!r}")
-    tt = np.asarray(tt, dtype=float)
-    bad = ~np.isfinite(tt)
-    if np.any(bad):
-        raise ConfigError(f"density levels must be finite, got {float(tt[bad][0])!r}")
-    return tt
+    return tt.astype(float, copy=False)
+
+
+def _weight_values(values) -> np.ndarray:
+    """A weight's values as floats; a NaN or an infinity raises."""
+    return require_finite(np.asarray(values, dtype=float), "weight values")
 
 
 # most fiber points handed to a weight in one call; keeps a block's memory flat
@@ -271,7 +273,7 @@ def _in_blocks(count: int, nodes: int, block) -> np.ndarray:
 
 def _weigh(h, pts: np.ndarray) -> np.ndarray:
     """One call of h on a block of fiber points (..., n), shaped like the block."""
-    return np.asarray(h(pts.reshape(-1, pts.shape[-1])), dtype=float).reshape(pts.shape[:-1])
+    return _weight_values(h(pts.reshape(-1, pts.shape[-1]))).reshape(pts.shape[:-1])
 
 
 # Per-level scalars (radii, slopes, section sizes) are Python floats, as a
@@ -336,7 +338,7 @@ def _radial_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
     if h is None:
         out[on] = area / slope
     elif isinstance(h, RadialFunction):
-        out[on] = area * np.asarray(h.profile(r), dtype=float) / slope
+        out[on] = area * _weight_values(h.profile(r)) / slope
     else:
         raise NoParametrizationError("radial fibers in n >= 3 support only radial weights")
     return out
@@ -356,7 +358,7 @@ def _linear_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
     if h is None:
         return section
     if isinstance(h, LevelFunction) and h.axis == axis:
-        return section * np.asarray(h.profile(tt), dtype=float)
+        return section * _weight_values(h.profile(tt))
     mid = np.arange(fiber_nodes) + 0.5
     if n == 2:
         other = 1 - axis
@@ -443,20 +445,25 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
     stderr and the atom flag; a weight gives the sample stderr of its bins."""
     require_whole(sample_count, "sample_count")
     pts = sample_domain(phase.domain, sample_count, seed)
-    levels = geometry._eval_values(phase, pts)
-    idx = np.floor((levels - grid.t_min) / grid.width).astype(np.int64)
+    levels = require_finite(geometry._eval_values(phase, pts), "phase values")
+    bins = grid.bin_count
+    # one past the bin index; 0 and bins + 1 collect the levels below and above the grid
+    idx = levels - grid.t_min
+    idx /= grid.width
+    np.floor(idx, out=idx)
+    np.clip(idx, -1, bins, out=idx)
+    idx += 1
     # right edge belongs to the last bin
-    idx[levels == grid.t_max] = grid.bin_count - 1
-    ok = (idx >= 0) & (idx < grid.bin_count)
-    idx = idx[ok]
+    idx[levels == grid.t_max] = bins
+    idx = idx.astype(np.intp)
     n = sample_count
     if h is None:
-        mean = np.bincount(idx, minlength=grid.bin_count) / n
+        mean = np.bincount(idx, minlength=bins + 2)[1:-1] / n
         var = mean * (1 - mean)
     else:
-        w = np.asarray(h(pts), dtype=float)[ok]
-        mean = np.bincount(idx, weights=w, minlength=grid.bin_count) / n
-        sumsq = np.bincount(idx, weights=w ** 2, minlength=grid.bin_count)
+        w = _weight_values(h(pts))
+        mean = np.bincount(idx, weights=w, minlength=bins + 2)[1:-1] / n
+        sumsq = np.bincount(idx, weights=w ** 2, minlength=bins + 2)[1:-1]
         var = np.maximum(sumsq / n - mean ** 2, 0.0)
     fine = grid.width < ATOM_RELATIVE_WIDTH * (grid.t_max - grid.t_min)
     atom = bool(h is None and np.any(mean > ATOM_MASS_FRACTION) and fine)
@@ -482,10 +489,10 @@ def weighted_density_closed_form(phase: Phase, h, t) -> float | np.ndarray:
     if h is None:
         vals = base
     elif isinstance(h, LevelFunction) and phase.kind == geometry.LINEAR and h.axis == phase.axis:
-        vals = base * np.asarray(h.profile(tt), dtype=float)
+        vals = base * _weight_values(h.profile(tt))
     elif isinstance(h, RadialFunction) and phase.kind in _RADIAL_CLOSED:
         rr = _radius_of_level(phase, tt)
-        vals = base * np.asarray(h.profile(rr), dtype=float)
+        vals = base * _weight_values(h.profile(rr))
     else:
         raise NoClosedFormError(
             "closed-form weighted densities need a fiber-constant weight")

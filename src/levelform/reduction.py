@@ -21,8 +21,8 @@ import numpy as np
 
 from . import geometry
 from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
-                     PhaseNotUniformError, UnsupportedPhaseError, require_real,
-                     require_whole)
+                     PhaseNotUniformError, UnsupportedPhaseError, require_finite,
+                     require_real, require_whole)
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
 from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, DensityEstimate, LevelGrid,
@@ -79,8 +79,8 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
     vals = np.zeros(sample_count)
     if np.any(mask):
         kv = np.asarray(form.kernel.evaluate(s[mask], t[mask]), dtype=float)
-        fv = np.asarray(form.f(xs[mask]), dtype=float)
-        gv = np.asarray(form.g(ys[mask]), dtype=float)
+        fv = require_finite(np.asarray(form.f(xs[mask]), dtype=float), "f values")
+        gv = require_finite(np.asarray(form.g(ys[mask]), dtype=float), "g values")
         vals[mask] = kv * fv * gv
     scale = form.phase_in.domain.volume() * form.phase_out.domain.volume()
     value = float(np.mean(vals)) * scale
@@ -374,7 +374,7 @@ def function_norm(domain: Domain, f, r: float, sample_count: int = 1 << 16,
     require_real(r, "function norm exponent r", above=0)
     require_whole(sample_count, "sample_count")
     pts = sample_domain(domain, sample_count, seed, tag=7)
-    vals = np.abs(np.asarray(f(pts), dtype=float)) ** r
+    vals = np.abs(require_finite(np.asarray(f(pts), dtype=float), "integrand values")) ** r
     return float(np.mean(vals) * domain.volume()) ** (1.0 / r)
 
 

@@ -21,6 +21,11 @@ draws. Up to 32 dimensions it is built here in numpy:
 
 Above 32 dimensions the stream comes from qmc.Sobol itself, imported only
 then.
+
+Each block is mapped onto the box in place, over rows regrouped 64 at a
+time as the XOR is, so that no step loops over only d elements a row; the
+accepted rows are then taken as whole rows, each viewed as one opaque item,
+straight into the output.
 """
 
 from __future__ import annotations
@@ -118,8 +123,9 @@ def _xor_rows(rows: np.ndarray, vector: np.ndarray, out: np.ndarray) -> None:
 def _sobol_blocks(dim: int, rng: np.random.Generator, batch: int):
     """Successive `batch`-point blocks, in [0, 1)^dim, of the stream seeded by `rng`.
 
-    `batch` is a power of two. The stream ends after 2^30 points, as
-    qmc.Sobol's does, and asking for more raises ConfigError.
+    `batch` is a power of two. Each block is a fresh array, which the caller
+    may overwrite. The stream ends after 2^30 points, as qmc.Sobol's does,
+    and asking for more raises ConfigError.
     """
     if dim > len(_JOE_KUO) + 1:
         from scipy.stats import qmc
@@ -145,6 +151,12 @@ def _sobol_blocks(dim: int, rng: np.random.Generator, batch: int):
     raise ConfigError(f"a Sobol stream holds 2^{_BITS} points; this request needs more")
 
 
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous (N, d) array as N opaque items of d values each, so that
+    a selection moves whole rows instead of looping over d elements a row."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0]
+
+
 def _accepted_stream(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag: int,
                      accept=None) -> np.ndarray:
     """First `count` points of the seeded stream on [lo, hi] that `accept` keeps.
@@ -154,16 +166,31 @@ def _accepted_stream(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag:
     """
     require_whole(count, "sample count", minimum=0)
     rng = derived_rng(seed, tag)
-    out = np.empty((count, len(lo)), dtype=float)
+    dim = len(lo)
+    out = np.empty((count, dim), dtype=float)
+    rows = _as_rows(out)
     batch = 1 << int(np.ceil(np.log2(min(max(count * 1.2, 64), _MAX_BATCH))))
-    blocks = _sobol_blocks(len(lo), rng, batch)
+    # lo + u * (hi - lo), as the same two operations in place, over rows
+    # regrouped 64 at a time as in _xor_rows
+    scale, shift = np.tile(hi - lo, 64), np.tile(lo, 64)
+    blocks = _sobol_blocks(dim, rng, batch)
     got = 0
     while got < count:
-        pts = lo + next(blocks) * (hi - lo)
-        if accept is not None:
-            pts = pts[accept(pts)]
-        take = min(len(pts), count - got)
-        out[got:got + take] = pts[:take]
+        pts = next(blocks)
+        grouped = pts.reshape(-1, 64 * dim)
+        grouped *= scale
+        grouped += shift
+        if accept is None:
+            take = min(batch, count - got)
+            out[got:got + take] = pts[:take]
+        else:
+            keep = accept(pts)
+            take = int(np.count_nonzero(keep))
+            if take > count - got:
+                # the block fills the request: cut the mask after the last row needed
+                take = count - got
+                keep = keep[:np.flatnonzero(keep)[take - 1] + 1]
+            np.compress(keep, _as_rows(pts), out=rows[got:got + take])
         got += take
     return out
 

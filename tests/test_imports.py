@@ -1,5 +1,6 @@
 """Every name a package module imports is read in that module, no package
-module relies on an `assert`, and real numbers are checked by one guard."""
+module relies on an `assert`, and real numbers and finite arrays are each
+checked by one guard."""
 
 import ast
 import pathlib
@@ -53,3 +54,36 @@ def test_real_guards_live_in_errors():
                     if path.name != "errors.py"
                     and (lines := raises_on_isfinite(ast.parse(path.read_text())))}
     assert not hand_written, f"hand-written finiteness checks: {hand_written}"
+
+
+def refuses_on_array_isfinite(tree):
+    """Line numbers of each `if` whose body raises ConfigError and whose test calls
+    `np.isfinite`, directly or through a name bound to `np.isfinite(x)` or its negation."""
+    def is_isfinite(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
+            node = node.operand
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "np.isfinite"
+
+    bound = {target.id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and is_isfinite(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+
+    def checks_finite(node):
+        return any(is_isfinite(inner) or (isinstance(inner, ast.Name) and inner.id in bound)
+                   for inner in ast.walk(node.test))
+
+    def refuses(node):
+        return any(isinstance(inner, ast.Raise) and inner.exc is not None
+                   and "ConfigError" in ast.unparse(inner.exc)
+                   for stmt in node.body for inner in ast.walk(stmt))
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.If) and checks_finite(node) and refuses(node))
+
+
+def test_array_guard_lives_in_errors():
+    # `errors.require_finite` is the one finite-array guard for input
+    hand_written = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+                    if path.name != "errors.py"
+                    and (lines := refuses_on_array_isfinite(ast.parse(path.read_text())))}
+    assert not hand_written, f"hand-written array finiteness checks: {hand_written}"

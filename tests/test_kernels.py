@@ -375,6 +375,32 @@ def test_stencil_core_matches_dense_oracle(m, a, width, eps_cells, columns,
     assert_matches_oracle(got, k, F, V, eps, ALL_JOBS, pts)
 
 
+def test_off_grid_row_chunks_match_dense_oracle():
+    # the evaluation points fill three row chunks and part of a fourth
+    F = noise_function(4096, seed=5)
+    chunk = kernels._OFFGRID_CHUNK // len(F.values)
+    pts = np.random.default_rng(6).uniform(-1.25, 1.25, 3 * chunk + chunk // 3)
+    k = lf.hilbert_kernel()
+    V = F.values[:, None]
+    got = kernels._apply_batch(k, F, V, 0.1, ALL_JOBS, eval_points=pts)
+    assert_matches_oracle(got, k, F, V, 0.1, ALL_JOBS, pts)
+
+
+def test_off_grid_truncation_in_bounded_memory():
+    # 2048 points against 1024 cells: one chunk of all rows would hold several
+    # 2048 x 1024 temporaries of 16 MiB each
+    F = noise_function(1024, seed=7)
+    pts = np.linspace(-1.1, 1.1, 2048)
+    tracemalloc.start()
+    try:
+        got = lf.hard_truncation(lf.hilbert_kernel(), F, 0.25, eval_points=pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (2048,) and np.all(np.isfinite(got))
+    assert peak < 24 * 2 ** 20
+
+
 def scipy_toeplitz_apply(stencils, V):
     """The stencil convolution on scipy.fft, complex columns as their two real parts."""
     if np.iscomplexobj(V):

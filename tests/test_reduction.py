@@ -106,6 +106,10 @@ def first_axis(p):
     return p[:, 0]
 
 
+def nan_everywhere(x):
+    return np.full(len(x), math.nan)
+
+
 MISUSE = {
     "function_norm r=0": lambda: lf.function_norm(BALL2, first_axis, 0.0),
     "function_norm r=nan": lambda: lf.function_norm(BALL2, first_axis, math.nan),
@@ -232,6 +236,23 @@ MISUSE = {
         None, lf.build_sparse_greedy(lf.bump_mixture(0.0, 1.0, 8, 0),
                                      lf.bump_mixture(0.0, 1.0, 8, 1), max_depth=3),
         lf.bump_mixture(0.0, 1.0, 8, 0), lf.bump_mixture(0.0, 1.0, 8, 1)),
+    "function_norm NaN integrand": lambda: lf.function_norm(
+        BALL2, nan_everywhere, 2.0, sample_count=64),
+    "lhs_direct NaN f": lambda: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
+        nan_everywhere, first_axis), sample_count=64),
+    "monte_carlo NaN weight": lambda: lf.density_on_grid(
+        lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
+        sample_count=100, h=nan_everywhere),
+    "monte_carlo NaN phase": lambda: lf.density_on_grid(
+        lf.custom_phase(BALL2, nan_everywhere), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
+        sample_count=100),
+    "coarea NaN LevelFunction profile": lambda: lf.weighted_density_coarea(
+        lf.linear_phase(BALL2), lf.LevelFunction(nan_everywhere), 0.1),
+    "coarea NaN weight": lambda: lf.weighted_density_coarea(
+        lf.linear_phase(BALL2), nan_everywhere, 0.1),
+    "closed form NaN RadialFunction profile": lambda: lf.weighted_density_closed_form(
+        lf.radial_quadratic_phase(BALL2), lf.RadialFunction(nan_everywhere), 0.5),
 }
 
 

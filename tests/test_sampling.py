@@ -186,3 +186,38 @@ def test_accepted_stream_matches_scipy_engine(dim, seed, tag, count):
     got = sampling._accepted_stream(lo, hi, count, seed, tag)
     want = scipy_sobol(dim, seed, tag).random(1 << max(count - 1, 0).bit_length())[:count]
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1])
+def test_pair_streams_are_prefix_stable_across_a_batch_edge(k):
+    # pairs in ball(2) x ball(2) fill 62% of their box, so k points and the
+    # longer request each span two or more 2**18-point blocks
+    disk = lf.ball(2)
+    xs, ys = lf.sample_domain_pairs(disk, disk, 3 * 2 ** 17, 5, 1)
+    head_x, head_y = lf.sample_domain_pairs(disk, disk, k, 5, 1)
+    assert np.array_equal(xs[:k], head_x) and np.array_equal(ys[:k], head_y)
+
+
+@pytest.mark.parametrize("count", [0, 1, 700, 5000])
+def test_accepted_stream_rejects_on_the_scipy_engine(count):
+    # 33 dimensions take the engine branch; half of the box is rejected, so
+    # 5000 points take two 8192-point blocks
+    lo, hi = np.full(33, -1.0), np.full(33, 2.0)
+
+    def accept(pts):
+        return pts[:, 0] < pts[:, 32]
+
+    got = sampling._accepted_stream(lo, hi, count, 11, 3, accept)
+    assert got.tobytes() == oracle_stream(lo, hi, count, 11, 3, accept).tobytes()
+
+
+def test_block_that_fills_the_request_gives_only_the_rows_needed():
+    # ball(5) fills 16% of its box: 1000 points take three 2048-point blocks,
+    # and the third holds more accepted rows than the request still needs
+    domain, count, seed, tag = lf.ball(5), 1000, 2, 0
+    lo, hi = domain.bounding_box()
+    stream = lo + scipy_sobol(5, seed, tag).random(4 * 2048)[:3 * 2048] * (hi - lo)
+    per_block = np.count_nonzero(domain.contains(stream).reshape(3, 2048), axis=1)
+    assert per_block[:2].sum() < count < per_block.sum()
+    got = lf.sample_domain(domain, count, seed, tag)
+    assert np.array_equal(got, oracle_domain(domain, count, seed, tag))
