@@ -102,9 +102,12 @@ def require_interval(lo, hi, name: str) -> tuple[float, float]:
 
 
 def require_finite(values, name: str) -> np.ndarray:
-    """Refuse an array holding anything but finite real or complex numbers;
+    """Refuse anything but a regular array of finite real or complex numbers;
     return it as a numpy array."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise ConfigError(f"{name} must be a regular array, got {values!r}") from None
     if arr.dtype.kind not in "biufc":
         raise ConfigError(f"{name} must be numbers, got {values!r}")
     bad = ~np.isfinite(arr)

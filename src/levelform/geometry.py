@@ -11,6 +11,7 @@ and the transversality of level sets at the domain boundary.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -77,10 +78,11 @@ class Domain:
         require_whole(self.n, "domain dimension")
         object.__setattr__(self, "radius", require_real(self.radius, "domain radius", above=0))
         if self.shape == "box":
-            if len(self.bounds) != self.n:
+            bounds = require_finite(self.bounds, "box bounds")
+            if bounds.shape != (self.n, 2):
                 raise ConfigError("box bounds must list one (lo, hi) per axis")
             object.__setattr__(self, "bounds", tuple(require_interval(lo, hi, "box side")
-                                                     for lo, hi in self.bounds))
+                                                     for lo, hi in bounds.tolist()))
 
     def volume(self) -> float:
         if self.shape == "ball":
@@ -107,21 +109,110 @@ def ball(n: int, radius: float = 1.0) -> Domain:
 
 
 def box(bounds: Sequence[tuple[float, float]]) -> Domain:
-    return Domain(n=len(bounds), shape="box", bounds=tuple(bounds))
+    bounds = require_finite(bounds, "box bounds")
+    return Domain(n=len(np.atleast_1d(bounds)), shape="box", bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
 # reparametrization profiles (tabulated, strictly increasing)
 # ---------------------------------------------------------------------------
 
+class _PiecewisePolynomial:
+    """Power-basis polynomials between increasing knots, highest degree first.
+
+    Evaluated as scipy's PPoly evaluates: the interval is the last knot at or
+    below the point, clipped to the end intervals (that clip extrapolates,
+    and NaN stays NaN), and the local power sum runs from the constant row
+    up, `res = res + c*z; z = z*s` from res = 0.0, z = 1.0. A Python or
+    numpy float takes the `bisect` path in Python floats, about 1 us a call
+    where the numpy path costs about 20 us on one point; anything else takes
+    the numpy path.
+    """
+
+    def __init__(self, knots: np.ndarray, coef: np.ndarray):
+        self.knots = knots
+        self.coef = coef
+        self._rows = coef[::-1]  # the constant row first, as the sum runs
+        self._knot_list = knots.tolist()
+        self._row_lists = self._rows.T.tolist()
+
+    def __call__(self, x):
+        if isinstance(x, float):
+            x = float(x)  # a numpy float would warn on overflow
+            knots = self._knot_list
+            i = min(max(bisect_right(knots, x) - 1, 0), len(knots) - 2)
+            s = x - knots[i]
+            res, z = 0.0, 1.0
+            for c in self._row_lists[i]:
+                res = res + c * z
+                z = z * s
+            return res
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, len(self.knots) - 2)
+        rows = self._rows.take(i, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = x - self.knots[i]
+            res, z = 0.0 + rows[0], s  # the first term is c*1.0
+            for c in rows[1:]:
+                res += c * z
+                z = z * s
+        return res
+
+    def derivative(self) -> _PiecewisePolynomial:
+        """The derivative of a cubic: its top three rows times 3, 2 and 1."""
+        return _PiecewisePolynomial(self.knots, self.coef[:-1] * np.array([[3.0], [2.0], [1.0]]))
+
+
+def _end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point end slope, zero where its sign is not the
+    end secant's. (His cap at 3 m0 acts only where the secants change sign,
+    which they never do in an increasing table.)"""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    return d if np.sign(d) == np.sign(m0) else 0.0
+
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> _PiecewisePolynomial:
+    """The monotone cubic Hermite interpolant of (x, y), x increasing."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        d = np.empty_like(y)
+        sign = np.sign(m)
+        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return _PiecewisePolynomial(x, np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]]))
+
+
 class ReparamTable:
-    """Tabulated strictly increasing profile H(s) with a C^1 interpolant."""
+    """Tabulated strictly increasing profile H(s) with a C^1 interpolant.
+
+    The interpolant, its derivative and the inverse (the same build on
+    (values, s)) are scipy's PchipInterpolator bit for bit (Fritsch & Carlson
+    1980), in scipy's expressions:
+    - inner slopes: `_find_derivatives`' weighted harmonic mean
+      `(w1/m[:-1] + w2/m[1:]) / (w1 + w2)`, inverted, with
+      w1 = 2 h[1:] + h[:-1] and w2 = h[1:] + 2 h[:-1]; zero where the secant
+      slope m vanishes or changes sign;
+    - end slopes: `_edge_case`, Moler's three-point shape-preserving rule
+      (Numerical Computing with MATLAB, sec. 3.6); two knots give the secant;
+    - coefficients: `CubicHermiteSpline`'s t = (d[:-1] + d[1:] - 2 m)/h and
+      rows t/h, (m - d[:-1])/h - t, d[:-1], y[:-1];
+    - derivative: `PPoly.derivative`'s rows times 3, 2, 1;
+    - evaluation: `PPoly.__call__`, as `_PiecewisePolynomial` does it.
+    A float argument gives a float, anything else an array shaped like it.
+    """
 
     def __init__(self, s: np.ndarray, values: np.ndarray):
-        from scipy.interpolate import PchipInterpolator
-
-        s = require_finite(np.asarray(s, dtype=float), "profile table arguments")
-        values = require_finite(np.asarray(values, dtype=float), "profile table values")
+        s = require_finite(s, "profile table arguments").astype(float, copy=False)
+        values = require_finite(values, "profile table values").astype(float, copy=False)
         if s.ndim != 1 or s.shape != values.shape or len(s) < 2:
             raise ConfigError("profile table needs matching 1d arrays, length >= 2")
         if not np.all(np.diff(s) > 0):
@@ -130,9 +221,9 @@ class ReparamTable:
             raise ConfigError("profile values must be strictly increasing")
         self.s = s
         self.values = values
-        self._interp = PchipInterpolator(s, values)
+        self._interp = _pchip(s, values)
         self._deriv = self._interp.derivative()
-        self._inverse = PchipInterpolator(values, s)
+        self._inverse = _pchip(values, s)
 
     def __call__(self, s):
         return self._interp(s)
@@ -235,7 +326,7 @@ def _require_ball(domain: Domain, kind: str):
 # ---------------------------------------------------------------------------
 
 def _as_points(x, n: int) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
+    arr = require_finite(x, "phase points").astype(float, copy=False)
     if arr.ndim == 1:
         if arr.shape[0] != n:
             raise ConfigError(f"expected point of dimension {n}")

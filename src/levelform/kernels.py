@@ -122,7 +122,7 @@ class GridFunction1D:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values)
+        self.values = require_finite(self.values, "grid function values")
         if self.values.ndim != 1 or len(self.values) < 1:
             raise ConfigError("grid function needs a 1d value array")
         require_interval(self.a, self.b, "grid function interval")
@@ -265,7 +265,7 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
             raise ConfigError(f"unknown truncation mode {mode!r}")
         if mode in (SMOOTH, RESIDUAL) and cutoff is None:
             raise ConfigError("smooth/residual actions need a cutoff")
-    require_finite(V, "truncation input")
+    require_finite(V, "truncation input")  # a grid function's values stay writable
 
     m = len(F.values)
     if eval_points is None:
@@ -273,8 +273,9 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
         return list(_toeplitz_apply(np.stack(stencils), V))
 
     t = F.nodes
-    s = require_finite(np.atleast_1d(np.asarray(eval_points, dtype=float)),
-                       "truncation evaluation points")
+    s = np.atleast_1d(require_finite(eval_points, "truncation evaluation points")).astype(float)
+    if s.ndim != 1 or len(s) < 1:
+        raise ConfigError("truncation evaluation points must be a nonempty 1d array")
     outs = [np.empty((len(s), V.shape[1]), np.result_type(V, float)) for _ in jobs]
     chunk = max(1, _OFFGRID_CHUNK // m)
     for c0 in range(0, len(s), chunk):

@@ -72,8 +72,9 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
     require_whole(sample_count, "sample_count")
     xs, ys = sample_domain_pairs(form.phase_in.domain, form.phase_out.domain,
                                  sample_count, seed)
-    t = geometry.eval_phase(form.phase_in, xs)
-    s = geometry.eval_phase(form.phase_out, ys)
+    # sampled points lie in their domains, so only the phase values need a check
+    t = require_finite(geometry._eval_values(form.phase_in, xs), "phase values")
+    s = require_finite(geometry._eval_values(form.phase_out, ys), "phase values")
     gap = np.abs(s - t)
     mask = gap > form.eps
     vals = np.zeros(sample_count)

@@ -372,7 +372,8 @@ def test_module_entry_exit_code_on_bad_paths(argv, tmp_path, monkeypatch, capsys
 
 
 def test_cold_start_loads_no_scipy(tmp_path):
-    # a fresh interpreter: importing the package and running these commands
+    # a fresh interpreter: importing the package, running these commands and
+    # taking a coarea density of a designed boundary-reparametrized phase
     # must not pull in any scipy module
     script = """
 import sys
@@ -383,6 +384,10 @@ codes = [cli.main(argv) for argv in (
     ["regime", "--bins", "32"],
     ["sparse", "--cells", "256", "--depth", "6"],
 )]
+table = levelform.design_reparametrization(levelform.GammaProfile(lambda t: t, 0.5, 10.0),
+                                           lambda s: 1.0, 1.0, (0.0, 1.0), step=1e-2)
+phase = levelform.boundary_reparam_phase(levelform.ball(2), table)
+levelform.weighted_density_coarea(phase, None, 2.0)
 print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
 """
     src = str(pathlib.Path(lf.__file__).resolve().parents[1])

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 import levelform as lf
 from levelform import geometry
@@ -255,6 +256,60 @@ def test_reparam_table_inverse_roundtrip():
     assert np.allclose(table.inverse(np.exp(s)), s, atol=1e-12)
     vals = np.linspace(1.0, math.e, 17)
     assert np.allclose(table(table.inverse(vals)), vals, rtol=1e-4)
+
+
+# the PCHIP oracle: scipy's PchipInterpolator, which ReparamTable reproduces
+
+def assert_same_bits(got, want):
+    """Equal float64 bits, where any NaN matches any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def assert_pchip_matches_scipy(s, values, probes):
+    """Value, derivative and inverse of a ReparamTable against scipy, on the
+    knots, the probes and points outside the range, on both evaluation paths."""
+    table = lf.ReparamTable(s, values)
+    oracle = PchipInterpolator(s, values)
+    routes = [(table, oracle, s), (table.derivative, oracle.derivative(), s),
+              (table.inverse, PchipInterpolator(values, s), values)]
+    for ours, theirs, knots in routes:
+        lo, hi = knots[0], knots[-1]
+        width = hi - lo
+        points = np.concatenate([knots, lo + width * np.asarray(probes),
+                                 [lo - width, hi + width, -1e300, 1e300, math.nan]])
+        assert_same_bits(ours(points), theirs(points))
+        for x in points.tolist():
+            got = ours(x)
+            assert isinstance(got, float)
+            assert_same_bits(got, theirs(x))
+
+
+# one increment per segment: flat, moderate and steep runs
+increments = st.sampled_from([1e-6, 1e-2, 1.0, 1e3]).flatmap(lambda k: st.floats(k, 2 * k))
+
+
+@given(ds=st.lists(increments, min_size=1, max_size=40),
+       dv=st.lists(increments, min_size=40, max_size=40),
+       start=st.floats(-10.0, 10.0),
+       probes=st.lists(st.floats(-0.5, 1.5), max_size=8))
+@settings(max_examples=80, deadline=None)
+@example(ds=[0.25], dv=[3.0] * 40, start=0.0, probes=[0.1, 0.5, 0.9])  # two knots
+@example(ds=[0.25, 0.75], dv=[1e-6, 1e3] * 20, start=0.0, probes=[0.1, 0.5, 0.9])
+def test_reparam_table_matches_scipy_pchip(ds, dv, start, probes):
+    s = start + np.cumsum([0.0, *ds])
+    values = np.cumsum([-1.0, *dv[:len(ds)]])
+    assert_pchip_matches_scipy(s, values, probes)
+
+
+def test_designed_reparam_table_matches_scipy_pchip():
+    profile = lf.GammaProfile(lambda t: t, lo=0.5, hi=10.0)
+    table = lf.design_reparametrization(profile, lambda s: 1.0, 1.0, (0.0, 1.0), step=1e-3)
+    probes = np.random.default_rng(0).uniform(-0.1, 1.1, 64)
+    assert_pchip_matches_scipy(table.s, table.values, probes)
 
 
 def test_boundary_reparam_phase_requires_coverage():

@@ -8,7 +8,9 @@ LevelformError; the one exception is an open end of a `GammaProfile`, which
 may be infinite. The targets come from the signatures, so a new float
 parameter without a row fails `test_every_float_parameter_has_a_row`. Every
 `type=float` option of the command line is swept the same way through
-`cli.entry`.
+`cli.entry`. Array arguments get the same sweep with a NaN or an infinite
+element, an empty array, an array of the wrong dimension, ragged nesting,
+and strings; each must raise a ConfigError.
 """
 
 import argparse
@@ -162,3 +164,46 @@ def test_non_finite_float_option_exits_2(command, option, value, monkeypatch, ca
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# array arguments: a small valid call, the array parameter, and an array of
+# the wrong dimension for it
+ARRAY_ROWS = {
+    "GridFunction1D": (dict(a=0.0, b=1.0, values=np.ones(8)), "values", np.ones((8, 2))),
+    "box": (dict(bounds=[(0.0, 1.0), (0.0, 2.0)]), "bounds", [(0.0, 1.0, 2.0)]),
+    "eval_phase": (dict(phase=LINEAR, x=np.zeros((3, 2))), "x", np.zeros((3, 3))),
+    "grad_phase": (dict(phase=LINEAR, x=np.zeros((3, 2))), "x", np.zeros(3)),
+    "hard_truncation": (dict(kernel=KERNEL, F=F64, eps=0.1, eval_points=np.linspace(0, 1, 5)),
+                        "eval_points", np.zeros((5, 2))),
+    "ReparamTable": (dict(s=np.linspace(0, 1, 5), values=np.linspace(1, 2, 5)), "s",
+                     np.zeros((5, 2))),
+}
+
+
+def with_first(array, value):
+    out = np.array(array, dtype=float)
+    out.flat[0] = value
+    return out
+
+
+def array_cases():
+    for name, (kwargs, param, wrong_dimension) in ARRAY_ROWS.items():
+        valid = kwargs[param]
+        bads = {"nan": with_first(valid, math.nan), "inf": with_first(valid, math.inf),
+                "-inf": with_first(valid, -math.inf), "empty": [],
+                "wrong dimension": wrong_dimension,
+                "numeric strings": np.asarray(valid, dtype=float).astype(str),
+                "a string": "a", "ragged": [list(np.ravel(valid)), [0.0]]}
+        for label, bad in bads.items():
+            yield pytest.param(name, {**kwargs, param: bad}, id=f"{name}-{param}-{label}")
+
+
+@pytest.mark.parametrize("name", ARRAY_ROWS)
+def test_array_base_call_is_valid(name):
+    getattr(lf, name)(**ARRAY_ROWS[name][0])
+
+
+@pytest.mark.parametrize("name, call", array_cases())
+def test_bad_array_input_is_refused(name, call):
+    with pytest.raises(lf.ConfigError):
+        getattr(lf, name)(**call)

@@ -96,6 +96,17 @@ def test_lhs_rejects_empty_sample():
         lf.lhs_direct(form, sample_count=0)
 
 
+@pytest.mark.parametrize("side", ["phase_in", "phase_out"])
+def test_lhs_refuses_nan_phase_values(side):
+    # NaN levels fail the gap mask and would drop out as zero terms
+    form = lf.SynchronizedForm(phase_in=lf.linear_phase(BALL2),
+                               phase_out=lf.linear_phase(BALL2),
+                               kernel=lf.hilbert_kernel(), f=first_axis, g=first_axis)
+    form = replace(form, **{side: lf.custom_phase(BALL2, nan_everywhere)})
+    with pytest.raises(lf.ConfigError, match="phase values must be finite"):
+        lf.lhs_direct(form, sample_count=64)
+
+
 @pytest.mark.parametrize("count", [0, -1])
 def test_function_norm_rejects_empty_sample(count):
     with pytest.raises(lf.ConfigError):
