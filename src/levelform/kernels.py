@@ -137,7 +137,9 @@ class GridFunction1D:
 
     def norm(self, r: float = 2.0) -> float:
         require_real(r, "grid norm exponent r", above=0)
-        return float(np.sum(np.abs(self.values) ** r) * self.spacing) ** (1.0 / r)
+        # the values array stays writable after construction, so check it again
+        values = require_finite(self.values, "grid function values")
+        return float(np.sum(np.abs(values) ** r) * self.spacing) ** (1.0 / r)
 
 
 def bump_mixture(a: float, b: float, m: int, seed: int) -> GridFunction1D:
@@ -334,8 +336,9 @@ _HL_BLOCK = 64
 # and builds its quotient tables in chunks of this many elements
 _HL_CHUNK = 1 << 13
 # point-to-node offsets per row chunk of off-grid truncation; a chunk holds
-# about five live temporaries of this size, so one call stays near 13 MiB
-_OFFGRID_CHUNK = 1 << 18
+# about five live temporaries of this size. At 1 << 18 they took 2 MiB each,
+# above glibc's mmap threshold, and every chunk was mapped and faulted in afresh.
+_OFFGRID_CHUNK = 1 << 15
 
 
 def _chord_gap(x0, y0, x1, y1, x2, y2):

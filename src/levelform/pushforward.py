@@ -27,7 +27,7 @@ from .errors import (
     require_whole,
 )
 from .geometry import Phase, ball_volume, sphere_area
-from .sampling import sample_domain
+from .sampling import sample_blocks
 
 # coarea evaluation refuses levels closer than this to a critical value
 CRITICAL_LEVEL_TOL = 1e-9
@@ -256,8 +256,10 @@ def _weight_values(values) -> np.ndarray:
     return require_finite(np.asarray(values, dtype=float), "weight values")
 
 
-# most fiber points handed to a weight in one call; keeps a block's memory flat
-_BLOCK_POINTS = 1 << 16
+# most fiber points handed to a weight in one call; keeps a block's memory flat.
+# At 1 << 16 a block's arrays can sit above glibc's mmap threshold, and then
+# every block is mapped and faulted in afresh.
+_BLOCK_POINTS = 1 << 15
 
 
 def _in_blocks(count: int, nodes: int, block) -> np.ndarray:
@@ -328,8 +330,10 @@ def _radial_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
 
         def block(sl):
             rr = r[sl, None]
-            pts = np.stack([rr * cos, rr * sin], axis=-1)
-            hv = np.ones(pts.shape[:-1]) if h is None else _weigh(h, pts)
+            if h is None:
+                hv = np.ones((len(rr), fiber_nodes))
+            else:
+                hv = _weigh(h, np.stack([rr * cos, rr * sin], axis=-1))
             return np.sum(hv * rr * step, axis=1)
 
         out[on] = _in_blocks(len(r), fiber_nodes, block) / slope
@@ -442,29 +446,44 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
                                  seed: int) -> DensityEstimate:
     """Histogram estimate of the h-weighted level density (h may be signed)
     from one seeded stream. `h=None` gives the plain density with binomial
-    stderr and the atom flag; a weight gives the sample stderr of its bins."""
+    stderr and the atom flag; a weight gives the sample stderr of its bins.
+
+    The stream is binned block by block, in stream order. A weight must be
+    pointwise, because it is called once per block of sampled points.
+    """
     require_whole(sample_count, "sample_count")
-    pts = sample_domain(phase.domain, sample_count, seed)
-    levels = require_finite(geometry._eval_values(phase, pts), "phase values")
     bins = grid.bin_count
     # one past the bin index; 0 and bins + 1 collect the levels below and above the grid
-    idx = levels - grid.t_min
-    idx /= grid.width
-    np.floor(idx, out=idx)
-    np.clip(idx, -1, bins, out=idx)
-    idx += 1
-    # right edge belongs to the last bin
-    idx[levels == grid.t_max] = bins
-    idx = idx.astype(np.intp)
+    counts = np.zeros(bins + 2, dtype=np.intp)
+    sums, sumsq = np.zeros(bins + 2), np.zeros(bins + 2)
+    for pts in sample_blocks(phase.domain, sample_count, seed):
+        levels = require_finite(geometry._eval_values(phase, pts), "phase values")
+        idx = levels - grid.t_min
+        idx /= grid.width
+        np.floor(idx, out=idx)
+        np.clip(idx, -1, bins, out=idx)
+        idx += 1
+        # right edge belongs to the last bin
+        idx[levels == grid.t_max] = bins
+        idx = idx.astype(np.intp)
+        if h is None:
+            counts += np.bincount(idx, minlength=bins + 2)
+        else:
+            # added point by point in stream order, as one whole-stream bincount
+            # would; summing per-block bincounts would reassociate the sums
+            w = _weight_values(h(pts))
+            if w.shape != idx.shape:  # np.add.at would broadcast it
+                raise ConfigError(f"a weight must give one value per point, got shape "
+                                  f"{w.shape} for {len(pts)} points")
+            np.add.at(sums, idx, w)
+            np.add.at(sumsq, idx, w ** 2)
     n = sample_count
     if h is None:
-        mean = np.bincount(idx, minlength=bins + 2)[1:-1] / n
+        mean = counts[1:-1] / n
         var = mean * (1 - mean)
     else:
-        w = _weight_values(h(pts))
-        mean = np.bincount(idx, weights=w, minlength=bins + 2)[1:-1] / n
-        sumsq = np.bincount(idx, weights=w ** 2, minlength=bins + 2)[1:-1]
-        var = np.maximum(sumsq / n - mean ** 2, 0.0)
+        mean = sums[1:-1] / n
+        var = np.maximum(sumsq[1:-1] / n - mean ** 2, 0.0)
     fine = grid.width < ATOM_RELATIVE_WIDTH * (grid.t_max - grid.t_min)
     atom = bool(h is None and np.any(mean > ATOM_MASS_FRACTION) and fine)
     vol = phase.domain.volume()

@@ -28,7 +28,7 @@ from .kernels import GridFunction1D, Kernel1D, hard_truncation
 from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, DensityEstimate, LevelGrid,
                           _abs_power, density_on_grid, route_parameters,
                           weighted_density_closed_form)
-from .sampling import derived_rng, sample_domain, sample_domain_pairs
+from .sampling import derived_rng, sample_domain, sample_pair_blocks
 
 POWER_REGIME = "critical-power"
 LOG_REGIME = "critical-log"
@@ -68,21 +68,25 @@ class SynchronizedForm:
 
 def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
                seed: int = 0) -> Estimate:
-    """Direct quasi Monte Carlo evaluation over the product of the domains."""
+    """Direct quasi Monte Carlo evaluation over the product of the domains,
+    block by block in stream order; f and g are called once per block of
+    kept pairs, so they must be pointwise."""
     require_whole(sample_count, "sample_count")
-    xs, ys = sample_domain_pairs(form.phase_in.domain, form.phase_out.domain,
-                                 sample_count, seed)
-    # sampled points lie in their domains, so only the phase values need a check
-    t = require_finite(geometry._eval_values(form.phase_in, xs), "phase values")
-    s = require_finite(geometry._eval_values(form.phase_out, ys), "phase values")
-    gap = np.abs(s - t)
-    mask = gap > form.eps
+    # one array of per-pair values: its mean and std are pairwise sums over all of it
     vals = np.zeros(sample_count)
-    if np.any(mask):
-        kv = np.asarray(form.kernel.evaluate(s[mask], t[mask]), dtype=float)
-        fv = require_finite(np.asarray(form.f(xs[mask]), dtype=float), "f values")
-        gv = require_finite(np.asarray(form.g(ys[mask]), dtype=float), "g values")
-        vals[mask] = kv * fv * gv
+    got = 0
+    for xs, ys in sample_pair_blocks(form.phase_in.domain, form.phase_out.domain,
+                                     sample_count, seed):
+        # sampled points lie in their domains, so only the phase values need a check
+        t = require_finite(geometry._eval_values(form.phase_in, xs), "phase values")
+        s = require_finite(geometry._eval_values(form.phase_out, ys), "phase values")
+        mask = np.abs(s - t) > form.eps
+        if np.any(mask):
+            kv = np.asarray(form.kernel.evaluate(s[mask], t[mask]), dtype=float)
+            fv = require_finite(np.asarray(form.f(xs[mask]), dtype=float), "f values")
+            gv = require_finite(np.asarray(form.g(ys[mask]), dtype=float), "g values")
+            vals[got:got + len(xs)][mask] = kv * fv * gv
+        got += len(xs)
     scale = form.phase_in.domain.volume() * form.phase_out.domain.volume()
     value = float(np.mean(vals)) * scale
     stderr = float(np.std(vals)) / math.sqrt(sample_count) * scale

@@ -24,8 +24,12 @@ then.
 
 Each block is mapped onto the box in place, over rows regrouped 64 at a
 time as the XOR is, so that no step loops over only d elements a row; the
-accepted rows are then taken as whole rows, each viewed as one opaque item,
-straight into the output.
+accepted rows are then taken as whole rows, each viewed as one opaque item.
+The blocks hold at most 2^15 points, so a block stays in cache.
+`sample_blocks` and `sample_pair_blocks` hand the accepted rows on block by
+block, and the Monte Carlo estimators consume them so, in memory that does
+not grow with the sample count; `sample_domain` and `sample_domain_pairs`
+gather the same blocks into one array.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ from .errors import ConfigError, require_whole
 if TYPE_CHECKING:
     from .geometry import Domain
 
-_MAX_BATCH = 2**18
+# largest Sobol block: within 15% of the fastest size on every case of a sweep
+# of 2^13..2^18, where 2^18 took up to 2.3 times as long (BENCH_mcstream.json)
+_MAX_BATCH = 2**15
 _BITS = 30
 # Joe & Kuo (2008), file new-joe-kuo-6.21201, dimensions 2..32: the primitive
 # polynomial over GF(2) as bits, its leading and constant terms included, and
@@ -157,55 +163,68 @@ def _as_rows(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0]
 
 
-def _accepted_stream(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag: int,
-                     accept=None) -> np.ndarray:
-    """First `count` points of the seeded stream on [lo, hi] that `accept` keeps.
+def _accepted_blocks(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag: int,
+                     accept=None):
+    """The first `count` points of the seeded stream on [lo, hi] that `accept`
+    keeps, as successive (k, d) blocks of k >= 1 rows in stream order.
 
     `accept=None` keeps every point. The batch size depends on `count` alone;
-    it cannot move a point, since the stream is prefix-stable.
+    it cannot move a point, since the stream is prefix-stable. The count, seed
+    and tag are checked here, before the first block is drawn.
     """
     require_whole(count, "sample count", minimum=0)
     rng = derived_rng(seed, tag)
-    dim = len(lo)
-    out = np.empty((count, dim), dtype=float)
-    rows = _as_rows(out)
     batch = 1 << int(np.ceil(np.log2(min(max(count * 1.2, 64), _MAX_BATCH))))
+    return _accepted_rows(_sobol_blocks(len(lo), rng, batch), lo, hi, count, accept)
+
+
+def _accepted_rows(blocks, lo: np.ndarray, hi: np.ndarray, count: int, accept):
+    """The generator behind `_accepted_blocks`, over the unit-cube `blocks`."""
+    dim = len(lo)
     # lo + u * (hi - lo), as the same two operations in place, over rows
     # regrouped 64 at a time as in _xor_rows
     scale, shift = np.tile(hi - lo, 64), np.tile(lo, 64)
-    blocks = _sobol_blocks(dim, rng, batch)
-    got = 0
-    while got < count:
+    left = count
+    while left:
         pts = next(blocks)
         grouped = pts.reshape(-1, 64 * dim)
         grouped *= scale
         grouped += shift
         if accept is None:
-            take = min(batch, count - got)
-            out[got:got + take] = pts[:take]
+            take = min(len(pts), left)
+            yield pts[:take]
         else:
             keep = accept(pts)
             take = int(np.count_nonzero(keep))
-            if take > count - got:
+            if take > left:
                 # the block fills the request: cut the mask after the last row needed
-                take = count - got
+                take = left
                 keep = keep[:np.flatnonzero(keep)[take - 1] + 1]
-            np.compress(keep, _as_rows(pts), out=rows[got:got + take])
-        got += take
+            if take:
+                rows = np.empty((take, dim))
+                np.compress(keep, _as_rows(pts), out=_as_rows(rows))
+                yield rows
+        left -= take
+
+
+def _accepted_stream(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag: int,
+                     accept=None) -> np.ndarray:
+    """The blocks of `_accepted_blocks` gathered into one (count, d) array."""
+    blocks = _accepted_blocks(lo, hi, count, seed, tag, accept)
+    out = np.empty((count, len(lo)))
+    got = 0
+    for pts in blocks:
+        out[got:got + len(pts)] = pts
+        got += len(pts)
     return out
 
 
-def sample_domain(domain: Domain, count: int, seed: int, tag: int = 0) -> np.ndarray:
-    """`count` quasi-random points in `domain`, in stream order."""
+def _domain_args(domain: Domain) -> tuple:
     lo, hi = domain.bounding_box()
-    if domain.shape == "box":
-        return _accepted_stream(lo, hi, count, seed, tag)
-    return _accepted_stream(lo, hi, count, seed, tag, domain.contains)
+    return lo, hi, None if domain.shape == "box" else domain.contains
 
 
-def sample_domain_pairs(domain_x: Domain, domain_y: Domain, count: int, seed: int,
-                        tag: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Joint quasi-random pairs (x, y), rejected into both domains at once."""
+def _pair_args(domain_x: Domain, domain_y: Domain) -> tuple:
     lo_x, hi_x = domain_x.bounding_box()
     lo_y, hi_y = domain_y.bounding_box()
     nx = domain_x.n
@@ -213,6 +232,35 @@ def sample_domain_pairs(domain_x: Domain, domain_y: Domain, count: int, seed: in
     def accept(pts):
         return domain_x.contains(pts[:, :nx]) & domain_y.contains(pts[:, nx:])
 
-    pts = _accepted_stream(np.concatenate([lo_x, lo_y]), np.concatenate([hi_x, hi_y]),
-                           count, seed, tag, accept)
-    return pts[:, :nx], pts[:, nx:]
+    return np.concatenate([lo_x, lo_y]), np.concatenate([hi_x, hi_y]), accept
+
+
+def sample_domain(domain: Domain, count: int, seed: int, tag: int = 0) -> np.ndarray:
+    """`count` quasi-random points in `domain`, in stream order."""
+    lo, hi, accept = _domain_args(domain)
+    return _accepted_stream(lo, hi, count, seed, tag, accept)
+
+
+def sample_blocks(domain: Domain, count: int, seed: int, tag: int = 0):
+    """The points of `sample_domain(domain, count, seed, tag)` as successive
+    (k, n) blocks of at most `_MAX_BATCH` rows, in stream order."""
+    lo, hi, accept = _domain_args(domain)
+    return _accepted_blocks(lo, hi, count, seed, tag, accept)
+
+
+def sample_domain_pairs(domain_x: Domain, domain_y: Domain, count: int, seed: int,
+                        tag: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Joint quasi-random pairs (x, y), rejected into both domains at once."""
+    lo, hi, accept = _pair_args(domain_x, domain_y)
+    pts = _accepted_stream(lo, hi, count, seed, tag, accept)
+    return pts[:, :domain_x.n], pts[:, domain_x.n:]
+
+
+def sample_pair_blocks(domain_x: Domain, domain_y: Domain, count: int, seed: int,
+                       tag: int = 0):
+    """The pairs of `sample_domain_pairs(domain_x, domain_y, count, seed, tag)`
+    as successive (xs, ys) blocks, in stream order."""
+    lo, hi, accept = _pair_args(domain_x, domain_y)
+    nx = domain_x.n
+    return ((pts[:, :nx], pts[:, nx:])
+            for pts in _accepted_blocks(lo, hi, count, seed, tag, accept))

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, ResolutionError, SparseDominationError, require_interval,
-                     require_real, require_whole)
+from .errors import (ConfigError, ResolutionError, SparseDominationError, require_finite,
+                     require_interval, require_real, require_whole)
 from .kernels import GridFunction1D
 
 
@@ -176,6 +176,9 @@ def verify_sparsity(family: SparseFamily) -> Fraction:
 
 def sparse_form(family: SparseFamily, F: GridFunction1D, G: GridFunction1D) -> float:
     """Sum over members of avg|F| avg|G| |I| in grid length units."""
+    # the values arrays stay writable after construction, so check them again
+    for H in (F, G):
+        require_finite(H.values, "grid function values")
     total = 0.0
     length = F.b - F.a
     for I in family.members:

@@ -15,7 +15,7 @@ import levelform as lf
 from levelform import benchmarks, cli, pushforward
 from levelform.cli import entry, main
 from levelform.config import parse_kv_text, phase_from_config
-from levelform.sampling import sample_domain
+from levelform.sampling import sample_blocks
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -50,6 +50,48 @@ def test_density_command_writes_csv_and_json(tmp_path, capsys):
     vals = [float(r.split(",")[2]) for r in rows[1:]]
     assert vals == report["payload"]["values"]
     assert "mass=" in capsys.readouterr().out
+
+
+# one report per command, and one density report per route
+REPORTS = {
+    "density closed_form": ["density", "--bins", "16"],
+    "density coarea": ["density", "--method", "coarea", "--bins", "16", "--fiber-nodes", "64"],
+    "density monte_carlo": ["density", "--method", "monte_carlo", "--bins", "16",
+                            "--samples", "4000"],
+    "reduce": ["reduce", "--samples", "20000", "--bins", "64"],
+    "sparse": ["sparse", "--cells", "256", "--depth", "6"],
+    "regime": ["regime", "--bins", "64"],
+}
+
+
+@pytest.mark.parametrize("argv", REPORTS.values(), ids=REPORTS.keys())
+def test_every_report_round_trips_through_json(argv, tmp_path, monkeypatch):
+    written = []
+    real = cli.write_report
+
+    def keep(*args, **kwargs):
+        written.append(real(*args, **kwargs))
+        return written[-1]
+
+    monkeypatch.setattr(cli, "write_report", keep)
+    path = tmp_path / "report.json"
+    assert main([*argv, "--json", str(path)]) == 0
+    # the same keys, types and float bits as the report the command built
+    assert (json.dumps(read_report(path), sort_keys=True)
+            == json.dumps(written[0], sort_keys=True))
+
+
+@pytest.mark.parametrize("method", pushforward.METHODS)
+def test_density_estimate_round_trips_through_json(method):
+    route = {"sample_count": 5000, "seed": 3} if method == lf.MONTE_CARLO else {}
+    est = lf.density_on_grid(lf.radial_power_phase(lf.ball(2), 4.0),
+                             lf.LevelGrid(0.05, 0.95, 24), method, **route)
+    back = json.loads(json.dumps(est.to_json_dict()))
+    assert back == est.to_json_dict()
+    assert lf.LevelGrid(**back["grid"]) == est.grid
+    assert np.array(back["values"]).tobytes() == est.values.tobytes()
+    if est.stderr is not None:
+        assert np.array(back["stderr"]).tobytes() == est.stderr.tobytes()
 
 
 def test_density_explicit_window(tmp_path):
@@ -134,9 +176,9 @@ def test_regime_monte_carlo_draws_one_stream(tmp_path, monkeypatch):
 
     def counted(domain, count, seed, **kwargs):
         calls.append(count)
-        return sample_domain(domain, count, seed, **kwargs)
+        return sample_blocks(domain, count, seed, **kwargs)
 
-    monkeypatch.setattr(pushforward, "sample_domain", counted)
+    monkeypatch.setattr(pushforward, "sample_blocks", counted)
     rc = main(["regime", "--method", "monte_carlo", "--samples", "20000", "--bins", "64",
                "--json", str(tmp_path / "regime.json")])
     assert rc == 0

@@ -121,6 +121,18 @@ def nan_everywhere(x):
     return np.full(len(x), math.nan)
 
 
+def nan_written(seed=0):
+    """A grid function whose writable values array took a NaN after construction."""
+    F = lf.bump_mixture(0.0, 1.0, 64, seed)
+    F.values[3] = math.nan
+    return F
+
+
+def sparse_family_64():
+    return lf.build_sparse_greedy(lf.bump_mixture(0.0, 1.0, 64, 0),
+                                  lf.bump_mixture(0.0, 1.0, 64, 1), max_depth=3)
+
+
 MISUSE = {
     "function_norm r=0": lambda: lf.function_norm(BALL2, first_axis, 0.0),
     "function_norm r=nan": lambda: lf.function_norm(BALL2, first_axis, math.nan),
@@ -255,6 +267,12 @@ MISUSE = {
     "monte_carlo NaN weight": lambda: lf.density_on_grid(
         lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
         sample_count=100, h=nan_everywhere),
+    "monte_carlo weight of one value": lambda: lf.density_on_grid(
+        lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
+        sample_count=100, h=lambda p: 1.0),
+    "monte_carlo weight of one value per coordinate": lambda: lf.density_on_grid(
+        lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
+        sample_count=100, h=lambda p: p),
     "monte_carlo NaN phase": lambda: lf.density_on_grid(
         lf.custom_phase(BALL2, nan_everywhere), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
         sample_count=100),
@@ -264,6 +282,11 @@ MISUSE = {
         lf.linear_phase(BALL2), nan_everywhere, 0.1),
     "closed form NaN RadialFunction profile": lambda: lf.weighted_density_closed_form(
         lf.radial_quadratic_phase(BALL2), lf.RadialFunction(nan_everywhere), 0.5),
+    "GridFunction1D.norm nan written after construction": lambda: nan_written().norm(),
+    "sparse_form nan written into F": lambda: lf.sparse_form(
+        sparse_family_64(), nan_written(0), lf.bump_mixture(0.0, 1.0, 64, 1)),
+    "sparse_form nan written into G": lambda: lf.sparse_form(
+        sparse_family_64(), lf.bump_mixture(0.0, 1.0, 64, 0), nan_written(1)),
 }
 
 

@@ -61,7 +61,7 @@ def test_sample_domain_matches_single_draw_oracle(domain, count, seed, tag):
 
 @pytest.mark.parametrize("count", [65535, 65536, 65537, 300001])
 def test_sample_domain_matches_oracle_across_batches(count):
-    # counts past one 2**18 batch take several draws from the engine
+    # counts past one batch of sampling._MAX_BATCH points take several blocks
     domain = lf.ball(2)
     assert np.array_equal(lf.sample_domain(domain, count, 4),
                           oracle_domain(domain, count, 4))
@@ -191,7 +191,7 @@ def test_accepted_stream_matches_scipy_engine(dim, seed, tag, count):
 @pytest.mark.parametrize("k", [2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1])
 def test_pair_streams_are_prefix_stable_across_a_batch_edge(k):
     # pairs in ball(2) x ball(2) fill 62% of their box, so k points and the
-    # longer request each span two or more 2**18-point blocks
+    # longer request each span many blocks of sampling._MAX_BATCH points
     disk = lf.ball(2)
     xs, ys = lf.sample_domain_pairs(disk, disk, 3 * 2 ** 17, 5, 1)
     head_x, head_y = lf.sample_domain_pairs(disk, disk, k, 5, 1)

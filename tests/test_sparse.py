@@ -292,6 +292,19 @@ def test_json_roundtrip():
     assert d["schema"] == 1
 
 
+@given(seed=st.integers(0, 1000), cells=st.sampled_from([64, 256]),
+       depth=st.integers(0, 6), lam=st.floats(2.5, 8.0))
+@settings(max_examples=40, deadline=None)
+def test_family_round_trips_through_json(seed, cells, depth, lam):
+    fam = lf.build_sparse_greedy(lf.bump_mixture(-1.0, 1.0, cells, 2 * seed),
+                                 lf.bump_mixture(-1.0, 1.0, cells, 2 * seed + 1),
+                                 lam=lam, max_depth=depth)
+    d = lf.family_to_json_dict(fam)
+    back = lf.family_from_json_dict(json.loads(json.dumps(d)))
+    assert back == fam
+    assert lf.family_to_json_dict(back) == d
+
+
 def test_json_rejects_tampered_eta():
     d = json.loads(reference_family_json())
     d["eta"] = [1, 1]
