@@ -42,7 +42,7 @@ from .reduction import (ATOMIC_REGIME, LOG_REGIME, POWER_REGIME,
                         pullback_norm, random_smooth_function,
                         uniform_bound_check, verify_reduction_identity,
                         window_verdict)
-from .sampling import derived_rng, sample_domain, sample_domain_pairs
+from .sampling import derived_rng, sample_domain
 from .sparse import (DyadicInterval, SparseFamily, build_sparse_greedy,
                      domination_ratio, family_from_json_dict,
                      family_to_json_dict, sparse_form, verify_sparsity)

@@ -482,7 +482,10 @@ class GammaProfile:
                 require_real(end, "profile interval end")
         if not self.hi > self.lo:
             raise ConfigError("profile validity interval is empty")
-        probe = np.linspace(max(self.lo, -1e6), min(self.hi, 1e6), 257)
+        a, b = max(self.lo, -1e6), min(self.hi, 1e6)
+        if a > b:  # the interval lies beyond +-1e6: probe 2e6 of it from its end nearer 0
+            a, b = (a, min(self.hi, a + 2e6)) if a > 0 else (max(self.lo, b - 2e6), b)
+        probe = np.linspace(a, b, 257)
         vals = np.asarray(self.fn(probe), dtype=float)
         if not np.all(vals >= 0):
             raise ConfigError("profile must be nonnegative, and not NaN, on its interval")

@@ -72,11 +72,12 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
     block by block in stream order; f and g are called once per block of
     kept pairs, so they must be pointwise."""
     require_whole(sample_count, "sample_count")
+    # refuses an impossible count before the values below are allocated
+    blocks = sample_pair_blocks(form.phase_in.domain, form.phase_out.domain, sample_count, seed)
     # one array of per-pair values: its mean and std are pairwise sums over all of it
     vals = np.zeros(sample_count)
     got = 0
-    for xs, ys in sample_pair_blocks(form.phase_in.domain, form.phase_out.domain,
-                                     sample_count, seed):
+    for xs, ys in blocks:
         # sampled points lie in their domains, so only the phase values need a check
         t = require_finite(geometry._eval_values(form.phase_in, xs), "phase values")
         s = require_finite(geometry._eval_values(form.phase_out, ys), "phase values")

@@ -9,7 +9,7 @@ points a request for k returns.
 
 The stream of `(seed, tag)` is bit for bit the one
 `scipy.stats.qmc.Sobol(d, scramble=True, seed=derived_rng(seed, tag))`
-draws. Up to 32 dimensions it is built here in numpy:
+draws, built here in numpy for up to 32 dimensions; more are refused:
 
 - direction numbers from the Joe & Kuo (2008) table;
 - linear matrix scrambling plus a digital shift (Matousek 1998; Owen 1998)
@@ -19,17 +19,14 @@ draws. Up to 32 dimensions it is built here in numpy:
   batch size B, gray(jB + i) = gray(jB) ^ gray(i), so every batch is one
   precomputed block XOR one offset.
 
-Above 32 dimensions the stream comes from qmc.Sobol itself, imported only
-then.
-
 Each block is mapped onto the box in place, over rows regrouped 64 at a
 time as the XOR is, so that no step loops over only d elements a row; the
 accepted rows are then taken as whole rows, each viewed as one opaque item.
 The blocks hold at most 2^15 points, so a block stays in cache.
 `sample_blocks` and `sample_pair_blocks` hand the accepted rows on block by
 block, and the Monte Carlo estimators consume them so, in memory that does
-not grow with the sample count; `sample_domain` and `sample_domain_pairs`
-gather the same blocks into one array.
+not grow with the sample count; `sample_domain` gathers the blocks of
+`sample_blocks` into one array.
 """
 
 from __future__ import annotations
@@ -133,27 +130,20 @@ def _sobol_blocks(dim: int, rng: np.random.Generator, batch: int):
     may overwrite. The stream ends after 2^30 points, as qmc.Sobol's does,
     and asking for more raises ConfigError.
     """
-    if dim > len(_JOE_KUO) + 1:
-        from scipy.stats import qmc
-
-        engine = qmc.Sobol(d=dim, scramble=True, seed=rng)
-        for _ in range(2**_BITS // batch):
-            yield engine.random(batch)
-    else:
-        # qmc.Sobol scrambles with a spawned child of the generator it is given
-        directions, shift = _scrambled_directions(dim, rng.spawn(1)[0])
-        # row i holds the XOR over gray(i); gray(w + i) = gray(w) ^ gray(i) for i < w = 2^b
-        block = np.zeros((batch, dim), dtype=np.uint32)
-        w = 1
-        while w < batch:
-            _xor_rows(block[:w], _gray_offset(directions, w), out=block[w:2 * w])
-            w *= 2
-        points = np.empty_like(block)
-        for start in range(0, 2**_BITS, batch):
-            _xor_rows(block, shift ^ _gray_offset(directions, start), out=points)
-            unit = points.astype(float)
-            unit *= 2.0**-_BITS
-            yield unit
+    # qmc.Sobol scrambles with a spawned child of the generator it is given
+    directions, shift = _scrambled_directions(dim, rng.spawn(1)[0])
+    # row i holds the XOR over gray(i); gray(w + i) = gray(w) ^ gray(i) for i < w = 2^b
+    block = np.zeros((batch, dim), dtype=np.uint32)
+    w = 1
+    while w < batch:
+        _xor_rows(block[:w], _gray_offset(directions, w), out=block[w:2 * w])
+        w *= 2
+    points = np.empty_like(block)
+    for start in range(0, 2**_BITS, batch):
+        _xor_rows(block, shift ^ _gray_offset(directions, start), out=points)
+        unit = points.astype(float)
+        unit *= 2.0**-_BITS
+        yield unit
     raise ConfigError(f"a Sobol stream holds 2^{_BITS} points; this request needs more")
 
 
@@ -169,10 +159,15 @@ def _accepted_blocks(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag:
     keeps, as successive (k, d) blocks of k >= 1 rows in stream order.
 
     `accept=None` keeps every point. The batch size depends on `count` alone;
-    it cannot move a point, since the stream is prefix-stable. The count, seed
-    and tag are checked here, before the first block is drawn.
+    it cannot move a point, since the stream is prefix-stable. The count,
+    dimension, seed and tag are checked here, before the first block is drawn.
     """
     require_whole(count, "sample count", minimum=0)
+    if len(lo) > len(_JOE_KUO) + 1:
+        raise ConfigError(f"a Sobol stream has at most {len(_JOE_KUO) + 1} dimensions, "
+                          f"got {len(lo)}")
+    if count > 2**_BITS:
+        raise ConfigError(f"a Sobol stream holds 2^{_BITS} points, got a sample count of {count}")
     rng = derived_rng(seed, tag)
     batch = 1 << int(np.ceil(np.log2(min(max(count * 1.2, 64), _MAX_BATCH))))
     return _accepted_rows(_sobol_blocks(len(lo), rng, batch), lo, hi, count, accept)
@@ -207,11 +202,18 @@ def _accepted_rows(blocks, lo: np.ndarray, hi: np.ndarray, count: int, accept):
         left -= take
 
 
-def _accepted_stream(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag: int,
-                     accept=None) -> np.ndarray:
-    """The blocks of `_accepted_blocks` gathered into one (count, d) array."""
-    blocks = _accepted_blocks(lo, hi, count, seed, tag, accept)
-    out = np.empty((count, len(lo)))
+def sample_blocks(domain: Domain, count: int, seed: int, tag: int = 0):
+    """`count` quasi-random points in `domain`, in stream order, as successive
+    (k, n) blocks of at most `_MAX_BATCH` rows."""
+    lo, hi = domain.bounding_box()
+    return _accepted_blocks(lo, hi, count, seed, tag,
+                            None if domain.shape == "box" else domain.contains)
+
+
+def sample_domain(domain: Domain, count: int, seed: int, tag: int = 0) -> np.ndarray:
+    """The points of `sample_blocks(domain, count, seed, tag)` as one (count, n) array."""
+    blocks = sample_blocks(domain, count, seed, tag)
+    out = np.empty((count, domain.n))
     got = 0
     for pts in blocks:
         out[got:got + len(pts)] = pts
@@ -219,12 +221,10 @@ def _accepted_stream(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag:
     return out
 
 
-def _domain_args(domain: Domain) -> tuple:
-    lo, hi = domain.bounding_box()
-    return lo, hi, None if domain.shape == "box" else domain.contains
-
-
-def _pair_args(domain_x: Domain, domain_y: Domain) -> tuple:
+def sample_pair_blocks(domain_x: Domain, domain_y: Domain, count: int, seed: int,
+                       tag: int = 0):
+    """`count` joint quasi-random pairs (x, y), rejected into both domains at
+    once, as successive (xs, ys) blocks in stream order."""
     lo_x, hi_x = domain_x.bounding_box()
     lo_y, hi_y = domain_y.bounding_box()
     nx = domain_x.n
@@ -232,35 +232,6 @@ def _pair_args(domain_x: Domain, domain_y: Domain) -> tuple:
     def accept(pts):
         return domain_x.contains(pts[:, :nx]) & domain_y.contains(pts[:, nx:])
 
-    return np.concatenate([lo_x, lo_y]), np.concatenate([hi_x, hi_y]), accept
-
-
-def sample_domain(domain: Domain, count: int, seed: int, tag: int = 0) -> np.ndarray:
-    """`count` quasi-random points in `domain`, in stream order."""
-    lo, hi, accept = _domain_args(domain)
-    return _accepted_stream(lo, hi, count, seed, tag, accept)
-
-
-def sample_blocks(domain: Domain, count: int, seed: int, tag: int = 0):
-    """The points of `sample_domain(domain, count, seed, tag)` as successive
-    (k, n) blocks of at most `_MAX_BATCH` rows, in stream order."""
-    lo, hi, accept = _domain_args(domain)
-    return _accepted_blocks(lo, hi, count, seed, tag, accept)
-
-
-def sample_domain_pairs(domain_x: Domain, domain_y: Domain, count: int, seed: int,
-                        tag: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Joint quasi-random pairs (x, y), rejected into both domains at once."""
-    lo, hi, accept = _pair_args(domain_x, domain_y)
-    pts = _accepted_stream(lo, hi, count, seed, tag, accept)
-    return pts[:, :domain_x.n], pts[:, domain_x.n:]
-
-
-def sample_pair_blocks(domain_x: Domain, domain_y: Domain, count: int, seed: int,
-                       tag: int = 0):
-    """The pairs of `sample_domain_pairs(domain_x, domain_y, count, seed, tag)`
-    as successive (xs, ys) blocks, in stream order."""
-    lo, hi, accept = _pair_args(domain_x, domain_y)
-    nx = domain_x.n
-    return ((pts[:, :nx], pts[:, nx:])
-            for pts in _accepted_blocks(lo, hi, count, seed, tag, accept))
+    blocks = _accepted_blocks(np.concatenate([lo_x, lo_y]), np.concatenate([hi_x, hi_y]),
+                              count, seed, tag, accept)
+    return ((pts[:, :nx], pts[:, nx:]) for pts in blocks)

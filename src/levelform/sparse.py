@@ -226,21 +226,30 @@ def family_from_json_dict(data: dict) -> SparseFamily:
     if not isinstance(data, dict) or data.get("schema") != 1:
         raise ConfigError("unknown sparse family schema")
     try:
-        a, b = (float(x) for x in data["root"])
-        cells, max_depth = int(data["cells"]), int(data["max_depth"])
-        lam, stored = float(data["lam"]), Fraction(*data["eta"])
+        a, b = data["root"]
+        cells, max_depth, lam = data["cells"], data["max_depth"], data["lam"]
+        stored = Fraction(*data["eta"])
         addresses = [tuple(x) for x in data["members"]]
-        depth_exhausted = bool(data["depth_exhausted"])
+        depth_exhausted = data["depth_exhausted"]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed sparse family: {exc!r}") from exc
+    # each field as its JSON type, never coerced; the guards below would take
+    # true and false as numbers
+    fields = {"root start": a, "root end": b, "cells": cells, "lam": lam,
+              "max_depth": max_depth, "depth_exhausted": depth_exhausted}
+    for name, value in fields.items():
+        if isinstance(value, bool) != (name == "depth_exhausted"):
+            raise ConfigError(f"sparse family {name} has the wrong JSON type, got {value!r}")
     a, b = require_interval(a, b, "sparse family root")
-    require_real(lam, "stopping factor", above=2)
+    lam = require_real(lam, "stopping factor", above=2)
+    require_whole(cells, "sparse family cells")
+    require_whole(max_depth, "sparse family max_depth", minimum=0)
     members = []
     for address in addresses:
         if [type(x) for x in address] != [int, int]:
             raise ConfigError(f"dyadic address must be two integers, got {list(address)!r}")
         I = DyadicInterval(*address)
-        if I.generation > max_depth or cells < 1 or cells % (1 << I.generation):
+        if I.generation > max_depth or cells % (1 << I.generation):
             raise ConfigError(f"member {I} lies outside {cells} cells to depth {max_depth}")
         members.append(I)
     if not members or len(set(members)) != len(members):

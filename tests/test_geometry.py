@@ -206,6 +206,21 @@ def test_gamma_profile_rejects_negative():
         lf.GammaProfile(lambda t: t, lo=-1.0, hi=1.0)
 
 
+# intervals that reach past +-1e6 on one side or lie wholly beyond it
+@pytest.mark.parametrize("lo,hi", [(2e6, 3e6), (-3e6, -2e6), (2e6, math.inf),
+                                   (-math.inf, -2e6), (5.0, math.inf), (-math.inf, math.inf)])
+def test_gamma_profile_probes_only_its_interval(lo, hi):
+    probes = []
+
+    def fn(t):
+        probes.append(np.copy(t))
+        return np.sqrt(np.clip(t - lo, 0.0, None) if lo > 0 else np.clip(hi - t, 0.0, None))
+
+    lf.GammaProfile(fn, lo, hi)
+    probe = np.concatenate(probes)
+    assert np.all((probe >= lo) & (probe <= hi)) and len(np.unique(probe)) > 1
+
+
 def test_check_gamma_profile_radial_quadratic():
     # |grad| = 2|x| = 2 sqrt(t); Gamma(t) = sqrt(t) leaves slack sqrt(t)
     phase = lf.radial_quadratic_phase(lf.ball(2))

@@ -1,6 +1,6 @@
 """Every name a package module imports is read in that module, no package
-module relies on an `assert`, and real numbers and finite arrays are each
-checked by one guard."""
+module relies on an `assert`, scipy is imported in one function only, and
+real numbers and finite arrays are each checked by one guard."""
 
 import ast
 import pathlib
@@ -33,6 +33,32 @@ def test_no_assert_statement():
                        if any(isinstance(node, ast.Assert)
                               for node in ast.walk(ast.parse(path.read_text()))))
     assert not asserting, f"assert statements in: {asserting}"
+
+
+def scipy_importers(module, tree):
+    """`module.function` (or `module.<module>`) for each import of scipy in `tree`."""
+    def imports_scipy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        return (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "scipy")
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if imports_scipy(child):
+                yield f"{module}.{owner}"
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child.name if inner else owner)
+
+    return list(visit(tree, "<module>"))
+
+
+def test_scipy_runs_only_in_pullback_norm():
+    # the Sobol streams, the FFT and the PCHIP interpolant run on numpy;
+    # only the adaptive quadrature of `pullback_norm` needs scipy
+    importers = {name for path in sorted(PACKAGE.glob("*.py"))
+                 for name in scipy_importers(path.stem, ast.parse(path.read_text()))}
+    assert importers <= {"reduction.pullback_norm"}, f"scipy imported in: {sorted(importers)}"
 
 
 def raises_on_isfinite(tree):

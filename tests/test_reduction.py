@@ -133,6 +133,13 @@ def sparse_family_64():
                                   lf.bump_mixture(0.0, 1.0, 64, 1), max_depth=3)
 
 
+def tampered_family(**fields):
+    """The JSON form of a small sparse family with `fields` replaced."""
+    return {**lf.family_to_json_dict(lf.build_sparse_greedy(
+        lf.bump_mixture(0.0, 1.0, 8, 0), lf.bump_mixture(0.0, 1.0, 8, 1), max_depth=3)),
+        **fields}
+
+
 MISUSE = {
     "function_norm r=0": lambda: lf.function_norm(BALL2, first_axis, 0.0),
     "function_norm r=nan": lambda: lf.function_norm(BALL2, first_axis, math.nan),
@@ -209,9 +216,19 @@ MISUSE = {
         lf.hilbert_kernel(), [lf.GridFunction1D(0.0, 1.0, np.ones(64))], 0.1,
         jobs=[("bogus", None)]),
     "family_from_json_dict lam=nan": lambda: lf.family_from_json_dict(
-        {**lf.family_to_json_dict(lf.build_sparse_greedy(
-            lf.bump_mixture(0.0, 1.0, 8, 0), lf.bump_mixture(0.0, 1.0, 8, 1), max_depth=3)),
-         "lam": "nan"}),
+        tampered_family(lam="nan")),
+    "family_from_json_dict cells=64.9": lambda: lf.family_from_json_dict(
+        tampered_family(cells=64.9)),
+    "family_from_json_dict cells='64'": lambda: lf.family_from_json_dict(
+        tampered_family(cells="64")),
+    "family_from_json_dict max_depth=3.7": lambda: lf.family_from_json_dict(
+        tampered_family(max_depth=3.7)),
+    "family_from_json_dict depth_exhausted='no'": lambda: lf.family_from_json_dict(
+        tampered_family(depth_exhausted="no")),
+    "family_from_json_dict lam='4'": lambda: lf.family_from_json_dict(
+        tampered_family(lam="4")),
+    "family_from_json_dict root=['0', 1]": lambda: lf.family_from_json_dict(
+        tampered_family(root=["0", 1])),
     "ball radius=None": lambda: lf.ball(2, None),
     "ball radius='1'": lambda: lf.ball(2, "1"),
     "box bound=None": lambda: lf.box([(0.0, None), (0.0, 1.0)]),
@@ -239,13 +256,9 @@ MISUSE = {
         first_axis, first_axis, 2.0, []),
     "ReparamTable infinite knot": lambda: lf.ReparamTable([0.0, 1.0, math.inf], [0.0, 1.0, 2.0]),
     "family_from_json_dict root=[nan, 1]": lambda: lf.family_from_json_dict(
-        {**lf.family_to_json_dict(lf.build_sparse_greedy(
-            lf.bump_mixture(0.0, 1.0, 8, 0), lf.bump_mixture(0.0, 1.0, 8, 1), max_depth=3)),
-         "root": ["nan", 1]}),
+        tampered_family(root=["nan", 1])),
     "family_from_json_dict root=[1, 0]": lambda: lf.family_from_json_dict(
-        {**lf.family_to_json_dict(lf.build_sparse_greedy(
-            lf.bump_mixture(0.0, 1.0, 8, 0), lf.bump_mixture(0.0, 1.0, 8, 1), max_depth=3)),
-         "root": [1, 0]}),
+        tampered_family(root=[1, 0])),
     "GammaProfile NaN profile": lambda: lf.GammaProfile(lambda t: np.full_like(t, math.nan),
                                                         0.0, 1.0),
     "build_sparse_greedy nan value": lambda: lf.build_sparse_greedy(

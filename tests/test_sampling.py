@@ -46,6 +46,13 @@ def oracle_pairs(dx, dy, count, seed, tag=0):
     return pts[:, :nx], pts[:, nx:]
 
 
+def gather_pairs(dx, dy, count, seed, tag=0):
+    """The (xs, ys) blocks of `sampling.sample_pair_blocks`, gathered into two arrays."""
+    blocks = list(sampling.sample_pair_blocks(dx, dy, count, seed, tag))
+    return (np.concatenate([np.empty((0, dx.n)), *(x for x, _ in blocks)]),
+            np.concatenate([np.empty((0, dy.n)), *(y for _, y in blocks)]))
+
+
 domains = st.sampled_from(DOMAINS)
 seeds = st.integers(0, 2 ** 32 - 1)
 tags = st.integers(0, 9)
@@ -70,7 +77,7 @@ def test_sample_domain_matches_oracle_across_batches(count):
 @given(dx=domains, dy=domains, count=st.integers(0, 2000), seed=seeds, tag=tags)
 @settings(max_examples=40, deadline=None)
 def test_sample_domain_pairs_match_single_draw_oracle(dx, dy, count, seed, tag):
-    xs, ys = lf.sample_domain_pairs(dx, dy, count, seed, tag)
+    xs, ys = gather_pairs(dx, dy, count, seed, tag)
     want_x, want_y = oracle_pairs(dx, dy, count, seed, tag)
     assert np.array_equal(xs, want_x)
     assert np.array_equal(ys, want_y)
@@ -93,7 +100,7 @@ def test_negative_counts_rejected(count):
     with pytest.raises(lf.ConfigError):
         lf.sample_domain(lf.box([(0.0, 1.0)]), count, 0)
     with pytest.raises(lf.ConfigError):
-        lf.sample_domain_pairs(lf.ball(2), lf.ball(2), count, 0)
+        gather_pairs(lf.ball(2), lf.ball(2), count, 0)
 
 
 @pytest.mark.parametrize("seed,tag", [(-1, 0), (0, -1)])
@@ -162,9 +169,8 @@ def test_monte_carlo_estimates_share_no_state():
     assert np.array_equal(first.values, again.values)
 
 
-# the numpy Sobol stream against scipy's engine; 33 dimensions take the
-# engine branch itself
-@pytest.mark.parametrize("dim", range(1, 34))
+# the numpy Sobol stream against scipy's engine, in every dimension it serves
+@pytest.mark.parametrize("dim", range(1, 33))
 def test_sobol_blocks_match_scipy_engine(dim):
     for seed, tag in [(0, 0), (7919 * dim, dim % 10), (2 ** 32 - 1, 9)]:
         engine = scipy_sobol(dim, seed, tag)
@@ -177,13 +183,12 @@ def test_sobol_blocks_match_scipy_engine(dim):
             assert got.tobytes() == want.tobytes()
 
 
-@given(dim=st.integers(1, 33), seed=seeds, tag=tags,
+@given(dim=st.integers(1, 32), seed=seeds, tag=tags,
        count=st.integers(0, 5000))
 @settings(max_examples=40, deadline=None)
 def test_accepted_stream_matches_scipy_engine(dim, seed, tag, count):
-    # every point kept: the stream itself, whatever batch size `count` picks
-    lo, hi = np.zeros(dim), np.ones(dim)
-    got = sampling._accepted_stream(lo, hi, count, seed, tag)
+    # every point of the unit box kept: the stream itself, whatever batch size `count` picks
+    got = lf.sample_domain(lf.box([(0.0, 1.0)] * dim), count, seed, tag)
     want = scipy_sobol(dim, seed, tag).random(1 << max(count - 1, 0).bit_length())[:count]
     assert got.tobytes() == want.tobytes()
 
@@ -193,22 +198,9 @@ def test_pair_streams_are_prefix_stable_across_a_batch_edge(k):
     # pairs in ball(2) x ball(2) fill 62% of their box, so k points and the
     # longer request each span many blocks of sampling._MAX_BATCH points
     disk = lf.ball(2)
-    xs, ys = lf.sample_domain_pairs(disk, disk, 3 * 2 ** 17, 5, 1)
-    head_x, head_y = lf.sample_domain_pairs(disk, disk, k, 5, 1)
+    xs, ys = gather_pairs(disk, disk, 3 * 2 ** 17, 5, 1)
+    head_x, head_y = gather_pairs(disk, disk, k, 5, 1)
     assert np.array_equal(xs[:k], head_x) and np.array_equal(ys[:k], head_y)
-
-
-@pytest.mark.parametrize("count", [0, 1, 700, 5000])
-def test_accepted_stream_rejects_on_the_scipy_engine(count):
-    # 33 dimensions take the engine branch; half of the box is rejected, so
-    # 5000 points take two 8192-point blocks
-    lo, hi = np.full(33, -1.0), np.full(33, 2.0)
-
-    def accept(pts):
-        return pts[:, 0] < pts[:, 32]
-
-    got = sampling._accepted_stream(lo, hi, count, 11, 3, accept)
-    assert got.tobytes() == oracle_stream(lo, hi, count, 11, 3, accept).tobytes()
 
 
 def test_block_that_fills_the_request_gives_only_the_rows_needed():
@@ -221,3 +213,38 @@ def test_block_that_fills_the_request_gives_only_the_rows_needed():
     assert per_block[:2].sum() < count < per_block.sum()
     got = lf.sample_domain(domain, count, seed, tag)
     assert np.array_equal(got, oracle_domain(domain, count, seed, tag))
+
+
+def refuse_to_draw(*args):
+    raise AssertionError("a Sobol block was drawn")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lf.sample_domain(lf.box([(0.0, 1.0)] * 33), 8, 0),
+    lambda: sampling.sample_blocks(lf.ball(33), 8, 0),
+    lambda: sampling.sample_pair_blocks(lf.ball(17), lf.ball(16), 8, 0),
+], ids=["sample_domain", "sample_blocks", "sample_pair_blocks"])
+def test_more_than_32_dimensions_are_refused_before_any_block(call, monkeypatch):
+    monkeypatch.setattr(sampling, "_sobol_blocks", refuse_to_draw)
+    with pytest.raises(lf.ConfigError, match="at most 32 dimensions"):
+        call()
+
+
+# 2^30 + 1 points would allocate gigabytes before the stream ran out; 2^30
+# passes the check and reaches the (refusing) stream
+@pytest.mark.parametrize("call", [
+    lambda n: lf.sample_domain(lf.ball(2), n, 0),
+    lambda n: sampling.sample_blocks(lf.ball(2), n, 0),
+    lambda n: sampling.sample_pair_blocks(lf.ball(1), lf.ball(1), n, 0),
+    lambda n: lf.weighted_density_monte_carlo(lf.linear_phase(lf.ball(2)), None,
+                                              lf.LevelGrid(-1.0, 1.0, 4), n, 0),
+    lambda n: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(lf.ball(1)), lf.linear_phase(lf.ball(1)), lf.hilbert_kernel(),
+        lambda p: p[:, 0], lambda p: p[:, 0]), n, 0),
+], ids=["sample_domain", "sample_blocks", "sample_pair_blocks", "monte_carlo", "lhs_direct"])
+def test_counts_past_the_stream_are_refused_before_any_block(call, monkeypatch):
+    monkeypatch.setattr(sampling, "_sobol_blocks", refuse_to_draw)
+    with pytest.raises(lf.ConfigError, match="holds 2\\^30 points"):
+        call(2 ** 30 + 1)
+    with pytest.raises(AssertionError, match="a Sobol block was drawn"):
+        call(2 ** 30)

@@ -364,11 +364,15 @@ def test_family_dict_loads():
     family_dict([[0, 0]], members=[[0, 0], [1]]),
     family_dict([[0, 0]], members=[], eta=[1, 1]),
     family_dict([[0, 0]], root=[0.0]),
+    family_dict([[0, 0]], cells=True),
+    family_dict([[0, 0]], max_depth=False),
+    family_dict([[0, 0]], root=[False, True]),
+    family_dict([[0, 0]], depth_exhausted=0),
     ["not", "a", "family"],
 ], ids=["deeper-than-max-depth", "deeper-than-cells", "no-cells",
         "eta-zero-denominator", "eta-not-a-pair", "missing-members", "missing-cells",
         "missing-eta", "bool-generation", "bool-index", "short-address", "no-members",
-        "short-root", "not-a-dict"])
+        "short-root", "bool-cells", "bool-max-depth", "bool-root", "int-flag", "not-a-dict"])
 def test_json_load_rejects_malformed_family(data):
     with pytest.raises(lf.ConfigError):
         lf.family_from_json_dict(data)

@@ -2,9 +2,10 @@
 
 `weighted_density_monte_carlo` and `lhs_direct` consume the Sobol stream
 block by block. The oracles below are their earlier whole-stream forms: the
-stream drawn as one `sample_domain` or `sample_domain_pairs` array and binned
-by one `bincount`. The two must agree bit for bit, and the streamed forms
-must hold memory that does not grow with the sample count.
+stream drawn as one `sample_domain` array, or one array of pairs gathered
+from `sample_pair_blocks`, and binned by one `bincount`. The two must agree
+bit for bit, and the streamed forms must hold memory that does not grow with
+the sample count.
 
 The weights are pointwise. A weight that is not, such as
 `random_smooth_function` in four or more dimensions, whose matrix product
@@ -45,6 +46,13 @@ def outcome(fn):
         return type(exc)
 
 
+def gather_pairs(dx, dy, count, seed):
+    """The (xs, ys) blocks of `sampling.sample_pair_blocks`, gathered into two arrays."""
+    blocks = list(sampling.sample_pair_blocks(dx, dy, count, seed))
+    return (np.concatenate([np.empty((0, dx.n)), *(x for x, _ in blocks)]),
+            np.concatenate([np.empty((0, dy.n)), *(y for _, y in blocks)]))
+
+
 def whole_stream_monte_carlo(phase, h, grid, sample_count, seed):
     """Values, stderr and atom flag of the histogram over the whole stream at once."""
     require_whole(sample_count, "sample_count")
@@ -76,8 +84,7 @@ def whole_stream_monte_carlo(phase, h, grid, sample_count, seed):
 def whole_stream_lhs(form, sample_count, seed):
     """Value and stderr of the direct left side over the whole pair stream at once."""
     require_whole(sample_count, "sample_count")
-    xs, ys = lf.sample_domain_pairs(form.phase_in.domain, form.phase_out.domain,
-                                    sample_count, seed)
+    xs, ys = gather_pairs(form.phase_in.domain, form.phase_out.domain, sample_count, seed)
     t = geometry._eval_values(form.phase_in, xs)
     s = geometry._eval_values(form.phase_out, ys)
     mask = np.abs(s - t) > form.eps
@@ -150,12 +157,10 @@ def test_blocks_are_the_stream_in_order(domain, count):
     assert all(0 < len(b) <= BATCH for b in blocks)
     whole = lf.sample_domain(domain, count, 9, 2)
     assert np.concatenate([np.empty((0, domain.n)), *blocks]).tobytes() == whole.tobytes()
+    # the pair values are pinned to scipy's engine in tests/test_sampling.py
     pairs = list(sampling.sample_pair_blocks(domain, lf.ball(2), count, 9, 2))
-    xs, ys = lf.sample_domain_pairs(domain, lf.ball(2), count, 9, 2)
-    assert np.concatenate([np.empty((0, domain.n)), *(x for x, _ in pairs)]).tobytes() \
-        == np.ascontiguousarray(xs).tobytes()
-    assert np.concatenate([np.empty((0, 2)), *(y for _, y in pairs)]).tobytes() \
-        == np.ascontiguousarray(ys).tobytes()
+    assert all(0 < len(x) == len(y) <= BATCH for x, y in pairs)
+    assert sum(len(x) for x, _ in pairs) == count
 
 
 def test_monte_carlo_weight_is_called_once_per_block():
