@@ -76,18 +76,22 @@ class UnsupportedPhaseError(LevelformError, ValueError):
 
 
 def require_whole(value, name: str, minimum: int = 1) -> None:
-    """Refuse anything but an integer (Python or numpy) of at least `minimum`."""
+    """Refuse anything but an integer (Python or numpy) of at least `minimum`;
+    `True` and `False` are no numbers here."""
     # `int` first: the abstract Integral check costs ten times more
-    if not (isinstance(value, (int, numbers.Integral)) and value >= minimum):
+    if not (isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
+            and value >= minimum):
         raise ConfigError(f"{name} must be a whole number >= {minimum}, got {value!r}")
 
 
 def require_real(value, name: str, *, above: float | None = None,
                  minimum: float | None = None) -> float:
     """Refuse anything but a finite real (Python or numpy) that is > `above`
-    or >= `minimum` when given; return it as a float."""
+    or >= `minimum` when given; return it as a float. `True` and `False` are
+    no numbers here."""
     # `float` and `int` first: the abstract Real check costs ten times more
-    if not (isinstance(value, (float, int, numbers.Real)) and math.isfinite(value)
+    if not (isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+            and math.isfinite(value)
             and (above is None or value > above) and (minimum is None or value >= minimum)):
         bound = "" if above is None else f" > {above}"
         bound += "" if minimum is None else f" >= {minimum}"

@@ -233,13 +233,11 @@ def family_from_json_dict(data: dict) -> SparseFamily:
         depth_exhausted = data["depth_exhausted"]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed sparse family: {exc!r}") from exc
-    # each field as its JSON type, never coerced; the guards below would take
-    # true and false as numbers
-    fields = {"root start": a, "root end": b, "cells": cells, "lam": lam,
-              "max_depth": max_depth, "depth_exhausted": depth_exhausted}
-    for name, value in fields.items():
-        if isinstance(value, bool) != (name == "depth_exhausted"):
-            raise ConfigError(f"sparse family {name} has the wrong JSON type, got {value!r}")
+    # each field as its JSON type, never coerced; the guards below refuse a
+    # true or false in a numeric field
+    if not isinstance(depth_exhausted, bool):
+        raise ConfigError("sparse family depth_exhausted has the wrong JSON type, "
+                          f"got {depth_exhausted!r}")
     a, b = require_interval(a, b, "sparse family root")
     lam = require_real(lam, "stopping factor", above=2)
     require_whole(cells, "sparse family cells")

@@ -1,9 +1,13 @@
 """Every name a package module imports is read in that module, no package
-module relies on an `assert`, scipy is imported in one function only, and
-real numbers and finite arrays are each checked by one guard."""
+module relies on an `assert`, scipy is imported in one function only,
+importing the package starts no thread, and real numbers and finite arrays
+are each checked by one guard."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "levelform"
 
@@ -59,6 +63,19 @@ def test_scipy_runs_only_in_pullback_norm():
     importers = {name for path in sorted(PACKAGE.glob("*.py"))
                  for name in scipy_importers(path.stem, ast.parse(path.read_text()))}
     assert importers <= {"reduction.pullback_norm"}, f"scipy imported in: {sorted(importers)}"
+
+
+def test_import_starts_no_thread_and_loads_no_executor():
+    # the row-split worker of `random_smooth_function` starts on first use;
+    # concurrent.futures loads logging, which would land in every start-up
+    code = ("import sys, threading, levelform; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "False"]
 
 
 def raises_on_isfinite(tree):

@@ -8,7 +8,8 @@ LevelformError; the one exception is an open end of a `GammaProfile`, which
 may be infinite. The targets come from the signatures, so a new float
 parameter without a row fails `test_every_float_parameter_has_a_row`. Every
 `type=float` option of the command line is swept the same way through
-`cli.entry`. Array arguments get the same sweep with a NaN or an infinite
+`cli.entry`. A bool given as a count, dimension, seed or real is refused
+too. Array arguments get the same sweep with a NaN or an infinite
 element, an empty array, an array of the wrong dimension, ragged nesting,
 and strings; each must raise a ConfigError.
 """
@@ -164,6 +165,25 @@ def test_non_finite_float_option_exits_2(command, option, value, monkeypatch, ca
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# `True` and `False` are Python ints, but no count, dimension, seed or real
+# argument takes them as 1 and 0
+BOOLEAN_CALLS = {
+    "ball n=True": lambda: lf.ball(True),
+    "ball radius=True": lambda: lf.ball(2, True),
+    "sample_domain count=True": lambda: lf.sample_domain(BALL2, True, 0),
+    "sample_domain seed=False": lambda: lf.sample_domain(BALL2, 4, False),
+    "linear_phase axis=False": lambda: lf.linear_phase(BALL2, axis=False),
+    "bump_mixture m=True": lambda: lf.bump_mixture(0.0, 1.0, True, 0),
+    "hard_truncation eps=True": lambda: lf.hard_truncation(KERNEL, F64, True),
+}
+
+
+@pytest.mark.parametrize("call", BOOLEAN_CALLS.values(), ids=BOOLEAN_CALLS)
+def test_booleans_are_not_numbers(call):
+    with pytest.raises(lf.ConfigError):
+        call()
 
 
 # array arguments: a small valid call, the array parameter, and an array of
