@@ -38,10 +38,10 @@ UNIFORM_REGIME = "uniform"
 ATOMIC_REGIME = "atomic"
 # a beta under this reads uniform; a log term must move w by this fraction
 _REGIME_CUT = 0.05
-# calls of fewer rows stay on the caller's thread (a sweep of 2048..32768 rows
-# first won at 4096); a split falls on a multiple of _ROW_BLOCK rows, which
-# keeps every bit of the matrix-vector product in dimensions 1-32, where a
-# split at row 2049 of 4096 moves some from dimension 9 up
+# calls of fewer rows stay on the caller's thread (a sweep of 2048..32768 rows,
+# on ball(2) only, first won at 4096); a split falls on a multiple of
+# _ROW_BLOCK rows, which keeps every bit of the matrix-vector product in
+# dimensions 1-32, where a split at row 2049 of 4096 moves some from dimension 9 up
 _SPLIT_ROWS = 4096
 _ROW_BLOCK = 64
 # the one worker thread of `_split_rows`, started on first use
@@ -464,14 +464,20 @@ def _split_rows(work: Callable, pts: np.ndarray, out: np.ndarray) -> None:
     if len(pts) < _SPLIT_ROWS:
         work(pts, out)
         return
-    if _worker is None:
-        # two callers racing here may each start one; the executor lost is
-        # collected and its thread exits
-        from concurrent.futures import ThreadPoolExecutor
-        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="levelform-rows")
     half = len(pts) // 2 // _ROW_BLOCK * _ROW_BLOCK
     rest = pts[half:], out[half:]
-    fut = _worker.submit(contextvars.copy_context().run, work, *rest)
+    try:
+        if _worker is None:
+            # two callers racing here may each start one; the executor lost is
+            # collected and its thread exits
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="levelform-rows")
+        fut = _worker.submit(contextvars.copy_context().run, work, *rest)
+    except RuntimeError:
+        # once the interpreter begins to shut down (a thread outliving the main
+        # one, an atexit handler) the executor module neither loads nor takes work
+        work(pts, out)
+        return
     work(pts[:half], out[:half])
     if fut.cancel():
         work(*rest)

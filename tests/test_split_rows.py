@@ -10,8 +10,11 @@ runs, or one lost in a fork, costs time and never a result.
 
 import math
 import os
+import pathlib
 import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import warnings
@@ -24,6 +27,8 @@ from hypothesis import strategies as st
 
 import levelform as lf
 from levelform import reduction
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 SPLIT = reduction._SPLIT_ROWS
 ROWS = [0, 1, 63, 64, SPLIT - 1, SPLIT, SPLIT + 1, 2**15 + 1, 65_537]
@@ -127,6 +132,39 @@ def test_a_forked_child_evaluates_without_the_parents_worker():
         os.waitpid(pid, 0)
         pytest.fail("the forked child did not finish within 60 s")
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+# how a call comes after the interpreter has begun to shut down
+LATE_CALLS = {
+    "atexit handler": "atexit.register(call)",
+    "atexit handler, worker started": "fn(pts); atexit.register(call)",
+    "thread outliving the main thread": (
+        "threading.Thread(target=lambda: (main.join(), call())).start()"),
+}
+
+
+@pytest.mark.parametrize("late", sorted(LATE_CALLS))
+def test_a_call_during_interpreter_shutdown_evaluates_serially(late):
+    # the executor module refuses to load or take work once shutdown begins
+    code = textwrap.dedent(f"""
+        import atexit, sys, threading
+        import numpy as np
+        import levelform as lf
+        fn = lf.random_smooth_function(lf.ball(2), 5)
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, ({2 * SPLIT}, 2))
+        main = threading.main_thread()
+        def call():
+            sys.stdout.write(fn(pts).tobytes().hex())
+            sys.stdout.flush()
+        {LATE_CALLS[late]}
+    """)
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (2 * SPLIT, 2))
+    assert done.stdout == oracle_smooth_function(2, 5)(pts).tobytes().hex()
 
 
 def test_the_worker_keeps_the_callers_errstate():
