@@ -105,14 +105,25 @@ def require_interval(lo, hi, name: str) -> tuple[float, float]:
     return lo, require_real(hi, f"{name} end", above=lo)
 
 
+def _holds_bool(values) -> bool:
+    """Whether a nested list or tuple holds a bool (Python or numpy) anywhere."""
+    if isinstance(values, (list, tuple)):
+        return any(_holds_bool(item) for item in values)
+    return isinstance(values, bool) or getattr(values, "dtype", None) == bool
+
+
 def require_finite(values, name: str) -> np.ndarray:
     """Refuse anything but a regular array of finite real or complex numbers;
-    return it as a numpy array."""
+    return it as a numpy array. Booleans are no numbers here, also inside a
+    list that numpy would convert to floats."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
         raise ConfigError(f"{name} must be a regular array, got {values!r}") from None
-    if arr.dtype.kind not in "biufc":
+    # an array's dtype says it all, however long it is; only a list is scanned
+    if arr.dtype.kind == "b" or isinstance(values, (list, tuple)) and _holds_bool(values):
+        raise ConfigError(f"{name} must be numbers, not booleans, got {values!r}")
+    if arr.dtype.kind not in "iufc":
         raise ConfigError(f"{name} must be numbers, got {values!r}")
     bad = ~np.isfinite(arr)
     if np.any(bad):

@@ -58,6 +58,32 @@ def sphere_area(dim: int) -> float:
     return 2 * math.pi ** (dim / 2) / math.gamma(dim / 2)
 
 
+def _column_sq_norms(pts: np.ndarray) -> np.ndarray:
+    """x*x + y*y of an (N, 2) array, column by column at memory speed."""
+    x, y = pts[:, 0], pts[:, 1]
+    sq = x * x
+    sq += y * y
+    return sq
+
+
+def _sq_norms(pts: np.ndarray) -> np.ndarray:
+    """Squared row norms of an (N, d) array, with the bits and the (absent)
+    floating-point errors of `np.einsum("ij,ij->i", pts, pts)`."""
+    if pts.shape[1] != 2:
+        # for d >= 3 einsum's summation order is a SIMD detail
+        return np.einsum("ij,ij->i", pts, pts)
+    with np.errstate(over="ignore", under="ignore"):
+        return _column_sq_norms(pts)
+
+
+def _norms(pts: np.ndarray) -> np.ndarray:
+    """Row norms of an (N, d) array, with the bits and the floating-point
+    errors of `np.linalg.norm(pts, axis=1)`."""
+    if pts.shape[1] != 2:
+        return np.linalg.norm(pts, axis=1)
+    return np.sqrt(_column_sq_norms(pts))
+
+
 # ---------------------------------------------------------------------------
 # domains
 # ---------------------------------------------------------------------------
@@ -99,7 +125,7 @@ class Domain:
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.shape == "ball":
-            return np.einsum("ij,ij->i", pts, pts) <= self.radius ** 2 + _CONTAIN_TOL
+            return _sq_norms(pts) <= self.radius ** 2 + _CONTAIN_TOL
         lo, hi = self.bounding_box()
         return np.all((pts >= lo - _CONTAIN_TOL) & (pts <= hi + _CONTAIN_TOL), axis=1)
 
@@ -352,16 +378,15 @@ def _eval_values(phase: Phase, pts: np.ndarray) -> np.ndarray:
     if k == LINEAR:
         return pts[:, phase.axis].copy()
     if k == RADIAL_QUADRATIC:
-        return np.einsum("ij,ij->i", pts, pts)
+        return _sq_norms(pts)
     if k == RADIAL_POWER:
-        r = np.linalg.norm(pts, axis=1)
-        return r ** phase.gamma
+        return _norms(pts) ** phase.gamma
     if k == SADDLE:
         return pts[:, 0] ** 2 - pts[:, 1] ** 2
     if k == OSCILLATORY:
         return pts[:, 0] + phase.amplitude * np.sin(phase.frequency * pts[:, 1])
     if k == BOUNDARY_REPARAM:
-        d = phase.domain.radius - np.linalg.norm(pts, axis=1)
+        d = phase.domain.radius - _norms(pts)
         return np.asarray(phase.profile(d), dtype=float)
     if k == CUSTOM:
         return np.asarray(phase.fn(pts), dtype=float)
@@ -393,7 +418,7 @@ def _grad_values(phase: Phase, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if k == RADIAL_QUADRATIC:
         return 2.0 * pts, undefined
     if k == RADIAL_POWER:
-        r = np.linalg.norm(pts, axis=1)
+        r = _norms(pts)
         small = r <= SINGULAR_RADIUS
         if phase.gamma < 2:
             undefined = small
@@ -412,7 +437,7 @@ def _grad_values(phase: Phase, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         g[:, 1] = phase.amplitude * phase.frequency * np.cos(phase.frequency * pts[:, 1])
         return g, undefined
     if k == BOUNDARY_REPARAM:
-        r = np.linalg.norm(pts, axis=1)
+        r = _norms(pts)
         undefined = r <= SINGULAR_RADIUS
         d = phase.domain.radius - r
         slope = np.asarray(phase.profile.derivative(d), dtype=float)
@@ -516,7 +541,7 @@ def check_gamma_profile(phase: Phase, profile: GammaProfile, sample_count: int =
     pts = sample_domain(phase.domain, sample_count, seed)
     grads, undefined = _grad_values(phase, pts)
     grads[undefined] = np.nan
-    norms = np.linalg.norm(grads, axis=1)
+    norms = _norms(grads)
     levels = _eval_values(phase, pts)
     usable = np.isfinite(norms) & profile.covers(levels)
     if not np.any(usable):
@@ -623,7 +648,7 @@ def _min_tangential(phase: Phase, pts: np.ndarray, R: float) -> float:
     normals = pts / R
     proj = np.einsum("ij,ij->i", grads, normals)
     tang = grads - proj[:, None] * normals
-    norms = np.linalg.norm(tang, axis=1)
+    norms = _norms(tang)
     norms = norms[np.isfinite(norms)]
     if len(norms) == 0:
         raise EmptyIntersectionError("no usable boundary points for transversality")

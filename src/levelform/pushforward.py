@@ -121,7 +121,7 @@ class RadialFunction:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.asarray(self.profile(np.linalg.norm(pts, axis=1)), dtype=float)
+        return np.asarray(self.profile(geometry._norms(pts)), dtype=float)
 
 
 @dataclass(frozen=True)

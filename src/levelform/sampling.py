@@ -20,8 +20,9 @@ draws, built here in numpy for up to 32 dimensions; more are refused:
   precomputed block XOR one offset.
 
 Each block is mapped onto the box in place, over rows regrouped 64 at a
-time as the XOR is, so that no step loops over only d elements a row; the
-accepted rows are then taken as whole rows, each viewed as one opaque item.
+time as the XOR is, and its accepted rows are gathered by index. A ball in
+two dimensions takes its squared norms by columns (`geometry._sq_norms`),
+so no step loops over d = 2 elements a row; for d >= 3 the norms do.
 The blocks hold at most 2^15 points, so a block stays in cache.
 `sample_blocks` and `sample_pair_blocks` hand the accepted rows on block by
 block, and the Monte Carlo estimators consume them so, in memory that does
@@ -147,12 +148,6 @@ def _sobol_blocks(dim: int, rng: np.random.Generator, batch: int):
     raise ConfigError(f"a Sobol stream holds 2^{_BITS} points; this request needs more")
 
 
-def _as_rows(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous (N, d) array as N opaque items of d values each, so that
-    a selection moves whole rows instead of looping over d elements a row."""
-    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0]
-
-
 def _accepted_blocks(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag: int,
                      accept=None):
     """The first `count` points of the seeded stream on [lo, hi] that `accept`
@@ -189,16 +184,11 @@ def _accepted_rows(blocks, lo: np.ndarray, hi: np.ndarray, count: int, accept):
             take = min(len(pts), left)
             yield pts[:take]
         else:
-            keep = accept(pts)
-            take = int(np.count_nonzero(keep))
-            if take > left:
-                # the block fills the request: cut the mask after the last row needed
-                take = left
-                keep = keep[:np.flatnonzero(keep)[take - 1] + 1]
+            # the first `left` accepted rows at most, gathered by index
+            rows = np.flatnonzero(accept(pts))[:left]
+            take = len(rows)
             if take:
-                rows = np.empty((take, dim))
-                np.compress(keep, _as_rows(pts), out=_as_rows(rows))
-                yield rows
+                yield np.take(pts, rows, axis=0)
         left -= take
 
 

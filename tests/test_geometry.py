@@ -39,6 +39,53 @@ def test_domain_volume_and_containment():
     assert not bx.contains([[0.5, 3.1]])[0]
 
 
+def row_blocks(dim, rows, seed, exponent):
+    """Rows of `dim` values at scale 10^exponent: contiguous, and the two
+    column halves of a (rows, 2 dim) pair block, as the pair sampler yields."""
+    rng = np.random.default_rng(seed)
+    pair = rng.uniform(-1.0, 1.0, (rows, 2 * dim)) * 10.0 ** exponent
+    return {"contiguous": np.ascontiguousarray(pair[:, :dim]),
+            "left half": pair[:, :dim], "right half": pair[:, dim:]}
+
+
+def outcome(norms, pts):
+    """The int64 view of `norms(pts)` with floating-point errors ignored, and
+    the error `norms(pts)` raises, if any, when every one raises."""
+    with np.errstate(all="ignore"):
+        bits = norms(pts).view(np.int64).tolist()
+    with np.errstate(all="raise"):
+        try:
+            norms(pts)
+            error = None
+        except FloatingPointError:
+            error = "FloatingPointError"
+    return bits, error
+
+
+def assert_helpers_match(pts, label):
+    sq_norms = outcome(lambda p: np.einsum("ij,ij->i", p, p), pts)
+    assert outcome(geometry._sq_norms, pts) == sq_norms, label
+    assert outcome(geometry._norms, pts) == outcome(lambda p: np.linalg.norm(p, axis=1), pts), label
+
+
+# the exponents reach squares that underflow to subnormals and zero, or overflow
+@given(dim=st.integers(1, 32), rows=st.integers(0, 300), seed=st.integers(0, 2**16),
+       exponent=st.sampled_from([0, -80, -160, -170, 150, 160, 170]))
+@settings(max_examples=150, deadline=None)
+def test_norm_helpers_keep_the_bits_of_einsum_and_linalg_norm(dim, rows, seed, exponent):
+    # the column form for two columns follows numpy's kernels, so a numpy
+    # upgrade that breaks the equality fails here
+    for layout, pts in row_blocks(dim, rows, seed, exponent).items():
+        assert_helpers_match(pts, layout)
+
+
+def test_norm_helpers_keep_the_bits_of_a_full_sobol_block():
+    # one 2^15-row block, the size the samplers hand on, in every dimension
+    for dim in range(1, 33):
+        for layout, pts in row_blocks(dim, 2**15, dim, 0).items():
+            assert_helpers_match(pts, (dim, layout))
+
+
 def test_bad_domains_rejected():
     with pytest.raises(lf.ConfigError):
         lf.ball(0)

@@ -1,7 +1,7 @@
 """Every name a package module imports is read in that module, no package
 module relies on an `assert`, scipy is imported in one function only,
-importing the package starts no thread, and real numbers and finite arrays
-are each checked by one guard."""
+importing the package starts no thread, real numbers and finite arrays are
+each checked by one guard, and row norms are taken by one pair of helpers."""
 
 import ast
 import os
@@ -130,3 +130,34 @@ def test_array_guard_lives_in_errors():
                     if path.name != "errors.py"
                     and (lines := refuses_on_array_isfinite(ast.parse(path.read_text())))}
     assert not hand_written, f"hand-written array finiteness checks: {hand_written}"
+
+
+def row_norm_calls(module, tree):
+    """`module.function:line` of each `np.einsum("ij,ij->i", x, x)` and each
+    `np.linalg.norm(..., axis=1)` in `tree`."""
+    def is_row_norm(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func, args = ast.unparse(node.func), [ast.unparse(arg) for arg in node.args]
+        if func == "np.einsum":
+            return args[:1] == ["'ij,ij->i'"] and len(args) == 3 and args[1] == args[2]
+        axis = args[2:3] + [ast.unparse(k.value) for k in node.keywords if k.arg == "axis"]
+        return func == "np.linalg.norm" and axis in (["1"], ["-1"])
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if is_row_norm(child):
+                yield f"{module}.{owner}:{child.lineno}"
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child.name if inner else owner)
+
+    return list(visit(tree, "<module>"))
+
+
+def test_row_norms_live_in_two_helpers():
+    # `geometry._sq_norms` and `_norms` take two columns by columns with the
+    # bits of einsum and `np.linalg.norm`; a call around them misses that
+    calls = [call for path in sorted(PACKAGE.glob("*.py"))
+             for call in row_norm_calls(path.stem, ast.parse(path.read_text()))]
+    owners = [call.split(":")[0] for call in calls]
+    assert owners == ["geometry._sq_norms", "geometry._norms"], f"row norms at: {calls}"

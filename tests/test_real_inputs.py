@@ -2,8 +2,8 @@
 
 One row per exported function and input class that has a parameter annotated
 `float` or a sequence of floats: a small valid call, into whose float
-parameters NaN, +-inf, None and a numeric string are put in turn, one slot at
-a time (each element of a sequence). Each such call must raise a
+parameters NaN, +-inf, None, a numeric string and `True` are put in turn, one
+slot at a time (each element of a sequence). Each such call must raise a
 LevelformError; the one exception is an open end of a `GammaProfile`, which
 may be infinite. The targets come from the signatures, so a new float
 parameter without a row fails `test_every_float_parameter_has_a_row`. Every
@@ -11,7 +11,7 @@ parameter without a row fails `test_every_float_parameter_has_a_row`. Every
 `cli.entry`. A bool given as a count, dimension, seed or real is refused
 too. Array arguments get the same sweep with a NaN or an infinite
 element, an empty array, an array of the wrong dimension, ragged nesting,
-and strings; each must raise a ConfigError.
+strings and booleans; each must raise a ConfigError.
 """
 
 import argparse
@@ -28,7 +28,8 @@ from levelform import cli
 # results, built by the package, not read from a caller
 RESULT_TYPES = {"Estimate", "CriticalProfile", "IntegrabilityScan", "WindowVerdict",
                 "SparseFamily", "DensityEstimate", "Phase"}
-BAD = [math.nan, math.inf, -math.inf, None, "1"]
+# `True` would reach numpy as 1.0 inside a sequence such as box bounds
+BAD = [math.nan, math.inf, -math.inf, None, "1", True]
 
 BALL2 = lf.ball(2)
 LINEAR = lf.linear_phase(BALL2)
@@ -213,6 +214,7 @@ def array_cases():
                 "-inf": with_first(valid, -math.inf), "empty": [],
                 "wrong dimension": wrong_dimension,
                 "numeric strings": np.asarray(valid, dtype=float).astype(str),
+                "booleans": np.ones(np.shape(valid), dtype=bool),
                 "a string": "a", "ragged": [list(np.ravel(valid)), [0.0]]}
         for label, bad in bads.items():
             yield pytest.param(name, {**kwargs, param: bad}, id=f"{name}-{param}-{label}")
