@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the whole-number,
-real-number and finite-array guards."""
+real-number, finite-array and one-value-per-point guards."""
 
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -75,13 +76,17 @@ class UnsupportedPhaseError(LevelformError, ValueError):
     """Operation not defined for this phase kind."""
 
 
+# A refusal shows its input through `reprlib`, cut to a few items a level and
+# six levels deep, so that a long or deeply nested input still gets its refusal
+# and not a RecursionError from `repr`.
+
 def require_whole(value, name: str, minimum: int = 1) -> None:
     """Refuse anything but an integer (Python or numpy) of at least `minimum`;
     `True` and `False` are no numbers here."""
     # `int` first: the abstract Integral check costs ten times more
     if not (isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
             and value >= minimum):
-        raise ConfigError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+        raise ConfigError(f"{name} must be a whole number >= {minimum}, got {reprlib.repr(value)}")
 
 
 def require_real(value, name: str, *, above: float | None = None,
@@ -95,7 +100,7 @@ def require_real(value, name: str, *, above: float | None = None,
             and (above is None or value > above) and (minimum is None or value >= minimum)):
         bound = "" if above is None else f" > {above}"
         bound += "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{name} must be a finite real number{bound}, got {value!r}")
+        raise ConfigError(f"{name} must be a finite real number{bound}, got {reprlib.repr(value)}")
     return float(value)
 
 
@@ -119,13 +124,24 @@ def require_finite(values, name: str) -> np.ndarray:
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
-        raise ConfigError(f"{name} must be a regular array, got {values!r}") from None
+        raise ConfigError(f"{name} must be a regular array, got {reprlib.repr(values)}") from None
     # an array's dtype says it all, however long it is; only a list is scanned
     if arr.dtype.kind == "b" or isinstance(values, (list, tuple)) and _holds_bool(values):
-        raise ConfigError(f"{name} must be numbers, not booleans, got {values!r}")
+        raise ConfigError(f"{name} must be numbers, not booleans, got {reprlib.repr(values)}")
     if arr.dtype.kind not in "iufc":
-        raise ConfigError(f"{name} must be numbers, got {values!r}")
+        raise ConfigError(f"{name} must be numbers, got {reprlib.repr(values)}")
     bad = ~np.isfinite(arr)
     if np.any(bad):
         raise ConfigError(f"{name} must be finite, got {arr[bad][0].item()!r}")
+    return arr
+
+
+def require_per_point(values, count: int, what: str = "a weight") -> np.ndarray:
+    """Refuse anything but one value per point, for `count` points; return the
+    values as floats. numpy would broadcast a scalar or a (count, 1) column
+    silently, or into a (count, count) product."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (count,):
+        raise ConfigError(f"{what} must give one value per point, got shape "
+                          f"{arr.shape} for {count} points")
     return arr

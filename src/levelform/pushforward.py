@@ -23,6 +23,7 @@ from .errors import (
     NoParametrizationError,
     require_finite,
     require_interval,
+    require_per_point,
     require_real,
     require_whole,
 )
@@ -274,8 +275,10 @@ def _in_blocks(count: int, nodes: int, block) -> np.ndarray:
 
 
 def _weigh(h, pts: np.ndarray) -> np.ndarray:
-    """One call of h on a block of fiber points (..., n), shaped like the block."""
-    return _weight_values(h(pts.reshape(-1, pts.shape[-1]))).reshape(pts.shape[:-1])
+    """One call of h on a block of fiber points (..., n), one value a point,
+    shaped like the block."""
+    flat = pts.reshape(-1, pts.shape[-1])
+    return _weight_values(require_per_point(h(flat), len(flat))).reshape(pts.shape[:-1])
 
 
 # Per-level scalars (radii, slopes, section sizes) are Python floats, as a
@@ -471,10 +474,8 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
         else:
             # added point by point in stream order, as one whole-stream bincount
             # would; summing per-block bincounts would reassociate the sums
-            w = _weight_values(h(pts))
-            if w.shape != idx.shape:  # np.add.at would broadcast it
-                raise ConfigError(f"a weight must give one value per point, got shape "
-                                  f"{w.shape} for {len(pts)} points")
+            # np.add.at would broadcast any other shape
+            w = _weight_values(require_per_point(h(pts), len(pts)))
             np.add.at(sums, idx, w)
             np.add.at(sumsq, idx, w ** 2)
     n = sample_count

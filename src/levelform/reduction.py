@@ -24,7 +24,7 @@ import numpy as np
 from . import geometry
 from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
                      PhaseNotUniformError, UnsupportedPhaseError, require_finite,
-                     require_real, require_whole)
+                     require_per_point, require_real, require_whole)
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
 from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, DensityEstimate, LevelGrid,
@@ -79,8 +79,12 @@ class SynchronizedForm:
 def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
                seed: int = 0) -> Estimate:
     """Direct quasi Monte Carlo evaluation over the product of the domains,
-    block by block in stream order; f and g are called once per block of
-    kept pairs, so they must be pointwise."""
+    block by block in stream order. The pairs whose levels differ by more
+    than eps are found once a block, as an index, and gathered by it (`take`);
+    f and g are called once per block on fresh (k, n) arrays of those pairs'
+    points, so they must be pointwise. The kernel, f and g must each give one
+    value per kept pair; any other shape raises ConfigError before a product
+    is formed."""
     require_whole(sample_count, "sample_count")
     # refuses an impossible count before the values below are allocated
     blocks = sample_pair_blocks(form.phase_in.domain, form.phase_out.domain, sample_count, seed)
@@ -91,12 +95,15 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
         # sampled points lie in their domains, so only the phase values need a check
         t = require_finite(geometry._eval_values(form.phase_in, xs), "phase values")
         s = require_finite(geometry._eval_values(form.phase_out, ys), "phase values")
-        mask = np.abs(s - t) > form.eps
-        if np.any(mask):
-            kv = np.asarray(form.kernel.evaluate(s[mask], t[mask]), dtype=float)
-            fv = require_finite(np.asarray(form.f(xs[mask]), dtype=float), "f values")
-            gv = require_finite(np.asarray(form.g(ys[mask]), dtype=float), "g values")
-            vals[got:got + len(xs)][mask] = kv * fv * gv
+        keep = np.flatnonzero(np.abs(s - t) > form.eps)
+        if len(keep):
+            kv = require_per_point(form.kernel.evaluate(s.take(keep), t.take(keep)),
+                                   len(keep), "a kernel")
+            fv = require_finite(require_per_point(form.f(xs.take(keep, axis=0)), len(keep)),
+                                "f values")
+            gv = require_finite(require_per_point(form.g(ys.take(keep, axis=0)), len(keep)),
+                                "g values")
+            vals[got + keep] = kv * fv * gv
         got += len(xs)
     scale = form.phase_in.domain.volume() * form.phase_out.domain.volume()
     value = float(np.mean(vals)) * scale

@@ -1,7 +1,8 @@
 """Every name a package module imports is read in that module, no package
 module relies on an `assert`, scipy is imported in one function only,
 importing the package starts no thread, real numbers and finite arrays are
-each checked by one guard, and row norms are taken by one pair of helpers."""
+each checked by one guard, row norms are taken by one pair of helpers, and
+`lhs_direct` gathers by index, not through a boolean mask."""
 
 import ast
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "levelform"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def unused_imports(text):
@@ -161,3 +163,31 @@ def test_row_norms_live_in_two_helpers():
              for call in row_norm_calls(path.stem, ast.parse(path.read_text()))]
     owners = [call.split(":")[0] for call in calls]
     assert owners == ["geometry._sq_norms", "geometry._norms"], f"row norms at: {calls}"
+
+
+def mask_subscripts(tree, function):
+    """`function:line` of each subscript inside `function` whose index is a
+    comparison, or a name bound to one: a boolean-mask gather or store."""
+    [func] = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    masks = {target.id for node in ast.walk(func)
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Compare)
+             for target in node.targets if isinstance(target, ast.Name)}
+    return [f"{function}:{node.lineno}" for node in ast.walk(func)
+            if isinstance(node, ast.Subscript)
+            and (isinstance(node.slice, ast.Compare)
+                 or isinstance(node.slice, ast.Name) and node.slice.id in masks)]
+
+
+def test_lhs_direct_gathers_by_index():
+    # each boolean-mask gather or store walks the whole block again; the kept
+    # pairs are found once, as an index, and gathered by `take`
+    found = mask_subscripts(ast.parse((PACKAGE / "reduction.py").read_text()), "lhs_direct")
+    assert not found, f"boolean-mask subscripts in lhs_direct: {found}"
+
+
+def test_mask_guard_flags_the_boolean_mask_form():
+    # the oracle in test_lhs_gather.py is the boolean-mask loop lhs_direct replaced:
+    # four gathers and one store
+    tree = ast.parse((TESTS / "test_lhs_gather.py").read_text())
+    assert len(mask_subscripts(tree, "oracle_lhs_direct")) == 5

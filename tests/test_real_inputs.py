@@ -11,7 +11,9 @@ parameter without a row fails `test_every_float_parameter_has_a_row`. Every
 `cli.entry`. A bool given as a count, dimension, seed or real is refused
 too. Array arguments get the same sweep with a NaN or an infinite
 element, an empty array, an array of the wrong dimension, ragged nesting,
-strings and booleans; each must raise a ConfigError.
+strings, booleans and a list nested 3,000 deep; each must raise a
+ConfigError. So must a 3,000-deep list given as a real or a count: the
+refusal's text shows such an input cut short, not by a recursive `repr`.
 """
 
 import argparse
@@ -201,6 +203,14 @@ ARRAY_ROWS = {
 }
 
 
+def nested(depth):
+    """[[...[0.0]...]], `depth` lists deep; numpy refuses more than 64 dimensions."""
+    out = [0.0]
+    for _ in range(depth - 1):
+        out = [out]
+    return out
+
+
 def with_first(array, value):
     out = np.array(array, dtype=float)
     out.flat[0] = value
@@ -215,7 +225,8 @@ def array_cases():
                 "wrong dimension": wrong_dimension,
                 "numeric strings": np.asarray(valid, dtype=float).astype(str),
                 "booleans": np.ones(np.shape(valid), dtype=bool),
-                "a string": "a", "ragged": [list(np.ravel(valid)), [0.0]]}
+                "a string": "a", "ragged": [list(np.ravel(valid)), [0.0]],
+                "nested 3,000 deep": nested(3_000)}
         for label, bad in bads.items():
             yield pytest.param(name, {**kwargs, param: bad}, id=f"{name}-{param}-{label}")
 
@@ -229,3 +240,16 @@ def test_array_base_call_is_valid(name):
 def test_bad_array_input_is_refused(name, call):
     with pytest.raises(lf.ConfigError):
         getattr(lf, name)(**call)
+
+
+DEEP_NUMBER_CALLS = {
+    "ball radius": lambda: lf.ball(2, nested(3_000)),
+    "ball dimension": lambda: lf.ball(nested(3_000)),
+    "GridFunction1D b": lambda: lf.GridFunction1D(0.0, nested(3_000), np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("call", DEEP_NUMBER_CALLS.values(), ids=DEEP_NUMBER_CALLS)
+def test_a_deeply_nested_list_is_refused_as_a_number(call):
+    with pytest.raises(lf.ConfigError, match=r"got \[+\.\.\.\]+$"):
+        call()

@@ -277,6 +277,36 @@ MISUSE = {
     "lhs_direct NaN f": lambda: lf.lhs_direct(lf.SynchronizedForm(
         lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
         nan_everywhere, first_axis), sample_count=64),
+    "lhs_direct f of one value": lambda: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
+        lambda p: 1.0, first_axis), sample_count=64),
+    "lhs_direct f of shape (k, 1)": lambda: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
+        lambda p: p[:, :1], first_axis), sample_count=64),
+    "lhs_direct f one value short": lambda: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
+        lambda p: p[1:, 0], first_axis), sample_count=64),
+    "lhs_direct g of one value": lambda: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
+        first_axis, lambda p: 1.0), sample_count=64),
+    "lhs_direct g of shape (k, 1)": lambda: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
+        first_axis, lambda p: p[:, 1:]), sample_count=64),
+    "lhs_direct kernel of one value": lambda: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2),
+        lf.Kernel1D(evaluate=lambda s, t: 1.0), first_axis, first_axis), sample_count=64),
+    "lhs_direct kernel of shape (k, 1)": lambda: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2),
+        lf.Kernel1D(evaluate=lambda s, t: (s - t)[:, None]), first_axis, first_axis),
+        sample_count=64),
+    "coarea weight of one value": lambda: lf.weighted_density_coarea(
+        lf.linear_phase(BALL2), lambda p: 1.0, 0.1),
+    "coarea weight of shape (k, 1)": lambda: lf.weighted_density_coarea(
+        lf.linear_phase(BALL2), lambda p: p[:, :1], 0.1),
+    "coarea weight one value short": lambda: lf.weighted_density_coarea(
+        lf.linear_phase(BALL2), lambda p: p[1:, 0], 0.1),
+    "coarea weight of shape (k, 1) on circles": lambda: lf.weighted_density_coarea(
+        lf.radial_quadratic_phase(BALL2), lambda p: p[:, :1], 0.5),
     "monte_carlo NaN weight": lambda: lf.density_on_grid(
         lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
         sample_count=100, h=nan_everywhere),
