@@ -5,17 +5,22 @@ over the level set: catalog closed forms, fiber quadrature on the catalog
 parametrization, and seeded quasi-Monte Carlo histograms. Each route has one
 estimator, of the density w_{theta,h} weighted by an integrand h along the
 fiber (`h=None` is the plain density); the fiber r-norm is derived from them.
+The Monte Carlo route reads its Sobol stream one block ahead, the next block
+drawn on the package's one worker thread while the caller bins this one; the
+weight is called on the caller's thread only.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import geometry
+from ._overlap import lookahead
 from .errors import (
     ConfigError,
     CriticalValueError,
@@ -257,6 +262,14 @@ def _weight_values(values) -> np.ndarray:
     return require_finite(np.asarray(values, dtype=float), "weight values")
 
 
+def _profile_values(h, x: np.ndarray) -> np.ndarray:
+    """The profile of a fiber-constant weight at the radii or levels `x`,
+    called on them flattened; it must give one finite value each."""
+    flat = x.reshape(-1)
+    return _weight_values(require_per_point(h.profile(flat), len(flat), "a weight profile")
+                          ).reshape(x.shape)
+
+
 # most fiber points handed to a weight in one call; keeps a block's memory flat.
 # At 1 << 16 a block's arrays can sit above glibc's mmap threshold, and then
 # every block is mapped and faulted in afresh.
@@ -345,7 +358,7 @@ def _radial_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
     if h is None:
         out[on] = area / slope
     elif isinstance(h, RadialFunction):
-        out[on] = area * _weight_values(h.profile(r)) / slope
+        out[on] = area * _profile_values(h, r) / slope
     else:
         raise NoParametrizationError("radial fibers in n >= 3 support only radial weights")
     return out
@@ -365,7 +378,7 @@ def _linear_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
     if h is None:
         return section
     if isinstance(h, LevelFunction) and h.axis == axis:
-        return section * _weight_values(h.profile(tt))
+        return section * _profile_values(h, tt)
     mid = np.arange(fiber_nodes) + 0.5
     if n == 2:
         other = 1 - axis
@@ -451,33 +464,38 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
     from one seeded stream. `h=None` gives the plain density with binomial
     stderr and the atom flag; a weight gives the sample stderr of its bins.
 
-    The stream is binned block by block, in stream order. A weight must be
-    pointwise, because it is called once per block of sampled points.
+    The stream is binned block by block, in stream order, and read one block
+    ahead: the worker thread draws the next block while the caller bins and
+    weighs this one (`_overlap.lookahead`). A weight must be pointwise,
+    because it is called once per block of sampled points, always on the
+    caller's thread.
     """
     require_whole(sample_count, "sample_count")
     bins = grid.bin_count
     # one past the bin index; 0 and bins + 1 collect the levels below and above the grid
     counts = np.zeros(bins + 2, dtype=np.intp)
     sums, sumsq = np.zeros(bins + 2), np.zeros(bins + 2)
-    for pts in sample_blocks(phase.domain, sample_count, seed):
-        levels = require_finite(geometry._eval_values(phase, pts), "phase values")
-        idx = levels - grid.t_min
-        idx /= grid.width
-        np.floor(idx, out=idx)
-        np.clip(idx, -1, bins, out=idx)
-        idx += 1
-        # right edge belongs to the last bin
-        idx[levels == grid.t_max] = bins
-        idx = idx.astype(np.intp)
-        if h is None:
-            counts += np.bincount(idx, minlength=bins + 2)
-        else:
-            # added point by point in stream order, as one whole-stream bincount
-            # would; summing per-block bincounts would reassociate the sums
-            # np.add.at would broadcast any other shape
-            w = _weight_values(require_per_point(h(pts), len(pts)))
-            np.add.at(sums, idx, w)
-            np.add.at(sumsq, idx, w ** 2)
+    # closed on the way out, an error's too, so that no draw outlives the call
+    with closing(lookahead(sample_blocks(phase.domain, sample_count, seed))) as blocks:
+        for pts in blocks:
+            levels = require_finite(geometry._eval_values(phase, pts), "phase values")
+            idx = levels - grid.t_min
+            idx /= grid.width
+            np.floor(idx, out=idx)
+            np.clip(idx, -1, bins, out=idx)
+            idx += 1
+            # right edge belongs to the last bin
+            idx[levels == grid.t_max] = bins
+            idx = idx.astype(np.intp)
+            if h is None:
+                counts += np.bincount(idx, minlength=bins + 2)
+            else:
+                # added point by point in stream order, as one whole-stream bincount
+                # would; summing per-block bincounts would reassociate the sums
+                # np.add.at would broadcast any other shape
+                w = _weight_values(require_per_point(h(pts), len(pts)))
+                np.add.at(sums, idx, w)
+                np.add.at(sumsq, idx, w ** 2)
     n = sample_count
     if h is None:
         mean = counts[1:-1] / n
@@ -509,10 +527,10 @@ def weighted_density_closed_form(phase: Phase, h, t) -> float | np.ndarray:
     if h is None:
         vals = base
     elif isinstance(h, LevelFunction) and phase.kind == geometry.LINEAR and h.axis == phase.axis:
-        vals = base * _weight_values(h.profile(tt))
+        vals = base * _profile_values(h, tt)
     elif isinstance(h, RadialFunction) and phase.kind in _RADIAL_CLOSED:
         rr = _radius_of_level(phase, tt)
-        vals = base * _weight_values(h.profile(rr))
+        vals = base * _profile_values(h, rr)
     else:
         raise NoClosedFormError(
             "closed-form weighted densities need a fiber-constant weight")

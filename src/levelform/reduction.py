@@ -13,15 +13,14 @@ endpoint integrability, and checks the uniform-regime budget.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import geometry
+from ._overlap import _split_rows
 from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
                      PhaseNotUniformError, UnsupportedPhaseError, require_finite,
                      require_per_point, require_real, require_whole)
@@ -38,14 +37,6 @@ UNIFORM_REGIME = "uniform"
 ATOMIC_REGIME = "atomic"
 # a beta under this reads uniform; a log term must move w by this fraction
 _REGIME_CUT = 0.05
-# calls of fewer rows stay on the caller's thread (a sweep of 2048..32768 rows,
-# on ball(2) only, first won at 4096); a split falls on a multiple of
-# _ROW_BLOCK rows, which keeps every bit of the matrix-vector product in
-# dimensions 1-32, where a split at row 2049 of 4096 moves some from dimension 9 up
-_SPLIT_ROWS = 4096
-_ROW_BLOCK = 64
-# the one worker thread of `_split_rows`, started on first use
-_worker = None
 
 
 @dataclass(frozen=True)
@@ -447,56 +438,11 @@ def uniform_bound_check(phase_in: Phase, phase_out: Phase, kernel: Kernel1D,
                          sup_out=sup_out, norm_f=norm_f, norm_g=norm_g)
 
 
-def _forget_worker() -> None:
-    # a forked child has no worker thread; it starts its own on first use
-    global _worker
-    _worker = None
-
-
-if hasattr(os, "register_at_fork"):  # there is no fork to follow without it
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _split_rows(work: Callable, pts: np.ndarray, out: np.ndarray) -> None:
-    """`work(rows, out_rows)` over the rows of `pts`, the second half on the
-    worker thread when there are at least _SPLIT_ROWS rows.
-
-    The caller takes the second half back when the worker has not started on
-    it by the time the first half is done, so a worker held up elsewhere, or
-    lost in a fork, never makes the caller wait. `work` must write only its
-    own rows of `out`, and the worker runs it in the caller's context (numpy's
-    errstate).
-    """
-    global _worker
-    if len(pts) < _SPLIT_ROWS:
-        work(pts, out)
-        return
-    half = len(pts) // 2 // _ROW_BLOCK * _ROW_BLOCK
-    rest = pts[half:], out[half:]
-    try:
-        if _worker is None:
-            # two callers racing here may each start one; the executor lost is
-            # collected and its thread exits
-            from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="levelform-rows")
-        fut = _worker.submit(contextvars.copy_context().run, work, *rest)
-    except RuntimeError:
-        # once the interpreter begins to shut down (a thread outliving the main
-        # one, an atexit handler) the executor module neither loads nor takes work
-        work(pts, out)
-        return
-    work(pts[:half], out[:half])
-    if fut.cancel():
-        work(*rest)
-    else:
-        fut.result()
-
-
 def random_smooth_function(domain: Domain, seed: int, *, tag: int = 0) -> Callable:
     """Random low-frequency trigonometric polynomial of three waves on the domain.
 
-    A call of at least _SPLIT_ROWS points is evaluated on two threads, with
-    the bits of one serial evaluation.
+    A call of at least `_overlap._SPLIT_ROWS` points is evaluated on two
+    threads where two CPUs are usable, with the bits of one serial evaluation.
     """
     rng = derived_rng(seed, 1000 + tag)
     amps = rng.standard_normal(3)

@@ -27,7 +27,11 @@ The blocks hold at most 2^15 points, so a block stays in cache.
 `sample_blocks` and `sample_pair_blocks` hand the accepted rows on block by
 block, and the Monte Carlo estimators consume them so, in memory that does
 not grow with the sample count; `sample_domain` gathers the blocks of
-`sample_blocks` into one array.
+`sample_blocks` into one array. A block handed on is an array no later draw
+writes to, so the Monte Carlo histogram can draw the next block of
+`sample_blocks` on a worker thread while it bins this one
+(`_overlap.lookahead`); a draw calls no public function of this module or
+of `geometry`, so it runs nothing an outside tracer wraps.
 """
 
 from __future__ import annotations

@@ -140,6 +140,8 @@ def tampered_family(**fields):
         **fields}
 
 
+# three levels inside the image of every phase the misuse rows use
+THREE_LEVELS = np.array([0.2, 0.4, 0.6])
 MISUSE = {
     "function_norm r=0": lambda: lf.function_norm(BALL2, first_axis, 0.0),
     "function_norm r=nan": lambda: lf.function_norm(BALL2, first_axis, math.nan),
@@ -325,6 +327,15 @@ MISUSE = {
         lf.linear_phase(BALL2), nan_everywhere, 0.1),
     "closed form NaN RadialFunction profile": lambda: lf.weighted_density_closed_form(
         lf.radial_quadratic_phase(BALL2), lf.RadialFunction(nan_everywhere), 0.5),
+    "closed form RadialFunction profile of shape (k, 1)": lambda: lf.weighted_density_closed_form(
+        lf.radial_quadratic_phase(BALL2), lf.RadialFunction(lambda r: r[:, None]), THREE_LEVELS),
+    "closed form LevelFunction profile of shape (k, 1)": lambda: lf.weighted_density_closed_form(
+        lf.linear_phase(BALL2), lf.LevelFunction(lambda t: t[:, None]), THREE_LEVELS),
+    "coarea LevelFunction profile of one value": lambda: lf.weighted_density_coarea(
+        lf.linear_phase(BALL2), lf.LevelFunction(lambda t: 1.0), THREE_LEVELS),
+    "coarea RadialFunction profile of shape (k, 1) on spheres": lambda: lf.weighted_density_coarea(
+        lf.radial_quadratic_phase(lf.ball(3)), lf.RadialFunction(lambda r: r[:, None]),
+        THREE_LEVELS),
     "GridFunction1D.norm nan written after construction": lambda: nan_written().norm(),
     "sparse_form nan written into F": lambda: lf.sparse_form(
         sparse_family_64(), nan_written(0), lf.bump_mixture(0.0, 1.0, 64, 1)),

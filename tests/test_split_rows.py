@@ -1,6 +1,6 @@
 """`random_smooth_function` on two threads against its serial form.
 
-A call of at least `reduction._SPLIT_ROWS` points hands the second half of
+A call of at least `_overlap._SPLIT_ROWS` points hands the second half of
 its rows, split on a multiple of 64, to one worker thread. The oracle below
 is the serial form it replaced, one whole-array expression per wave; the two
 must agree bit for bit in every dimension the Sobol streams reach. The
@@ -26,12 +26,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levelform as lf
-from levelform import reduction
+from levelform import _overlap
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-SPLIT = reduction._SPLIT_ROWS
+SPLIT = _overlap._SPLIT_ROWS
 ROWS = [0, 1, 63, 64, SPLIT - 1, SPLIT, SPLIT + 1, 2**15 + 1, 65_537]
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    # the split runs only where two CPUs are usable; these tests check it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def oracle_smooth_function(dim, seed, tag=0):
@@ -94,7 +100,7 @@ class IdleWorker:
 
 def test_work_the_worker_never_starts_is_taken_back(monkeypatch):
     idle = IdleWorker()
-    monkeypatch.setattr(reduction, "_worker", idle)
+    monkeypatch.setattr(_overlap, "_worker", idle)
     fn = lf.random_smooth_function(lf.ball(3), 7)
     pts = points(3, 4 * SPLIT, 7)
     result = []
@@ -106,13 +112,22 @@ def test_work_the_worker_never_starts_is_taken_back(monkeypatch):
     assert idle.futures and all(fut.cancelled() for fut in idle.futures)
 
 
+def test_one_cpu_evaluates_serially_and_starts_no_worker(monkeypatch):
+    monkeypatch.setattr(_overlap, "_worker", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    fn = lf.random_smooth_function(lf.ball(3), 13)
+    pts = points(3, 4 * SPLIT + 1, 13)
+    assert same_bits(fn(pts), oracle_smooth_function(3, 13)(pts))
+    assert _overlap._worker is None
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_evaluates_without_the_parents_worker():
     fn = lf.random_smooth_function(lf.ball(2), 11)
     pts = points(2, 10**5, 11)
     expected = oracle_smooth_function(2, 11)(pts)
     fn(pts)  # the worker thread runs in the parent
-    assert reduction._worker is not None
+    assert _overlap._worker is not None
     with warnings.catch_warnings():
         # Python 3.12+ warns on a fork from a process with threads
         warnings.simplefilter("ignore", DeprecationWarning)
@@ -120,7 +135,7 @@ def test_a_forked_child_evaluates_without_the_parents_worker():
     if pid == 0:  # the child: report through the exit code only
         code = 1
         try:
-            if reduction._worker is None and same_bits(fn(pts), expected):
+            if _overlap._worker is None and same_bits(fn(pts), expected):
                 code = 0
         finally:
             os._exit(code)
