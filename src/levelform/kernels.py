@@ -109,12 +109,14 @@ def eps_ladder(k_min: int = 2, k_max: int = 8) -> list[float]:
 # grid functions
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class GridFunction1D:
     """Cell-averaged function on a uniform grid over [a, b].
 
     Values live at cell centers; the function is treated as zero outside
-    [a, b] by every operator in this module.
+    [a, b] by every operator in this module. The values are a read-only copy
+    of the array given, checked once here: a write into them raises
+    ValueError, so no reader needs to check them again.
     """
 
     a: float
@@ -122,10 +124,12 @@ class GridFunction1D:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = require_finite(self.values, "grid function values")
-        if self.values.ndim != 1 or len(self.values) < 1:
+        values = np.array(require_finite(self.values, "grid function values"))
+        if values.ndim != 1 or len(values) < 1:
             raise ConfigError("grid function needs a 1d value array")
         require_interval(self.a, self.b, "grid function interval")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def spacing(self) -> float:
@@ -137,9 +141,7 @@ class GridFunction1D:
 
     def norm(self, r: float = 2.0) -> float:
         require_real(r, "grid norm exponent r", above=0)
-        # the values array stays writable after construction, so check it again
-        values = require_finite(self.values, "grid function values")
-        return float(np.sum(np.abs(values) ** r) * self.spacing) ** (1.0 / r)
+        return float(np.sum(np.abs(self.values) ** r) * self.spacing) ** (1.0 / r)
 
 
 def bump_mixture(a: float, b: float, m: int, seed: int) -> GridFunction1D:
@@ -169,12 +171,14 @@ def bump_mixture(a: float, b: float, m: int, seed: int) -> GridFunction1D:
 # ---------------------------------------------------------------------------
 
 def _mode_weight(mode: str, dist: np.ndarray, eps: float, cutoff: Cutoff | None):
+    """The truncation factor of `mode` at distances `dist`; the hard factor is
+    a boolean array, which a product with floats reads as 1.0 and 0.0."""
     if mode == HARD:
-        return (dist > eps).astype(float)
+        return dist > eps
     chi = np.asarray(cutoff.fn(dist / eps), dtype=float)
     if mode == SMOOTH:
         return chi
-    return (dist > eps).astype(float) - chi
+    return (dist > eps) - chi
 
 
 def _cell_weights(kernel: Kernel1D, u: np.ndarray, h: float, eps: float,
@@ -185,16 +189,25 @@ def _cell_weights(kernel: Kernel1D, u: np.ndarray, h: float, eps: float,
     or 2 eps is split at the radius and each piece is evaluated at its own
     midpoint; the cell holding u = 0 weighs nothing, as every mode already
     does there because eps >= 2h.
+
+    The straddle test runs only on the few cells within about h of a radius,
+    found by one pass of the distance to the nearest radius; see
+    `_near_radius`.
     """
     dist = np.abs(u)
     clear = dist > h / 2
     # keep kernel evaluations off the diagonal where every weight vanishes
     K = np.where(clear, kernel.evaluate(np.where(clear, u, 3.0 * eps), 0.0), 0.0)
+    # a product with the boolean hard factor keeps K's dtype; one with a float
+    # factor would make it at least float64
+    K = K.astype(np.result_type(K, float), copy=False)
+    near = _near_radius(dist, h, eps)
+    un = u.reshape(-1).take(near)
     # a cell can only hold the radius nearest its centre: radii sit >= 2h apart
-    rad = np.copysign(np.where(dist < 1.5 * eps, eps, 2.0 * eps), u)
-    straddle = (u - h / 2 < rad) & (rad < u + h / 2)
+    rad = np.copysign(np.where(np.abs(un) < 1.5 * eps, eps, 2.0 * eps), un)
+    straddle = (un - h / 2 < rad) & (rad < un + h / 2)
 
-    us, cut = u[straddle], rad[straddle]
+    cells, us, cut = near[straddle], un[straddle], rad[straddle]
     lo, hi = us - h / 2, us + h / 2
     halves = []
     for seg_lo, seg_hi in ((lo, cut), (cut, hi)):
@@ -204,11 +217,37 @@ def _cell_weights(kernel: Kernel1D, u: np.ndarray, h: float, eps: float,
 
     weights = []
     for mode, cutoff in jobs:
-        w = K * _mode_weight(mode, dist, eps, cutoff) * h
-        w[straddle] = sum(kv * _mode_weight(mode, d_mid, eps, cutoff) * width
-                          for width, d_mid, kv in halves)
+        w = K * _mode_weight(mode, dist, eps, cutoff)
+        w *= h
+        np.put(w, cells, sum(kv * _mode_weight(mode, d_mid, eps, cutoff) * width
+                             for width, d_mid, kv in halves))
         weights.append(w)
     return weights
+
+
+def _near_radius(dist: np.ndarray, h: float, eps: float) -> np.ndarray:
+    """Flat indices of the offsets whose distance to the nearer radius,
+    computed as |abs(dist - 1.5 eps) - 0.5 eps|, is under `reach`: a
+    superset of the cells that straddle eps or 2 eps.
+
+    Why rounding hides no straddling cell. The straddle test compares the
+    radius r, a float, with the rounded u - h/2 and u + h/2; rounding is
+    monotone, so a cell passes only if |u| lies within h/2 of r in exact
+    arithmetic. With eps >= 2h that puts |u| within eps/4 of r, on r's side
+    of 1.5 eps, where the exact expression equals ||u| - r| < h/2. Its three
+    rounded operations err by at most 2^-53 times the size of their results,
+    1.5 eps for the product and under 0.75 eps and 0.25 eps for the two
+    differences, so the computed value exceeds the exact one by under
+    3 eps 2^-53. `reach`, h plus 8 eps 2^-53, exceeds h/2 plus that bound
+    even after its own rounding, whatever the ratio eps/h (barring underflow
+    and overflow).
+    """
+    reach = h + 8.0 * eps * 2.0**-53
+    gap = dist - 1.5 * eps
+    np.abs(gap, out=gap)
+    gap -= 0.5 * eps
+    np.abs(gap, out=gap)
+    return np.flatnonzero(gap < reach)
 
 
 def _next_fast_len(n: int) -> int:
@@ -267,7 +306,6 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
             raise ConfigError(f"unknown truncation mode {mode!r}")
         if mode in (SMOOTH, RESIDUAL) and cutoff is None:
             raise ConfigError("smooth/residual actions need a cutoff")
-    require_finite(V, "truncation input")  # a grid function's values stay writable
 
     m = len(F.values)
     if eval_points is None:

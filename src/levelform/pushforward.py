@@ -436,7 +436,7 @@ def _saddle_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
         ys = -ym + mid * (2 * ym / fiber_nodes)
         major = np.sqrt(a[sl, None] + ys * ys)
         # integrand h / (2 sqrt(|t| + y^2)) dy per branch, branches at +-major
-        base = 1.0 / (2.0 * np.sqrt(a[sl, None] + ys * ys))
+        base = 1.0 / (2.0 * major)
         if h is None:
             hv = np.ones((len(ys), 2, 1))
         else:

@@ -14,13 +14,14 @@ endpoint integrability, and checks the uniform-regime budget.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import geometry
-from ._overlap import _split_rows
+from ._overlap import _split_rows, lookahead
 from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
                      PhaseNotUniformError, UnsupportedPhaseError, require_finite,
                      require_per_point, require_real, require_whole)
@@ -75,27 +76,35 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
     f and g are called once per block on fresh (k, n) arrays of those pairs'
     points, so they must be pointwise. The kernel, f and g must each give one
     value per kept pair; any other shape raises ConfigError before a product
-    is formed."""
+    is formed.
+
+    The pair stream is read one block ahead (`_overlap.lookahead`): while the
+    caller evaluates the phases, the kernel, f and g on one block, the worker
+    thread draws the next (the Sobol XOR, the scale, both domains' `contains`
+    and the gather). Everything else runs on the caller's thread, and where
+    fewer than two CPUs are usable the whole call does."""
     require_whole(sample_count, "sample_count")
     # refuses an impossible count before the values below are allocated
-    blocks = sample_pair_blocks(form.phase_in.domain, form.phase_out.domain, sample_count, seed)
+    pairs = sample_pair_blocks(form.phase_in.domain, form.phase_out.domain, sample_count, seed)
     # one array of per-pair values: its mean and std are pairwise sums over all of it
     vals = np.zeros(sample_count)
     got = 0
-    for xs, ys in blocks:
-        # sampled points lie in their domains, so only the phase values need a check
-        t = require_finite(geometry._eval_values(form.phase_in, xs), "phase values")
-        s = require_finite(geometry._eval_values(form.phase_out, ys), "phase values")
-        keep = np.flatnonzero(np.abs(s - t) > form.eps)
-        if len(keep):
-            kv = require_per_point(form.kernel.evaluate(s.take(keep), t.take(keep)),
-                                   len(keep), "a kernel")
-            fv = require_finite(require_per_point(form.f(xs.take(keep, axis=0)), len(keep)),
-                                "f values")
-            gv = require_finite(require_per_point(form.g(ys.take(keep, axis=0)), len(keep)),
-                                "g values")
-            vals[got + keep] = kv * fv * gv
-        got += len(xs)
+    # closed on the way out, an error's too, so that no draw outlives the call
+    with closing(lookahead(pairs)) as blocks:
+        for xs, ys in blocks:
+            # sampled points lie in their domains, so only the phase values need a check
+            t = require_finite(geometry._eval_values(form.phase_in, xs), "phase values")
+            s = require_finite(geometry._eval_values(form.phase_out, ys), "phase values")
+            keep = np.flatnonzero(np.abs(s - t) > form.eps)
+            if len(keep):
+                kv = require_per_point(form.kernel.evaluate(s.take(keep), t.take(keep)),
+                                       len(keep), "a kernel")
+                fv = require_finite(require_per_point(form.f(xs.take(keep, axis=0)),
+                                                      len(keep)), "f values")
+                gv = require_finite(require_per_point(form.g(ys.take(keep, axis=0)),
+                                                      len(keep)), "g values")
+                vals[got + keep] = kv * fv * gv
+            got += len(xs)
     scale = form.phase_in.domain.volume() * form.phase_out.domain.volume()
     value = float(np.mean(vals)) * scale
     stderr = float(np.std(vals)) / math.sqrt(sample_count) * scale

@@ -23,15 +23,17 @@ Each block is mapped onto the box in place, over rows regrouped 64 at a
 time as the XOR is, and its accepted rows are gathered by index. A ball in
 two dimensions takes its squared norms by columns (`geometry._sq_norms`),
 so no step loops over d = 2 elements a row; for d >= 3 the norms do.
-The blocks hold at most 2^15 points, so a block stays in cache.
+The blocks hold at most 2^15 points, and at most 2^14 from four dimensions
+on, so a block stays in cache.
 `sample_blocks` and `sample_pair_blocks` hand the accepted rows on block by
 block, and the Monte Carlo estimators consume them so, in memory that does
 not grow with the sample count; `sample_domain` gathers the blocks of
 `sample_blocks` into one array. A block handed on is an array no later draw
-writes to, so the Monte Carlo histogram can draw the next block of
-`sample_blocks` on a worker thread while it bins this one
-(`_overlap.lookahead`); a draw calls no public function of this module or
-of `geometry`, so it runs nothing an outside tracer wraps.
+writes to, so the Monte Carlo histogram and `lhs_direct` can draw the next
+block of `sample_blocks` or `sample_pair_blocks` on a worker thread while
+they work on this one (`_overlap.lookahead`); a draw calls no public
+function of this module or of `geometry`, so it runs nothing an outside
+tracer wraps.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ if TYPE_CHECKING:
 # largest Sobol block: within 15% of the fastest size on every case of a sweep
 # of 2^13..2^18, where 2^18 took up to 2.3 times as long (BENCH_mcstream.json)
 _MAX_BATCH = 2**15
+# most coordinates a block holds before its rows are rounded up to a power of
+# two: from four dimensions on a block has fewer rows, so that the pair stream
+# of `lhs_direct`, drawn one block ahead, does not raise the peak (BENCH_reduce.json)
+_MAX_BLOCK_VALUES = 2**16
 _BITS = 30
 # Joe & Kuo (2008), file new-joe-kuo-6.21201, dimensions 2..32: the primitive
 # polynomial over GF(2) as bits, its leading and constant terms included, and
@@ -157,9 +163,13 @@ def _accepted_blocks(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag:
     """The first `count` points of the seeded stream on [lo, hi] that `accept`
     keeps, as successive (k, d) blocks of k >= 1 rows in stream order.
 
-    `accept=None` keeps every point. The batch size depends on `count` alone;
-    it cannot move a point, since the stream is prefix-stable. The count,
-    dimension, seed and tag are checked here, before the first block is drawn.
+    `accept=None` keeps every point. The batch size depends on `count` and
+    the dimension d: the power of two at or above min(1.2 count, 2^15,
+    2^16 / d), and at least 64. That is 2^15 rows for a long stream in up to
+    three dimensions and at most 2^14 from four on, so a block of the 4-d
+    pair stream holds as many bytes as a 2-d one. It cannot move a point,
+    since the stream is prefix-stable. The count, dimension, seed and tag are
+    checked here, before the first block is drawn.
     """
     require_whole(count, "sample count", minimum=0)
     if len(lo) > len(_JOE_KUO) + 1:
@@ -168,7 +178,8 @@ def _accepted_blocks(lo: np.ndarray, hi: np.ndarray, count: int, seed: int, tag:
     if count > 2**_BITS:
         raise ConfigError(f"a Sobol stream holds 2^{_BITS} points, got a sample count of {count}")
     rng = derived_rng(seed, tag)
-    batch = 1 << int(np.ceil(np.log2(min(max(count * 1.2, 64), _MAX_BATCH))))
+    batch = 1 << int(np.ceil(np.log2(min(max(count * 1.2, 64), _MAX_BATCH,
+                                         _MAX_BLOCK_VALUES / len(lo)))))
     return _accepted_rows(_sobol_blocks(len(lo), rng, batch), lo, hi, count, accept)
 
 

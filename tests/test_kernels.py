@@ -241,14 +241,19 @@ def test_truncation_batch_rejects_empty_jobs():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_truncation_rejects_non_finite_input(bad):
-    # under a convolution one bad cell would poison every output cell
+    # under a convolution one bad cell would poison every output cell; the
+    # values are read-only, so the write itself raises, and a copy holding the
+    # bad cell is refused when a grid function is built from it
     k = lf.hilbert_kernel()
     F = noise_function(64, seed=3)
-    F.values[7] = bad
+    with pytest.raises(ValueError, match="read-only"):
+        F.values[7] = bad
+    values = F.values.copy()
+    values[7] = bad
     with pytest.raises(lf.ConfigError):
-        lf.truncation_batch(k, [noise_function(64), F], 0.125, [(lf.HARD, None)])
-    with pytest.raises(lf.ConfigError):
-        lf.hard_truncation(k, F, 0.125, eval_points=[0.0])
+        lf.truncation_batch(k, [noise_function(64), lf.GridFunction1D(F.a, F.b, values)],
+                            0.125, [(lf.HARD, None)])
+    assert np.all(np.isfinite(lf.hard_truncation(k, F, 0.125, eval_points=[0.0])))
 
 
 # ---------------------------------------------------------------------------

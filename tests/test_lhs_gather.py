@@ -9,6 +9,8 @@ the same fresh rows in the same order.
 """
 
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +45,12 @@ def oracle_lhs_direct(form, sample_count=100_000, seed=0):
     value = float(np.mean(vals)) * scale
     stderr = float(np.std(vals)) / math.sqrt(sample_count) * scale
     return lf.Estimate(value=value, error=stderr, sample_count=sample_count)
+
+
+def cpus(usable):
+    """`os.sched_getaffinity` patched to report `usable` CPUs."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(usable)),
+                             create=True)
 
 
 def f_weight(p):
@@ -97,10 +105,13 @@ def same_bytes(a, b):
 def test_gather_by_index_keeps_the_bytes_of_the_mask(phase_in, phase_out, keeps, count, seed):
     form = lf.SynchronizedForm(phase_in, phase_out, lf.hilbert_kernel(), f_weight, g_weight,
                                eps=radius(keeps, phase_in, phase_out))
-    got = lf.lhs_direct(form, sample_count=count, seed=seed)
     want = oracle_lhs_direct(form, sample_count=count, seed=seed)
-    assert same_bytes(got.value, want.value) and same_bytes(got.error, want.error)
-    assert got.sample_count == count
+    # the pair stream read one block ahead on the worker, then all on the caller
+    for usable in (2, 1):
+        with cpus(usable):
+            got = lf.lhs_direct(form, sample_count=count, seed=seed)
+        assert same_bytes(got.value, want.value) and same_bytes(got.error, want.error)
+        assert got.sample_count == count
 
 
 class Spy:

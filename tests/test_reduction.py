@@ -122,10 +122,17 @@ def nan_everywhere(x):
 
 
 def nan_written(seed=0):
-    """A grid function whose writable values array took a NaN after construction."""
+    """A grid function with a NaN written into its values after construction.
+
+    The values are read-only, so the write itself raises ValueError; a copy
+    that takes the NaN is refused (ConfigError) when a grid function is built
+    from it, so no reader sees a NaN."""
     F = lf.bump_mixture(0.0, 1.0, 64, seed)
-    F.values[3] = math.nan
-    return F
+    with pytest.raises(ValueError, match="read-only"):
+        F.values[3] = math.nan
+    values = F.values.copy()
+    values[3] = math.nan
+    return lf.GridFunction1D(F.a, F.b, values)
 
 
 def sparse_family_64():

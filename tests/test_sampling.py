@@ -248,3 +248,47 @@ def test_counts_past_the_stream_are_refused_before_any_block(call, monkeypatch):
         call(2 ** 30 + 1)
     with pytest.raises(AssertionError, match="a Sobol block was drawn"):
         call(2 ** 30)
+
+
+def parent_batch(count):
+    """The Sobol batch size when it depended on the count alone."""
+    return 1 << int(np.ceil(np.log2(min(max(count * 1.2, 64), 2 ** 15))))
+
+
+@pytest.mark.parametrize("dim", range(1, 33))
+def test_block_rows_fall_only_from_four_dimensions_on(dim, monkeypatch):
+    batches = []
+    real = sampling._sobol_blocks
+
+    def spy(d, rng, batch):
+        batches.append(batch)
+        return real(d, rng, batch)
+
+    monkeypatch.setattr(sampling, "_sobol_blocks", spy)
+    counts = [1, 53, 1000, 4000, 13_000, 13_654, 20_000, 2 ** 15, 10 ** 6]
+    for count in counts:
+        sampling.sample_blocks(lf.box([(0.0, 1.0)] * dim), count, 0)
+    assert len(batches) == len(counts)
+    for count, batch in zip(counts, batches):
+        before = parent_batch(count)
+        assert batch & (batch - 1) == 0 and 64 <= batch <= before
+        # a block of at most 2^16 coordinates keeps its rows, one of more halves them
+        assert batch == before if before * dim <= 2 ** 16 else batch * dim < 2 ** 17
+        if dim <= 3:
+            assert batch == before
+        else:
+            assert batch <= 2 ** 14
+
+
+@pytest.mark.parametrize("domain", [lf.box([(0.0, 1.0)] * 4), lf.ball(4), lf.ball(7, 0.5)],
+                         ids=["box4", "ball4", "ball7"])
+def test_streams_are_prefix_stable_across_the_smaller_blocks(domain):
+    rows = 2 ** 16 // domain.n
+    full = lf.sample_domain(domain, 3 * rows + 7, 5, 1)
+    for k in (rows - 1, rows, rows + 1, 2 * rows + 3):
+        assert np.array_equal(full[:k], lf.sample_domain(domain, k, 5, 1))
+    if domain.shape == "box":
+        want = scipy_sobol(domain.n, 5, 1).random(2 ** 16)[:len(full)]
+        assert full.tobytes() == want.tobytes()
+    else:
+        assert np.array_equal(full, oracle_domain(domain, len(full), 5, 1))

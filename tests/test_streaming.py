@@ -7,8 +7,8 @@ from `sample_pair_blocks`, and binned by one `bincount`. The two must agree
 bit for bit, and the streamed forms must hold memory that does not grow with
 the sample count.
 
-The histogram reads its stream one block ahead, the next block drawn on a
-worker thread while the caller bins the current one (`_overlap.lookahead`).
+Both read their streams one block ahead, the next block drawn on a worker
+thread while the caller bins or pairs the current one (`_overlap.lookahead`).
 The tests at the end check that this moves no bit, runs no weight and no
 public sampling or geometry function on the worker, and leaves no draw
 running once the call is over, however it ends.
@@ -31,6 +31,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import Future
 from unittest import mock
 
@@ -40,7 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levelform as lf
-from levelform import _overlap, geometry, pushforward, sampling
+from levelform import _overlap, geometry, pushforward, reduction, sampling
 from levelform.errors import require_finite, require_whole
 from levelform.pushforward import ATOM_MASS_FRACTION, ATOM_RELATIVE_WIDTH
 
@@ -170,12 +171,15 @@ FIBER_WEIGHTS = [lambda p: p[:, 0],
 def test_streamed_lhs_matches_whole_stream_oracle(pair, f, g, count, eps, seed):
     form = form_of(*pair, f, g, eps)
     want = outcome(lambda: whole_stream_lhs(form, count, seed))
-    got = outcome(lambda: lf.lhs_direct(form, count, seed))
-    if isinstance(want, type):
-        assert got is want
-        return
-    assert (got.value, got.error) == want
-    assert got.sample_count == count
+    # the stream read one block ahead on the worker, then all on the caller
+    for usable in (2, 1):
+        with cpus(usable):
+            got = outcome(lambda: lf.lhs_direct(form, count, seed))
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert (got.value, got.error) == want
+        assert got.sample_count == count
 
 
 @pytest.mark.parametrize("count", COUNTS)
@@ -499,3 +503,99 @@ def test_concurrent_callers_share_the_worker_for_their_draws():
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert not wrong
+
+
+# ---------------------------------------------------------------------------
+# lhs_direct reads its pair stream one block ahead too
+# ---------------------------------------------------------------------------
+
+# pairs in ball(2) x ball(2); blocks of 2^14 rows keep about 10,000 each, so
+# about ten blocks, with a draw in flight behind each one
+PAIR_COUNT = 100_000
+PAIR_FORM = form_of(LINEAR2, lf.radial_quadratic_phase(lf.ball(2)), first_axis,
+                    lf.RadialFunction(lambda r: 1.0 - r), 0.05)
+
+
+def same_lhs(got, form, count, seed):
+    value, error = whole_stream_lhs(form, count, seed)
+    return (np.float64(got.value).tobytes(), np.float64(got.error).tobytes()) == (
+        np.float64(value).tobytes(), np.float64(error).tobytes())
+
+
+def test_one_cpu_reads_the_pair_stream_on_the_caller_and_starts_no_worker(monkeypatch):
+    monkeypatch.setattr(_overlap, "_worker", None)
+    drawn = set()
+    real = sampling._xor_rows
+
+    def xor_rows(*args, **kwargs):
+        drawn.add(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "_xor_rows", xor_rows)
+    with cpus(1):
+        got = lf.lhs_direct(PAIR_FORM, PAIR_COUNT, 5)
+    assert same_lhs(got, PAIR_FORM, PAIR_COUNT, 5)
+    assert drawn == {threading.get_ident()}
+    assert _overlap._worker is None
+
+
+def test_an_f_that_fails_mid_stream_leaves_no_pair_draw_running(monkeypatch):
+    # the draw of block 3 is still running when f fails on block 2
+    blocks, threads, reached = failing_stream(2, lambda: time.sleep(0.2))
+    monkeypatch.setattr(sampling, "_sobol_blocks", blocks)
+    streams, rows = [], []
+    real_accepted = sampling._accepted_blocks
+
+    def accepted_blocks(*args):
+        stream = real_accepted(*args)
+        # held weakly: the pair stream's frame holds the only strong reference
+        rows.append(weakref.ref(stream))
+        return stream
+
+    def sample_pair_blocks(*args):
+        streams.append(sampling.sample_pair_blocks(*args))
+        return streams[-1]
+
+    monkeypatch.setattr(sampling, "_accepted_blocks", accepted_blocks)
+    monkeypatch.setattr(reduction, "sample_pair_blocks", sample_pair_blocks)
+    # one value per coordinate on the second block
+    f, calls = weight_waiting(2, reached, last=lambda pts: pts)
+    form = form_of(LINEAR2, lf.radial_quadratic_phase(lf.ball(2)), f, first_axis, 0.05)
+    with cpus(2), pytest.raises(lf.ConfigError) as raised:
+        lf.lhs_direct(form, PAIR_COUNT, 5)
+    assert len(calls) == 2 and threads[0] != threading.get_ident()
+    # while the error's traceback still holds the call's frame, the pair
+    # stream is closed, which it cannot be while a draw runs in it, and that
+    # freed the row stream under it
+    assert raised.tb is not None
+    assert streams[0].gi_frame is None and rows[0]() is None
+    monkeypatch.undo()
+    with cpus(2):
+        assert same_lhs(lf.lhs_direct(PAIR_FORM, PAIR_COUNT, 5), PAIR_FORM, PAIR_COUNT, 5)
+
+
+def test_no_public_sampling_or_geometry_function_runs_on_the_worker_for_pairs(monkeypatch):
+    caller = threading.get_ident()
+    public_threads, draw_threads = set(), set()
+
+    def spy(fn, threads):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return recorded
+
+    for module in (sampling, geometry):
+        for name, fn in public_functions(module).items():
+            wrapped = spy(fn, public_threads)
+            for other in [m for k, m in sys.modules.items() if k.split(".")[0] == "levelform"]:
+                if vars(other).get(name) is fn:
+                    monkeypatch.setattr(other, name, wrapped)
+    monkeypatch.setattr(sampling, "_xor_rows", spy(sampling._xor_rows, draw_threads))
+    with cpus(2):
+        for pair in PAIRS:
+            lf.lhs_direct(form_of(*pair, first_axis, lf.RadialFunction(lambda r: 1.0 - r), 0.1),
+                          PAIR_COUNT, 5)
+    assert public_threads == {caller}
+    # the draws did run on the worker
+    assert draw_threads - {caller}
