@@ -130,8 +130,9 @@ def require_finite(values, name: str) -> np.ndarray:
         raise ConfigError(f"{name} must be numbers, not booleans, got {reprlib.repr(values)}")
     if arr.dtype.kind not in "iufc":
         raise ConfigError(f"{name} must be numbers, got {reprlib.repr(values)}")
-    bad = ~np.isfinite(arr)
-    if np.any(bad):
+    # one pass over a good array; the mask is built only to name a bad value
+    if not np.isfinite(arr).all():
+        bad = ~np.isfinite(arr)
         raise ConfigError(f"{name} must be finite, got {arr[bad][0].item()!r}")
     return arr
 

@@ -198,6 +198,9 @@ def _cell_weights(kernel: Kernel1D, u: np.ndarray, h: float, eps: float,
     clear = dist > h / 2
     # keep kernel evaluations off the diagonal where every weight vanishes
     K = np.where(clear, kernel.evaluate(np.where(clear, u, 3.0 * eps), 0.0), 0.0)
+    # the split halves and the real FFT of the stencils would drop an imaginary part
+    if K.dtype.kind == "c":
+        raise ConfigError(f"truncation kernel must be real-valued, got {K.dtype} values")
     # a product with the boolean hard factor keeps K's dtype; one with a float
     # factor would make it at least float64
     K = K.astype(np.result_type(K, float), copy=False)

@@ -256,6 +256,36 @@ def test_truncation_rejects_non_finite_input(bad):
     assert np.all(np.isfinite(lf.hard_truncation(k, F, 0.125, eval_points=[0.0])))
 
 
+def complex_hilbert(s, t):
+    with np.errstate(divide="ignore"):
+        return (1 + 1j) / (math.pi * (np.asarray(s, dtype=float) - t))
+
+
+TRUNCATE_COMPLEX = {
+    "on_grid": lambda k, F: lf.hard_truncation(k, F, 0.1),
+    "off_grid": lambda k, F: lf.hard_truncation(k, F, 0.1, eval_points=[-0.3, 0.05, 0.9]),
+    "batch": lambda k, F: lf.truncation_batch(k, [F, noise_function(64, seed=4)], 0.1,
+                                              [(lf.HARD, None), (lf.SMOOTH, lf.smoothstep_cutoff())]),
+}
+
+
+@pytest.mark.parametrize("call", TRUNCATE_COMPLEX.values(), ids=TRUNCATE_COMPLEX.keys())
+def test_truncation_refuses_a_complex_valued_kernel(call):
+    # the straddling halves and the real FFT of the stencils would each drop
+    # the imaginary part; eps = 3.2 h puts cells across both radii
+    kernel = lf.Kernel1D(evaluate=complex_hilbert, label="complex")
+    with pytest.raises(lf.ConfigError, match="truncation kernel must be real-valued, got complex128"):
+        call(kernel, noise_function(64, seed=3))
+
+
+@pytest.mark.parametrize("call", TRUNCATE_COMPLEX.values(), ids=TRUNCATE_COMPLEX.keys())
+def test_truncation_refuses_a_complex_dtype_with_no_imaginary_part(call):
+    # the refusal reads the kernel's dtype, not its values
+    kernel = lf.Kernel1D(evaluate=lambda s, t: lf.hilbert_kernel().evaluate(s, t).astype(complex))
+    with pytest.raises(lf.ConfigError, match="real-valued"):
+        call(kernel, noise_function(64, seed=3))
+
+
 # ---------------------------------------------------------------------------
 # dense oracle for the stencil core
 # ---------------------------------------------------------------------------

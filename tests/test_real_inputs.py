@@ -26,6 +26,7 @@ import pytest
 
 import levelform as lf
 from levelform import cli
+from levelform.errors import require_finite
 
 # results, built by the package, not read from a caller
 RESULT_TYPES = {"Estimate", "CriticalProfile", "IntegrabilityScan", "WindowVerdict",
@@ -253,3 +254,25 @@ DEEP_NUMBER_CALLS = {
 def test_a_deeply_nested_list_is_refused_as_a_number(call):
     with pytest.raises(lf.ConfigError, match=r"got \[+\.\.\.\]+$"):
         call()
+
+
+FIRST_BAD = {
+    "nan": ([1.0, np.nan, np.inf], "nan"),
+    "-inf": (np.array([[2.0, 3.0], [-np.inf, np.nan]]), "-inf"),
+    "0-d": (np.float64(np.inf), "inf"),
+    "complex": (np.array([1.0, complex(0.0, np.nan)]), "nanj"),
+    "complex inf": ([1j, complex(np.inf, 1.0)], "(inf+1j)"),
+}
+
+
+@pytest.mark.parametrize("values, named", FIRST_BAD.values(), ids=FIRST_BAD)
+def test_require_finite_names_the_first_bad_value(values, named):
+    with pytest.raises(lf.ConfigError) as info:
+        require_finite(values, "some values")
+    assert str(info.value) == f"some values must be finite, got {named}"
+
+
+def test_require_finite_returns_a_good_array_as_it_is():
+    values = np.arange(6.0).reshape(2, 3)
+    assert require_finite(values, "some values") is values
+    assert require_finite(np.arange(3), "some values").dtype == np.arange(3).dtype
