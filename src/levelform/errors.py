@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the whole-number,
-real-number, finite-array and one-value-per-point guards."""
+real-number, finite-array and finite-real-array guards."""
 
 import math
 import numbers
@@ -137,12 +137,15 @@ def require_finite(values, name: str) -> np.ndarray:
     return arr
 
 
-def require_per_point(values, count: int, what: str = "a weight") -> np.ndarray:
-    """Refuse anything but one value per point, for `count` points; return the
-    values as floats. numpy would broadcast a scalar or a (count, 1) column
-    silently, or into a (count, count) product."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (count,):
-        raise ConfigError(f"{what} must give one value per point, got shape "
+def require_reals(values, name: str, count: int | None = None) -> np.ndarray:
+    """Refuse what `require_finite` refuses, a complex dtype and, when `count`
+    is given, any shape but (count,); return the values as float64. numpy
+    would broadcast a scalar or a (count, 1) column silently, or into a
+    (count, count) product, and a cast to float would drop an imaginary part."""
+    arr = require_finite(values, name)
+    if arr.dtype.kind == "c":
+        raise ConfigError(f"{name} must be real, got {arr.dtype} values")
+    if count is not None and arr.shape != (count,):
+        raise ConfigError(f"{name} must give one value per point, got shape "
                           f"{arr.shape} for {count} points")
-    return arr
+    return arr.astype(float, copy=False)

@@ -28,6 +28,7 @@ from .errors import (
     require_finite,
     require_interval,
     require_real,
+    require_reals,
     require_whole,
 )
 from .sampling import sample_domain
@@ -84,6 +85,17 @@ def _norms(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(_column_sq_norms(pts))
 
 
+def _require_float_range(compute: Callable, name: str) -> None:
+    """Refuse `compute()`'s values unless each is a finite float (no overflow)."""
+    try:
+        with np.errstate(over="ignore"):
+            values = compute()
+    except OverflowError:
+        values = (math.inf,)
+    for value in values:
+        require_real(value, name)
+
+
 # ---------------------------------------------------------------------------
 # domains
 # ---------------------------------------------------------------------------
@@ -109,6 +121,7 @@ class Domain:
                 raise ConfigError("box bounds must list one (lo, hi) per axis")
             object.__setattr__(self, "bounds", tuple(require_interval(lo, hi, "box side")
                                                      for lo, hi in bounds.tolist()))
+        _require_float_range(lambda: (self.volume(),), "domain volume")
 
     def volume(self) -> float:
         if self.shape == "ball":
@@ -237,8 +250,8 @@ class ReparamTable:
     """
 
     def __init__(self, s: np.ndarray, values: np.ndarray):
-        s = require_finite(s, "profile table arguments").astype(float, copy=False)
-        values = require_finite(values, "profile table values").astype(float, copy=False)
+        s = require_reals(s, "profile table arguments")
+        values = require_reals(values, "profile table values")
         if s.ndim != 1 or s.shape != values.shape or len(s) < 2:
             raise ConfigError("profile table needs matching 1d arrays, length >= 2")
         if not np.all(np.diff(s) > 0):
@@ -285,6 +298,10 @@ class Phase:
     frequency: float = 1.0
     profile: ReparamTable | None = None
     fn: Callable | None = None
+
+    def __post_init__(self):
+        if self.kind != CUSTOM:  # a black box has no catalog image
+            _require_float_range(lambda: image_interval(self), f"{self.label} image end")
 
     @property
     def label(self) -> str:
@@ -352,7 +369,7 @@ def _require_ball(domain: Domain, kind: str):
 # ---------------------------------------------------------------------------
 
 def _as_points(x, n: int) -> tuple[np.ndarray, bool]:
-    arr = require_finite(x, "phase points").astype(float, copy=False)
+    arr = require_reals(x, "phase points")
     if arr.ndim == 1:
         if arr.shape[0] != n:
             raise ConfigError(f"expected point of dimension {n}")
@@ -374,23 +391,25 @@ def eval_phase(phase: Phase, x):
 
 
 def _eval_values(phase: Phase, pts: np.ndarray) -> np.ndarray:
+    """Phase values at an (m, n) stack of points: m finite reals, or ConfigError."""
     k = phase.kind
     if k == LINEAR:
-        return pts[:, phase.axis].copy()
-    if k == RADIAL_QUADRATIC:
-        return _sq_norms(pts)
-    if k == RADIAL_POWER:
-        return _norms(pts) ** phase.gamma
-    if k == SADDLE:
-        return pts[:, 0] ** 2 - pts[:, 1] ** 2
-    if k == OSCILLATORY:
-        return pts[:, 0] + phase.amplitude * np.sin(phase.frequency * pts[:, 1])
-    if k == BOUNDARY_REPARAM:
-        d = phase.domain.radius - _norms(pts)
-        return np.asarray(phase.profile(d), dtype=float)
-    if k == CUSTOM:
-        return np.asarray(phase.fn(pts), dtype=float)
-    raise UnsupportedPhaseError(f"unknown phase kind {k!r}")
+        vals = pts[:, phase.axis].copy()
+    elif k == RADIAL_QUADRATIC:
+        vals = _sq_norms(pts)
+    elif k == RADIAL_POWER:
+        vals = _norms(pts) ** phase.gamma
+    elif k == SADDLE:
+        vals = pts[:, 0] ** 2 - pts[:, 1] ** 2
+    elif k == OSCILLATORY:
+        vals = pts[:, 0] + phase.amplitude * np.sin(phase.frequency * pts[:, 1])
+    elif k == BOUNDARY_REPARAM:
+        vals = phase.profile(phase.domain.radius - _norms(pts))
+    elif k == CUSTOM:
+        vals = phase.fn(pts)
+    else:
+        raise UnsupportedPhaseError(f"unknown phase kind {k!r}")
+    return require_reals(vals, "phase values", len(pts))
 
 
 def grad_phase(phase: Phase, x):
@@ -440,7 +459,7 @@ def _grad_values(phase: Phase, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         r = _norms(pts)
         undefined = r <= SINGULAR_RADIUS
         d = phase.domain.radius - r
-        slope = np.asarray(phase.profile.derivative(d), dtype=float)
+        slope = phase.profile.derivative(d)
         safe_r = np.where(undefined, 1.0, r)
         return (-slope / safe_r)[:, None] * pts, undefined
     raise UnsupportedPhaseError(f"no analytic gradient for phase kind {k!r}")

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (ConfigError, ResolutionError, require_finite, require_interval, require_real,
-                     require_whole)
+                     require_reals, require_whole)
 from .sampling import derived_rng
 
 HARD = "hard"
@@ -175,7 +175,7 @@ def _mode_weight(mode: str, dist: np.ndarray, eps: float, cutoff: Cutoff | None)
     a boolean array, which a product with floats reads as 1.0 and 0.0."""
     if mode == HARD:
         return dist > eps
-    chi = np.asarray(cutoff.fn(dist / eps), dtype=float)
+    chi = require_reals(cutoff.fn(dist / eps), "cutoff values")
     if mode == SMOOTH:
         return chi
     return (dist > eps) - chi
@@ -316,7 +316,7 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
         return list(_toeplitz_apply(np.stack(stencils), V))
 
     t = F.nodes
-    s = np.atleast_1d(require_finite(eval_points, "truncation evaluation points")).astype(float)
+    s = np.atleast_1d(require_reals(eval_points, "truncation evaluation points"))
     if s.ndim != 1 or len(s) < 1:
         raise ConfigError("truncation evaluation points must be a nonempty 1d array")
     outs = [np.empty((len(s), V.shape[1]), np.result_type(V, float)) for _ in jobs]

@@ -26,10 +26,9 @@ from .errors import (
     CriticalValueError,
     NoClosedFormError,
     NoParametrizationError,
-    require_finite,
     require_interval,
-    require_per_point,
     require_real,
+    require_reals,
     require_whole,
 )
 from .geometry import Phase, ball_volume, sphere_area
@@ -127,7 +126,7 @@ class RadialFunction:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.asarray(self.profile(geometry._norms(pts)), dtype=float)
+        return self.profile(geometry._norms(pts))
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ class LevelFunction:
         n = pts.shape[1]
         if self.axis >= n:
             raise ConfigError(f"level function axis {self.axis!r} outside a {n}-d point")
-        return np.asarray(self.profile(pts[:, self.axis]), dtype=float)
+        return self.profile(pts[:, self.axis])
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +218,14 @@ def weighted_density_coarea(phase: Phase, h, t, fiber_nodes: int = 2048) -> floa
     Composite midpoint in the catalog parametrization; a scalar t gives a
     float, an array t an array shaped like it. `h=None` means the constant 1;
     any other weight must be pointwise, because it is called on blocks of
-    fiber points that span many levels. Every input is checked before h is
-    first called, and levels outside the image read 0 without reaching h.
-    Raises if a level is not finite or sits on a critical value, or if no
-    parametrization supports this phase/weight combination.
+    fiber points that span many levels, and give finite reals, one value per
+    point. Every input is checked before h is first called, and levels
+    outside the image read 0 without reaching h. Raises if a level is not a
+    finite real or sits on a critical value, or if no parametrization
+    supports this phase/weight combination.
     """
     require_whole(fiber_nodes, "fiber_nodes")
-    tt = _finite_levels(t)
+    tt = require_reals(t, "density levels")
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
     for v in geometry.critical_values(phase):
@@ -249,25 +249,11 @@ def weighted_density_coarea(phase: Phase, h, t, fiber_nodes: int = 2048) -> floa
     return float(out[0]) if scalar else out
 
 
-def _finite_levels(t) -> np.ndarray:
-    """The levels t as a float array; anything but finite reals raises."""
-    tt = require_finite(t, "density levels")
-    if tt.dtype.kind == "c":
-        raise ConfigError(f"density levels must be real numbers, got {t!r}")
-    return tt.astype(float, copy=False)
-
-
-def _weight_values(values) -> np.ndarray:
-    """A weight's values as floats; a NaN or an infinity raises."""
-    return require_finite(np.asarray(values, dtype=float), "weight values")
-
-
 def _profile_values(h, x: np.ndarray) -> np.ndarray:
     """The profile of a fiber-constant weight at the radii or levels `x`,
     called on them flattened; it must give one finite value each."""
     flat = x.reshape(-1)
-    return _weight_values(require_per_point(h.profile(flat), len(flat), "a weight profile")
-                          ).reshape(x.shape)
+    return require_reals(h.profile(flat), "weight profile values", len(flat)).reshape(x.shape)
 
 
 # most fiber points handed to a weight in one call; keeps a block's memory flat.
@@ -293,7 +279,7 @@ def _weigh(h, pts: np.ndarray) -> np.ndarray:
     """One call of h on a block of fiber points (..., n), one value a point,
     shaped like the block."""
     flat = pts.reshape(-1, pts.shape[-1])
-    return _weight_values(require_per_point(h(flat), len(flat))).reshape(pts.shape[:-1])
+    return require_reals(h(flat), "weight values", len(flat)).reshape(pts.shape[:-1])
 
 
 # Per-level scalars (radii, slopes, section sizes) are Python floats, as a
@@ -492,7 +478,8 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
     ahead: the worker thread draws the next block while the caller bins and
     weighs this one (`_overlap.lookahead`). A weight must be pointwise,
     because it is called once per block of sampled points, always on the
-    caller's thread.
+    caller's thread, and give finite reals, one value per point; so must
+    the phase.
     """
     require_whole(sample_count, "sample_count")
     bins = grid.bin_count
@@ -502,7 +489,7 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
     # closed on the way out, an error's too, so that no draw outlives the call
     with closing(lookahead(sample_blocks(phase.domain, sample_count, seed))) as blocks:
         for pts in blocks:
-            levels = require_finite(geometry._eval_values(phase, pts), "phase values")
+            levels = geometry._eval_values(phase, pts)
             idx = levels - grid.t_min
             idx /= grid.width
             np.floor(idx, out=idx)
@@ -517,7 +504,7 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
                 # added point by point in stream order, as one whole-stream bincount
                 # would; summing per-block bincounts would reassociate the sums
                 # np.add.at would broadcast any other shape
-                w = _weight_values(require_per_point(h(pts), len(pts)))
+                w = require_reals(h(pts), "weight values", len(pts))
                 np.add.at(sums, idx, w)
                 np.add.at(sumsq, idx, w ** 2)
     n = sample_count
@@ -544,7 +531,7 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
 def weighted_density_closed_form(phase: Phase, h, t) -> float | np.ndarray:
     """Catalog closed-form density times a fiber-constant weight (`h=None`
     means 1); 0 outside the image, inf at a blow-up."""
-    tt = _finite_levels(t)
+    tt = require_reals(t, "density levels")
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
     base = _closed_form_values(phase, tt)
@@ -613,7 +600,7 @@ def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *, fibe
     require_whole(subdivide, "subdivide")
     offsets = (np.arange(subdivide) + 0.5) / subdivide
     levels = grid.edges[:-1, None] + offsets * grid.width
-    vals = np.asarray(weighted_density(phase, h, levels.ravel(), method, **route), dtype=float)
+    vals = weighted_density(phase, h, levels.ravel(), method, **route)
     values = vals.reshape(grid.bin_count, subdivide).mean(axis=1)
     return DensityEstimate(grid=grid, values=values, method=method,
                            phase_label=phase.label)
@@ -624,13 +611,15 @@ def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *, fibe
 # ---------------------------------------------------------------------------
 
 def _abs_power(h, r: float):
+    def power(fn):  # fn's values are checked before np.abs would drop an imaginary part
+        return lambda x: np.abs(require_reals(fn(x), "f values", len(x))) ** r
     if h is None:
         return None
     if isinstance(h, RadialFunction):
-        return RadialFunction(lambda rr, p=h.profile: np.abs(p(rr)) ** r)
+        return RadialFunction(power(h.profile))
     if isinstance(h, LevelFunction):
-        return LevelFunction(lambda tt, p=h.profile: np.abs(p(tt)) ** r, axis=h.axis)
-    return lambda pts, fn=h: np.abs(np.asarray(fn(pts), dtype=float)) ** r
+        return LevelFunction(power(h.profile), axis=h.axis)
+    return power(h)
 
 
 def fiber_norm(phase: Phase, f, r: float, t: float, method: str = COAREA, *,

@@ -23,8 +23,8 @@ import numpy as np
 from . import geometry
 from ._overlap import _split_rows, lookahead
 from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
-                     PhaseNotUniformError, UnsupportedPhaseError, require_finite,
-                     require_per_point, require_real, require_whole)
+                     PhaseNotUniformError, UnsupportedPhaseError, require_real,
+                     require_reals, require_whole)
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
 from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, DensityEstimate, LevelGrid,
@@ -74,9 +74,9 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
     block by block in stream order. The pairs whose levels differ by more
     than eps are found once a block, as an index, and gathered by it (`take`);
     f and g are called once per block on fresh (k, n) arrays of those pairs'
-    points, so they must be pointwise. The kernel, f and g must each give one
-    value per kept pair; any other shape raises ConfigError before a product
-    is formed.
+    points, so they must be pointwise. The kernel, f and g must each give
+    finite reals, one value per kept pair; anything else raises ConfigError
+    before a product is formed.
 
     The pair stream is read one block ahead (`_overlap.lookahead`): while the
     caller evaluates the phases, the kernel, f and g on one block, the worker
@@ -92,17 +92,16 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
     # closed on the way out, an error's too, so that no draw outlives the call
     with closing(lookahead(pairs)) as blocks:
         for xs, ys in blocks:
-            # sampled points lie in their domains, so only the phase values need a check
-            t = require_finite(geometry._eval_values(form.phase_in, xs), "phase values")
-            s = require_finite(geometry._eval_values(form.phase_out, ys), "phase values")
+            # sampled points lie in their domains; `_eval_values` checks the phase values
+            t = geometry._eval_values(form.phase_in, xs)
+            s = geometry._eval_values(form.phase_out, ys)
             keep = np.flatnonzero(np.abs(s - t) > form.eps)
             if len(keep):
-                kv = require_per_point(form.kernel.evaluate(s.take(keep), t.take(keep)),
-                                       len(keep), "a kernel")
-                fv = require_finite(require_per_point(form.f(xs.take(keep, axis=0)),
-                                                      len(keep)), "f values")
-                gv = require_finite(require_per_point(form.g(ys.take(keep, axis=0)),
-                                                      len(keep)), "g values")
+                k = len(keep)
+                kv = require_reals(form.kernel.evaluate(s.take(keep), t.take(keep)),
+                                   "kernel values", k)
+                fv = require_reals(form.f(xs.take(keep, axis=0)), "f values", k)
+                gv = require_reals(form.g(ys.take(keep, axis=0)), "g values", k)
                 vals[got + keep] = kv * fv * gv
             got += len(xs)
     scale = form.phase_in.domain.volume() * form.phase_out.domain.volume()
@@ -387,7 +386,7 @@ def density_supremum(phase: Phase) -> float:
     """Supremum of the closed-form density over 2048 interior image points."""
     lo, hi = geometry.image_interval(phase)
     t = np.linspace(lo, hi, 2050)[1:-1]
-    vals = np.asarray(weighted_density_closed_form(phase, None, t), dtype=float)
+    vals = weighted_density_closed_form(phase, None, t)
     return float(np.max(vals[np.isfinite(vals)]))
 
 
@@ -397,7 +396,7 @@ def function_norm(domain: Domain, f, r: float, sample_count: int = 1 << 16,
     require_real(r, "function norm exponent r", above=0)
     require_whole(sample_count, "sample_count")
     pts = sample_domain(domain, sample_count, seed, tag=7)
-    vals = np.abs(require_finite(np.asarray(f(pts), dtype=float), "integrand values")) ** r
+    vals = np.abs(require_reals(f(pts), "integrand values", len(pts))) ** r
     return float(np.mean(vals) * domain.volume()) ** (1.0 / r)
 
 

@@ -340,6 +340,20 @@ def test_entry_exit_code_on_config_error(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.strip() != ""
 
 
+def test_entry_refuses_a_phase_whose_image_overflows(tmp_path):
+    # 2.0 ** 2000 is past the float range: the phase is refused where it is built
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text("phase.kind = radial-power\nphase.gamma = 2000\ndomain.R = 2\n")
+    src = str(pathlib.Path(lf.__file__).resolve().parents[1])
+    env = dict(os.environ, LEVELFORM_OUT=str(tmp_path),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "levelform", "density", "--config", str(cfg)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "image end must be a finite real number" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["density", "--method", "monte_carlo", "--samples", "0"],
     ["reduce", "--samples", "0"],

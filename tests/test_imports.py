@@ -1,8 +1,9 @@
 """Every name a package module imports is read in that module, no package
 module relies on an `assert`, scipy is imported in one function only,
 importing the package starts no thread, real numbers and finite arrays are
-each checked by one guard, row norms are taken by one pair of helpers, and
-`lhs_direct` gathers by index, not through a boolean mask."""
+each checked by one guard, the values a caller's function returns pass one
+guard, row norms are taken by one pair of helpers, and `lhs_direct` gathers
+by index, not through a boolean mask."""
 
 import ast
 import os
@@ -132,6 +133,67 @@ def test_array_guard_lives_in_errors():
                     if path.name != "errors.py"
                     and (lines := refuses_on_array_isfinite(ast.parse(path.read_text())))}
     assert not hand_written, f"hand-written array finiteness checks: {hand_written}"
+
+
+def unguarded_values(module, tree):
+    """`module.owner:line` of each `require_finite(...).astype(float...)`, each
+    `np.asarray(<call>, dtype=float)` whose call is not a numpy function, and each
+    name `require_per_point` or `_weight_values` in `tree`; the owner is the
+    enclosing function, with its class."""
+    retired = ("require_per_point", "_weight_values")
+
+    def is_unguarded(node):
+        if isinstance(node, ast.Name):
+            return node.id in retired
+        if isinstance(node, (ast.FunctionDef, ast.alias)):
+            return node.name in retired
+        if not isinstance(node, ast.Call):
+            return False
+        func, first = node.func, node.args[0] if node.args else None
+        if isinstance(func, ast.Attribute) and func.attr == "astype":
+            return (isinstance(func.value, ast.Call)
+                    and ast.unparse(func.value.func) == "require_finite"
+                    and first is not None and ast.unparse(first).startswith("float"))
+        dtype = [ast.unparse(k.value) for k in node.keywords if k.arg == "dtype"]
+        return (ast.unparse(func) == "np.asarray" and dtype == ["float"]
+                and isinstance(first, ast.Call) and not ast.unparse(first.func).startswith("np."))
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if is_unguarded(child):
+                yield f"{module}.{owner}:{child.lineno}"
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, child.name if owner == "<module>"
+                                 else f"{owner}.{child.name}")
+            else:
+                yield from visit(child, owner)
+
+    return list(visit(tree, "<module>"))
+
+
+# a GammaProfile's values may be infinite, as its contract admits; `_cell_weights`
+# refuses a complex kernel with its own text
+UNGUARDED_ALLOWED = {"geometry.GammaProfile.__post_init__", "geometry.check_gamma_profile",
+                     "kernels._cell_weights"}
+
+
+def test_returned_values_pass_one_guard():
+    # `errors.require_reals` checks what a caller's function returns: a cast to
+    # float before it would drop an imaginary part, and a second guard drifts
+    found = [site for module in ("pushforward", "reduction", "geometry", "kernels")
+             for site in unguarded_values(module, ast.parse((PACKAGE / f"{module}.py").read_text()))
+             if site.split(":")[0] not in UNGUARDED_ALLOWED]
+    assert not found, f"values that skip errors.require_reals: {found}"
+
+
+def test_one_guard_lint_flags_each_form():
+    source = """
+def weigh(h, pts):
+    w = np.asarray(h(pts), dtype=float)
+    v = require_finite(t, "levels").astype(float, copy=False)
+    return _weight_values(w), require_per_point(v, 3)
+"""
+    assert len(unguarded_values("m", ast.parse(source))) == 4
 
 
 def row_norm_calls(module, tree):

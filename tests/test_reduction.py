@@ -147,6 +147,23 @@ def tampered_family(**fields):
         **fields}
 
 
+def on_custom_phase(route, fn):
+    """Read the custom phase of `fn` on the unit disc through `route`:
+    eval_phase at three points, a Monte Carlo histogram or lhs_direct."""
+    phase = lf.custom_phase(BALL2, fn)
+    if route == "eval_phase":
+        return lf.eval_phase(phase, np.full((3, 2), 0.1))
+    if route == "monte_carlo":
+        return lf.density_on_grid(phase, lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
+                                  sample_count=100)
+    return lf.lhs_direct(lf.SynchronizedForm(phase, lf.linear_phase(BALL2), lf.hilbert_kernel(),
+                                             first_axis, first_axis), sample_count=64)
+
+
+def plus_i(p):
+    return p[:, 0] + 1j
+
+
 # three levels inside the image of every phase the misuse rows use
 THREE_LEVELS = np.array([0.2, 0.4, 0.6])
 MISUSE = {
@@ -348,6 +365,60 @@ MISUSE = {
         sparse_family_64(), nan_written(0), lf.bump_mixture(0.0, 1.0, 64, 1)),
     "sparse_form nan written into G": lambda: lf.sparse_form(
         sparse_family_64(), lf.bump_mixture(0.0, 1.0, 64, 0), nan_written(1)),
+    "function_norm f one value short": lambda: lf.function_norm(
+        BALL2, lambda p: p[1:, 0], 2.0, sample_count=64),
+    "function_norm f of one value": lambda: lf.function_norm(
+        BALL2, lambda p: 1.0, 2.0, sample_count=64),
+    "function_norm f of shape (k, 1)": lambda: lf.function_norm(
+        BALL2, lambda p: p[:, :1], 2.0, sample_count=64),
+    "lhs_direct NaN kernel": lambda: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2),
+        lf.Kernel1D(evaluate=lambda s, t: np.full_like(s, math.nan)), first_axis, first_axis),
+        sample_count=64),
+    "lhs_direct complex kernel": lambda: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2),
+        lf.Kernel1D(evaluate=lambda s, t: (1 + 1j) / (s - t)), first_axis, first_axis),
+        sample_count=64),
+    "lhs_direct complex f": lambda: lf.lhs_direct(lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
+        plus_i, first_axis), sample_count=64),
+    "eval_phase custom phase of one value": lambda: on_custom_phase("eval_phase", lambda x: 0.5),
+    "eval_phase custom phase one value short": lambda: on_custom_phase(
+        "eval_phase", lambda x: x[1:, 0]),
+    "eval_phase complex custom phase": lambda: on_custom_phase("eval_phase", plus_i),
+    "eval_phase NaN custom phase": lambda: on_custom_phase("eval_phase", nan_everywhere),
+    "monte_carlo custom phase of one value": lambda: on_custom_phase(
+        "monte_carlo", lambda x: 0.5),
+    "monte_carlo custom phase one value short": lambda: on_custom_phase(
+        "monte_carlo", lambda x: x[1:, 0]),
+    "monte_carlo complex custom phase": lambda: on_custom_phase("monte_carlo", plus_i),
+    "lhs_direct custom phase of one value": lambda: on_custom_phase("lhs_direct", lambda x: 0.5),
+    "lhs_direct custom phase one value short": lambda: on_custom_phase(
+        "lhs_direct", lambda x: x[1:, 0]),
+    "lhs_direct complex custom phase": lambda: on_custom_phase("lhs_direct", plus_i),
+    "monte_carlo complex weight": lambda: lf.density_on_grid(
+        lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
+        sample_count=100, h=plus_i),
+    "coarea complex weight": lambda: lf.weighted_density_coarea(
+        lf.linear_phase(BALL2), plus_i, 0.1),
+    "monte_carlo string-valued weight": lambda: lf.density_on_grid(
+        lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
+        sample_count=100, h=lambda p: np.full(len(p), "0.5")),
+    "fiber_norm complex f": lambda: lf.fiber_norm(
+        lf.linear_phase(BALL2), lambda p: 1j * p[:, 0], 2.0, 0.1),
+    "eval_phase complex point": lambda: lf.eval_phase(lf.linear_phase(BALL2), [0.1 + 1j, 0.2]),
+    "hard_truncation complex eval point": lambda: lf.hard_truncation(
+        lf.hilbert_kernel(), lf.GridFunction1D(0.0, 1.0, np.ones(64)), 0.1,
+        eval_points=[0.5 + 1j]),
+    "ReparamTable complex entry": lambda: lf.ReparamTable([0.0, 1.0, 2.0], [0.0, 1.0, 2.0 + 1j]),
+    "ball n=345, whose volume overflows": lambda: lf.ball(345),
+    "ball radius=1e200, whose volume overflows": lambda: lf.ball(2, 1e200),
+    "box of sides 2e300, whose volume overflows": lambda: lf.box([(-1e300, 1e300)] * 2),
+    "radial_power_phase gamma=2000 on radius 2": lambda: lf.radial_power_phase(
+        lf.ball(2, 2.0), 2000),
+    "saddle_phase on radius 1e200": lambda: lf.saddle_phase(lf.ball(2, 1e200)),
+    "oscillatory_phase image past the float range": lambda: lf.oscillatory_phase(
+        lf.box([(0.0, 1e308), (0.0, 1.0)]), 1e308, 1.0),
 }
 
 
