@@ -175,7 +175,10 @@ def _mode_weight(mode: str, dist: np.ndarray, eps: float, cutoff: Cutoff | None)
     a boolean array, which a product with floats reads as 1.0 and 0.0."""
     if mode == HARD:
         return dist > eps
-    chi = require_reals(cutoff.fn(dist / eps), "cutoff values")
+    # one value per distance: off-grid distances are 2-d, and a cutoff that
+    # gave one number would broadcast over them
+    flat = dist.reshape(-1) / eps
+    chi = require_reals(cutoff.fn(flat), "cutoff values", flat.size).reshape(dist.shape)
     if mode == SMOOTH:
         return chi
     return (dist > eps) - chi

@@ -282,47 +282,42 @@ def _weigh(h, pts: np.ndarray) -> np.ndarray:
     return require_reals(h(flat), "weight values", len(flat)).reshape(pts.shape[:-1])
 
 
-# Per-level scalars (radii, slopes, section sizes) are Python floats, as a
-# single level computes them, so a level's value does not depend on the batch
-# it is evaluated in; numpy's vectorised power differs from libm's pow in the
-# last bit on 5-6% of inputs (numpy 2.4, uniform draws in (0, 1)).
+# Per-level scalars (radii, slopes, section sizes) are computed elementwise,
+# so a level's value does not depend on the batch it is evaluated in. Square
+# roots run in numpy, correctly rounded as in libm; powers run through Python's
+# pow (libm), since numpy's vectorised power differs from it in the last bit
+# on 5-6% of inputs (numpy 2.4, uniform draws in (0, 1)).
 
-def _radial_level(phase: Phase, t: float):
-    """Fiber radius and |grad| on the fiber for radial phases; None if empty."""
-    dom = phase.domain
-    R = dom.radius
+def _radial_fibers(phase: Phase, tt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fibers of a radial phase at the levels tt: the mask of the levels
+    whose fiber is not empty, and their fiber radii and |grad| on the fiber,
+    in level order."""
+    R = phase.domain.radius
     if phase.kind == geometry.RADIAL_QUADRATIC:
-        if t <= 0 or t > R * R:
-            return None, None
-        r = math.sqrt(t)
-        return r, 2.0 * r
+        on = (tt > 0) & (tt <= R * R)
+        r = np.sqrt(tt[on])
+        return on, r, 2.0 * r
     if phase.kind == geometry.RADIAL_POWER:
         g = phase.gamma
-        if t <= 0 or t > R ** g:
-            return None, None
-        r = t ** (1.0 / g)
-        return r, g * r ** (g - 1)
+        on = (tt > 0) & (tt <= R ** g)
+        r = [t ** (1.0 / g) for t in tt[on].tolist()]
+        return on, np.array(r), np.array([g * x ** (g - 1) for x in r])
     # boundary reparametrization: t = H(R - r)
     prof = phase.profile
     lo, hi = prof.value_range
-    if t < lo or t > hi:
-        return None, None
-    d = float(prof.inverse(t))
+    d = prof.inverse(tt)
     r = R - d
-    if r <= 0:
-        return None, None
-    slope = abs(float(prof.derivative(d)))
-    if slope <= geometry.SINGULAR_RADIUS:
-        raise CriticalValueError(f"profile slope vanishes at level {t!r}")
-    return r, slope
+    on = (tt >= lo) & (tt <= hi) & (r > 0)
+    slope = np.abs(prof.derivative(d[on]))
+    flat = slope <= geometry.SINGULAR_RADIUS
+    if np.any(flat):
+        raise CriticalValueError(f"profile slope vanishes at level {float(tt[on][flat][0])!r}")
+    return on, r[on], slope
 
 
 def _radial_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndarray:
     n = phase.domain.n
-    fibers = [_radial_level(phase, t) for t in tt.tolist()]
-    on = np.array([r is not None for r, _ in fibers])
-    r = np.array([r for r, _ in fibers if r is not None])
-    slope = np.array([s for _, s in fibers if s is not None])
+    on, r, slope = _radial_fibers(phase, tt)
     out = np.zeros(len(tt))
     if not np.any(on):
         return out
@@ -364,7 +359,7 @@ def _linear_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
         section = np.full(len(tt), float(np.prod([w for j, w in enumerate(widths) if j != axis])))
     else:
         R = dom.radius
-        rho = np.array([math.sqrt(max(R * R - t * t, 0.0)) for t in tt.tolist()])
+        rho = np.sqrt(np.maximum(R * R - tt * tt, 0.0))
         disk = ball_volume(n - 1)
         section = np.array([disk * x ** (n - 1) for x in rho.tolist()])
     if h is None:

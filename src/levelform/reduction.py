@@ -76,7 +76,8 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
     f and g are called once per block on fresh (k, n) arrays of those pairs'
     points, so they must be pointwise. The kernel, f and g must each give
     finite reals, one value per kept pair; anything else raises ConfigError
-    before a product is formed.
+    before a product is formed. So does a product of the two domain volumes
+    past the float range, before any block is drawn.
 
     The pair stream is read one block ahead (`_overlap.lookahead`): while the
     caller evaluates the phases, the kernel, f and g on one block, the worker
@@ -84,6 +85,9 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
     and the gather). Everything else runs on the caller's thread, and where
     fewer than two CPUs are usable the whole call does."""
     require_whole(sample_count, "sample_count")
+    # two finite volumes can still multiply past the float range
+    scale = require_real(form.phase_in.domain.volume() * form.phase_out.domain.volume(),
+                         "product of the domain volumes")
     # refuses an impossible count before the values below are allocated
     pairs = sample_pair_blocks(form.phase_in.domain, form.phase_out.domain, sample_count, seed)
     # one array of per-pair values: its mean and std are pairwise sums over all of it
@@ -104,7 +108,6 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
                 gv = require_reals(form.g(ys.take(keep, axis=0)), "g values", k)
                 vals[got + keep] = kv * fv * gv
             got += len(xs)
-    scale = form.phase_in.domain.volume() * form.phase_out.domain.volume()
     value = float(np.mean(vals)) * scale
     stderr = float(np.std(vals)) / math.sqrt(sample_count) * scale
     return Estimate(value=value, error=stderr, sample_count=sample_count)

@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 import levelform as lf
 from levelform import geometry, pushforward
 from levelform.geometry import ball_volume
-from levelform.pushforward import _BLOCK_POINTS, _in_blocks, _radial_level, _weigh
+from levelform.pushforward import _BLOCK_POINTS, _in_blocks, _weigh
+from radial_oracle import _radial_level
 
 BALL2 = lf.ball(2)
 

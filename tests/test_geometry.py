@@ -33,6 +33,7 @@ def test_domain_volume_and_containment():
     assert b.volume() == pytest.approx(4.0 * math.pi)
     assert b.contains([[1.9, 0.0]])[0]
     assert not b.contains([[1.9, 1.9]])[0]
+    assert not b.contains([[math.nan, 0.0]])[0]  # read as outside, not refused
     bx = lf.box([(-1.0, 1.0), (0.0, 3.0)])
     assert bx.volume() == pytest.approx(6.0)
     assert bx.contains([[0.5, 2.9]])[0]

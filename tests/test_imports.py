@@ -2,8 +2,9 @@
 module relies on an `assert`, scipy is imported in one function only,
 importing the package starts no thread, real numbers and finite arrays are
 each checked by one guard, the values a caller's function returns pass one
-guard, row norms are taken by one pair of helpers, and `lhs_direct` gathers
-by index, not through a boolean mask."""
+guard, row norms are taken by one pair of helpers, `lhs_direct` gathers
+by index, not through a boolean mask, and the PCHIP interpolant has one
+evaluation path."""
 
 import ast
 import os
@@ -253,3 +254,34 @@ def test_mask_guard_flags_the_boolean_mask_form():
     # four gathers and one store
     tree = ast.parse((TESTS / "test_lhs_gather.py").read_text())
     assert len(mask_subscripts(tree, "oracle_lhs_direct")) == 5
+
+
+def second_pchip_paths(module, tree):
+    """`module:line` of each `bisect` import in geometry, each `isinstance` test
+    in `_PiecewisePolynomial.__call__` and each name `_radial_level`."""
+    def imports_bisect(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "bisect" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and node.module == "bisect"
+
+    def names_radial_level(node):
+        # a Name, an Attribute, a function or class, or an imported alias
+        return "_radial_level" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+
+    calls = [func for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) and cls.name == "_PiecewisePolynomial"
+             for func in cls.body if isinstance(func, ast.FunctionDef) and func.name == "__call__"]
+    branches = [node for func in calls for node in ast.walk(func)
+                if isinstance(node, (ast.If, ast.IfExp)) and "isinstance(" in ast.unparse(node.test)]
+    found = branches + [node for node in ast.walk(tree) if names_radial_level(node)
+                        or module == "geometry" and imports_bisect(node)]
+    return sorted(f"{module}:{node.lineno}" for node in found)
+
+
+def test_one_pchip_evaluation_path():
+    # a float takes the numpy path of `_PiecewisePolynomial`, with the same
+    # bits; the per-level fiber that kept a Python-float path alive is
+    # `pushforward._radial_fibers`, one array call, and its oracle lives in tests
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in second_pchip_paths(path.stem, ast.parse(path.read_text()))]
+    assert not found, f"a second evaluation path at: {found}"

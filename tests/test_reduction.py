@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import levelform as lf
+from levelform.kernels import _apply_batch
 
 
 BALL2 = lf.ball(2)
@@ -166,6 +167,8 @@ def plus_i(p):
 
 # three levels inside the image of every phase the misuse rows use
 THREE_LEVELS = np.array([0.2, 0.4, 0.6])
+# a cutoff must give one value per distance; one number would broadcast
+ONE_VALUE_CUTOFF = lf.Cutoff(fn=lambda r: 0.5)
 MISUSE = {
     "function_norm r=0": lambda: lf.function_norm(BALL2, first_axis, 0.0),
     "function_norm r=nan": lambda: lf.function_norm(BALL2, first_axis, math.nan),
@@ -419,6 +422,21 @@ MISUSE = {
     "saddle_phase on radius 1e200": lambda: lf.saddle_phase(lf.ball(2, 1e200)),
     "oscillatory_phase image past the float range": lambda: lf.oscillatory_phase(
         lf.box([(0.0, 1e308), (0.0, 1.0)]), 1e308, 1.0),
+    "lhs_direct on two domains whose volumes multiply past the float range": lambda: lf.lhs_direct(
+        lf.SynchronizedForm(lf.linear_phase(lf.ball(2, 1e100)), lf.linear_phase(lf.ball(2, 1e100)),
+                            lf.hilbert_kernel(), first_axis, first_axis), sample_count=64),
+    "smooth_truncation cutoff of one value": lambda: lf.smooth_truncation(
+        lf.hilbert_kernel(), ONE_VALUE_CUTOFF, lf.GridFunction1D(0.0, 1.0, np.ones(64)), 0.1),
+    "residual_truncation cutoff of one value": lambda: lf.residual_truncation(
+        lf.hilbert_kernel(), ONE_VALUE_CUTOFF, lf.GridFunction1D(0.0, 1.0, np.ones(64)), 0.1),
+    "off-grid truncation batch cutoff of one value": lambda: _apply_batch(
+        lf.hilbert_kernel(), lf.GridFunction1D(0.0, 1.0, np.ones(64)), np.ones((64, 1)), 0.1,
+        [(lf.SMOOTH, ONE_VALUE_CUTOFF)], eval_points=[0.25, 0.5]),
+    "contains complex point list": lambda: BALL2.contains([[0.1 + 5j, 0.0]]),
+    "contains complex point array": lambda: BALL2.contains(np.array([[0.1 + 5j, 0.0]])),
+    "contains boolean point array": lambda: BALL2.contains(np.array([[True, False]])),
+    "contains object point array": lambda: BALL2.contains(np.array([[0.1, None]], dtype=object)),
+    "contains string points": lambda: lf.box([(0.0, 1.0)] * 2).contains([["0.5", "0.5"]]),
 }
 
 
