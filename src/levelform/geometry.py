@@ -45,7 +45,9 @@ OSCILLATORY = "oscillatory"
 BOUNDARY_REPARAM = "boundary-reparam"
 CUSTOM = "custom"
 
-_RADIAL_KINDS = (RADIAL_QUADRATIC, RADIAL_POWER, BOUNDARY_REPARAM)
+# |x|^gamma on a ball; radial-quadratic is the case gamma = 2
+_RADIAL_POWER_KINDS = (RADIAL_QUADRATIC, RADIAL_POWER)
+_RADIAL_KINDS = _RADIAL_POWER_KINDS + (BOUNDARY_REPARAM,)
 
 
 def ball_volume(dim: int) -> float:
@@ -136,10 +138,17 @@ class Domain:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Which rows of `points` lie in the domain, up to a tolerance. Points
-        of a dtype other than integer or float (complex, bool, object) raise
-        ConfigError; only the dtype is read, so no pass is made over the
-        values, and a NaN point reads as outside."""
-        pts = np.atleast_2d(np.asarray(points))
+        that are not rows of n coordinates (a ragged list, a 3-d array, a row
+        of another width), or of a dtype other than integer or float (complex,
+        bool, object), raise ConfigError; only the shape and dtype are read,
+        so no pass is made over the values, and a NaN point reads as outside."""
+        try:
+            pts = np.atleast_2d(np.asarray(points))
+        except ValueError:  # numpy's refusal of a ragged list
+            pts = None
+        if pts is None or pts.ndim != 2 or pts.shape[1] != self.n:
+            got = "a ragged list" if pts is None else f"shape {pts.shape}"
+            raise ConfigError(f"domain points must be rows of {self.n} coordinates, got {got}")
         if pts.dtype.kind not in "iuf":
             raise ConfigError(f"domain points must be real numbers, got {pts.dtype} values")
         pts = pts.astype(float, copy=False)
@@ -293,6 +302,8 @@ class Phase:
     fn: Callable | None = None
 
     def __post_init__(self):
+        if self.kind == RADIAL_QUADRATIC and self.gamma != 2.0:
+            raise ConfigError(f"a radial-quadratic phase has gamma = 2, got {self.gamma!r}")
         if self.kind != CUSTOM:  # a black box has no catalog image
             _require_float_range(lambda: image_interval(self), f"{self.label} image end")
 
@@ -463,9 +474,9 @@ def critical_values(phase: Phase) -> tuple[float, ...]:
     k = phase.kind
     if k in (LINEAR, OSCILLATORY):
         return ()
-    if k == RADIAL_QUADRATIC or k == SADDLE:
+    if k == SADDLE:
         return (0.0,)
-    if k == RADIAL_POWER:
+    if k in _RADIAL_POWER_KINDS:
         return (0.0,) if phase.gamma > 1 else ()
     if k == BOUNDARY_REPARAM:
         # table construction enforces a strictly increasing profile
@@ -482,9 +493,7 @@ def image_interval(phase: Phase) -> tuple[float, float]:
             return -dom.radius, dom.radius
         lo, hi = dom.bounds[phase.axis]
         return lo, hi
-    if k == RADIAL_QUADRATIC:
-        return 0.0, dom.radius ** 2
-    if k == RADIAL_POWER:
+    if k in _RADIAL_POWER_KINDS:
         return 0.0, dom.radius ** phase.gamma
     if k == SADDLE:
         return -dom.radius ** 2, dom.radius ** 2

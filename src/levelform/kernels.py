@@ -49,7 +49,6 @@ class Kernel1D:
     evaluate: Callable
     size_constant: float = 1.0
     dini_modulus: Callable | None = None
-    label: str = "kernel"
 
     def __post_init__(self):
         require_real(self.size_constant, "kernel size constant", above=0)
@@ -68,7 +67,7 @@ def _hilbert_modulus(u):
 def hilbert_kernel() -> Kernel1D:
     """Reference kernel 1/(pi (s - t)) with its verified modulus."""
     return Kernel1D(evaluate=_hilbert_eval, size_constant=1.0 / math.pi,
-                    dini_modulus=_hilbert_modulus, label="hilbert")
+                    dini_modulus=_hilbert_modulus)
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ class Cutoff:
     """Radial multiplier profile chi(r): 0 on [0,1], 1 on [2,inf)."""
 
     fn: Callable
-    label: str = "cutoff"
 
 
 def _smoothstep_chi(r):
@@ -89,11 +87,11 @@ def _ramp_chi(r):
 
 
 def smoothstep_cutoff() -> Cutoff:
-    return Cutoff(fn=_smoothstep_chi, label="smoothstep")
+    return Cutoff(fn=_smoothstep_chi)
 
 
 def linear_ramp_cutoff() -> Cutoff:
-    return Cutoff(fn=_ramp_chi, label="ramp")
+    return Cutoff(fn=_ramp_chi)
 
 
 def eps_ladder(k_min: int = 2, k_max: int = 8) -> list[float]:

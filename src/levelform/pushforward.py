@@ -161,13 +161,7 @@ def _closed_form_values(phase: Phase, tt: np.ndarray) -> np.ndarray:
         out = np.zeros_like(tt)
         out[inside] = ball_volume(n - 1) * (R * R - tt[inside] ** 2) ** ((n - 1) / 2)
         return out
-    if k == geometry.RADIAL_QUADRATIC and dom.shape == "ball":
-        out = np.zeros_like(tt)
-        inside = (tt > 0) & (tt <= R * R)
-        out[inside] = sphere_area(n) / 2 * tt[inside] ** ((n - 2) / 2)
-        out[tt == 0.0] = _radial_origin_value(n, 2.0)
-        return out
-    if k == geometry.RADIAL_POWER and dom.shape == "ball":
+    if k in geometry._RADIAL_POWER_KINDS and dom.shape == "ball":
         g = phase.gamma
         out = np.zeros_like(tt)
         inside = (tt > 0) & (tt <= R ** g)
@@ -205,9 +199,7 @@ def critical_exponent(phase: Phase) -> float:
     k = phase.kind
     if k in (geometry.LINEAR, geometry.OSCILLATORY, geometry.SADDLE):
         return 0.0
-    if k == geometry.RADIAL_QUADRATIC:
-        return max((2.0 - phase.domain.n) / 2.0, 0.0)
-    if k == geometry.RADIAL_POWER:
+    if k in geometry._RADIAL_POWER_KINDS:
         return max((phase.gamma - phase.domain.n) / phase.gamma, 0.0)
     raise NoClosedFormError(f"no catalog exponent for {phase.label}")
 
@@ -242,7 +234,7 @@ def weighted_density_coarea(phase: Phase, h, t, fiber_nodes: int = 2048) -> floa
             out[live] = _linear_levels(phase, h, tt[live], fiber_nodes)
         elif k == geometry.SADDLE:
             out[live] = _saddle_levels(phase, h, tt[live], fiber_nodes)
-        elif k in (geometry.RADIAL_QUADRATIC, geometry.RADIAL_POWER, geometry.BOUNDARY_REPARAM):
+        elif k in geometry._RADIAL_KINDS:
             out[live] = _radial_levels(phase, h, tt[live], fiber_nodes)
         else:
             raise NoParametrizationError(f"no fiber parametrization for {phase.label}")
@@ -293,13 +285,12 @@ def _radial_fibers(phase: Phase, tt: np.ndarray) -> tuple[np.ndarray, np.ndarray
     whose fiber is not empty, and their fiber radii and |grad| on the fiber,
     in level order."""
     R = phase.domain.radius
-    if phase.kind == geometry.RADIAL_QUADRATIC:
-        on = (tt > 0) & (tt <= R * R)
-        r = np.sqrt(tt[on])
-        return on, r, 2.0 * r
-    if phase.kind == geometry.RADIAL_POWER:
+    if phase.kind in geometry._RADIAL_POWER_KINDS:
         g = phase.gamma
         on = (tt > 0) & (tt <= R ** g)
+        if phase.kind == geometry.RADIAL_QUADRATIC:  # pow(t, 0.5) has other last bits
+            r = np.sqrt(tt[on])
+            return on, r, 2.0 * r
         r = [t ** (1.0 / g) for t in tt[on].tolist()]
         return on, np.array(r), np.array([g * x ** (g - 1) for x in r])
     # boundary reparametrization: t = H(R - r)
@@ -525,32 +516,26 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
 
 def weighted_density_closed_form(phase: Phase, h, t) -> float | np.ndarray:
     """Catalog closed-form density times a fiber-constant weight (`h=None`
-    means 1); 0 outside the image, inf at a blow-up."""
+    means 1); 0 outside the image, inf at a blow-up. The weight's profile is
+    called only at the levels inside the image (or their radii); the levels
+    outside read 0 without reaching it."""
     tt = require_reals(t, "density levels")
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
-    base = _closed_form_values(phase, tt)
-    if h is None:
-        vals = base
-    elif isinstance(h, LevelFunction) and phase.kind == geometry.LINEAR and h.axis == phase.axis:
-        vals = base * _profile_values(h, tt)
-    elif isinstance(h, RadialFunction) and phase.kind in _RADIAL_CLOSED:
-        rr = _radius_of_level(phase, tt)
-        vals = base * _profile_values(h, rr)
-    else:
-        raise NoClosedFormError(
-            "closed-form weighted densities need a fiber-constant weight")
+    vals = _closed_form_values(phase, tt)
+    if h is not None:
+        lo, hi = geometry.image_interval(phase)
+        live = (tt >= lo) & (tt <= hi)
+        if isinstance(h, LevelFunction) and phase.kind == geometry.LINEAR and h.axis == phase.axis:
+            x = tt[live]
+        elif isinstance(h, RadialFunction) and phase.kind in geometry._RADIAL_POWER_KINDS:
+            x = np.maximum(tt[live], 0.0) ** (1.0 / phase.gamma)
+        else:
+            raise NoClosedFormError(
+                "closed-form weighted densities need a fiber-constant weight")
+        if len(x):  # outside the image the density is 0 already
+            vals[live] *= _profile_values(h, x)
     return float(vals[0]) if scalar else vals
-
-
-_RADIAL_CLOSED = (geometry.RADIAL_QUADRATIC, geometry.RADIAL_POWER)
-
-
-def _radius_of_level(phase: Phase, tt: np.ndarray) -> np.ndarray:
-    safe = np.maximum(tt, 0.0)
-    if phase.kind == geometry.RADIAL_QUADRATIC:
-        return np.sqrt(safe)
-    return safe ** (1.0 / phase.gamma)
 
 
 def route_parameters(method: str, **given) -> dict:

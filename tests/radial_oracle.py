@@ -1,13 +1,40 @@
-"""`_radial_level`, the per-level fiber of a radial phase that the coarea
+"""Retired radial code, kept as oracles.
+
+`_radial_level`, the per-level fiber of a radial phase that the coarea
 route computed once per level, in Python floats, before
 `pushforward._radial_fibers` took all levels as one array. The oracle of
 `tests/test_radial_fibers.py`, and the fiber of the level-by-level oracles in
-`tests/test_fiber_blocks.py` and `tests/test_pushforward.py`."""
+`tests/test_fiber_blocks.py` and `tests/test_pushforward.py`.
+
+`quadratic_closed_form`, `quadratic_radius_of_level` and
+`quadratic_critical_exponent`, the radial-quadratic copies of the radial-power
+closed form, level radius and exponent, before the radial-power code took the
+case gamma = 2. The oracles of `tests/test_radial_quadratic.py`."""
 
 import math
 
+import numpy as np
+
 from levelform import geometry
 from levelform.errors import CriticalValueError
+from levelform.pushforward import _radial_origin_value
+
+
+def quadratic_closed_form(n: int, R: float, tt: np.ndarray) -> np.ndarray:
+    """The density of |x|^2 on the ball of radius R in R^n at the levels tt."""
+    out = np.zeros_like(tt)
+    inside = (tt > 0) & (tt <= R * R)
+    out[inside] = geometry.sphere_area(n) / 2 * tt[inside] ** ((n - 2) / 2)
+    out[tt == 0.0] = _radial_origin_value(n, 2.0)
+    return out
+
+
+def quadratic_radius_of_level(tt: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(tt, 0.0))
+
+
+def quadratic_critical_exponent(n: int) -> float:
+    return max((2.0 - n) / 2.0, 0.0)
 
 
 def _radial_level(phase, t: float):

@@ -3,8 +3,9 @@ module relies on an `assert`, scipy is imported in one function only,
 importing the package starts no thread, real numbers and finite arrays are
 each checked by one guard, the values a caller's function returns pass one
 guard, row norms are taken by one pair of helpers, `lhs_direct` gathers
-by index, not through a boolean mask, and the PCHIP interpolant has one
-evaluation path."""
+by index, not through a boolean mask, the PCHIP interpolant has one
+evaluation path, and the radial-quadratic phase reads as radial-power at
+gamma = 2."""
 
 import ast
 import os
@@ -285,3 +286,51 @@ def test_one_pchip_evaluation_path():
     found = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in second_pchip_paths(path.stem, ast.parse(path.read_text()))]
     assert not found, f"a second evaluation path at: {found}"
+
+
+def radial_quadratic_copies(module, tree):
+    """`module:line` of each second copy of radial-power code for the
+    radial-quadratic phase: a name `_radius_of_level` or `_RADIAL_CLOSED`, a
+    tuple listing RADIAL_QUADRATIC and RADIAL_POWER past geometry's first, and
+    in pushforward each RADIAL_QUADRATIC outside the test of the `np.sqrt`
+    branch of `_radial_fibers`."""
+    def names(node):
+        return {getattr(node, key, None) for key in ("id", "attr", "name")}
+
+    radius_branch = {id(part) for func in ast.walk(tree)
+                     if isinstance(func, ast.FunctionDef) and func.name == "_radial_fibers"
+                     for node in ast.walk(func) if isinstance(node, ast.If)
+                     and any("np.sqrt(" in ast.unparse(line) for line in node.body)
+                     for part in ast.walk(node.test)}
+    tuples = [node for node in ast.walk(tree) if isinstance(node, ast.Tuple)
+              and {"RADIAL_QUADRATIC", "RADIAL_POWER"} <= set().union(*map(names, node.elts))]
+    found = tuples[1:] if module == "geometry" else tuples
+    found += [node for node in ast.walk(tree) if names(node) & {"_radius_of_level", "_RADIAL_CLOSED"}
+              or module == "pushforward" and "RADIAL_QUADRATIC" in names(node)
+              and id(node) not in radius_branch]
+    return sorted({f"{module}:{node.lineno}" for node in found})
+
+
+def test_radial_quadratic_reads_as_power_at_two():
+    # |x|^2 is |x|^gamma at gamma = 2: its closed form, exponent, level radius,
+    # image end and fiber mask are the radial-power code's; only the fiber
+    # radius, np.sqrt where pow(t, 0.5) has other bits, names the kind
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in radial_quadratic_copies(path.stem, ast.parse(path.read_text()))]
+    assert not found, f"a second radial-quadratic copy at: {found}"
+
+
+def test_radial_quadratic_lint_flags_each_form():
+    sample = '''
+KINDS = (geometry.RADIAL_QUADRATIC, geometry.RADIAL_POWER)
+def _radial_fibers(phase, tt):
+    if phase.kind == geometry.RADIAL_QUADRATIC:
+        return np.sqrt(tt)
+def critical_exponent(phase):
+    if phase.kind == geometry.RADIAL_QUADRATIC:
+        return 0.0
+rr = _radius_of_level(phase, tt)
+'''
+    assert radial_quadratic_copies("pushforward", ast.parse(sample)) == [
+        "pushforward:2", "pushforward:7", "pushforward:9"]
+    assert radial_quadratic_copies("geometry", ast.parse(sample)) == ["geometry:9"]

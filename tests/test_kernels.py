@@ -40,7 +40,7 @@ def test_hilbert_diagonal_overflows_silently():
 def test_kernel_and_cutoff_equality_see_their_functions():
     k = lf.hilbert_kernel()
     assert k == lf.Kernel1D(evaluate=k.evaluate, size_constant=k.size_constant,
-                            dini_modulus=k.dini_modulus, label="hilbert")
+                            dini_modulus=k.dini_modulus)
     assert lf.Kernel1D(evaluate=lambda s, t: s - t) != lf.Kernel1D(evaluate=lambda s, t: t - s)
     assert lf.Kernel1D(evaluate=k.evaluate, dini_modulus=lambda u: u) != \
         lf.Kernel1D(evaluate=k.evaluate, dini_modulus=lambda u: 2 * u)
@@ -273,7 +273,7 @@ TRUNCATE_COMPLEX = {
 def test_truncation_refuses_a_complex_valued_kernel(call):
     # the straddling halves and the real FFT of the stencils would each drop
     # the imaginary part; eps = 3.2 h puts cells across both radii
-    kernel = lf.Kernel1D(evaluate=complex_hilbert, label="complex")
+    kernel = lf.Kernel1D(evaluate=complex_hilbert)
     with pytest.raises(lf.ConfigError, match="truncation kernel must be real-valued, got complex128"):
         call(kernel, noise_function(64, seed=3))
 

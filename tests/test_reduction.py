@@ -59,7 +59,7 @@ def test_lhs_respects_gap_mask():
     # kernel constant 1: lhs counts pairs with level gap > eps
     const_kernel = lf.Kernel1D(
         evaluate=lambda s, t: np.ones_like(s), size_constant=1.0,
-        dini_modulus=lambda u: np.zeros_like(u), label="const")
+        dini_modulus=lambda u: np.zeros_like(u))
     phase = lf.linear_phase(BALL2)
     form = lf.SynchronizedForm(phase_in=phase, phase_out=phase,
                                kernel=const_kernel,
@@ -437,6 +437,15 @@ MISUSE = {
     "contains boolean point array": lambda: BALL2.contains(np.array([[True, False]])),
     "contains object point array": lambda: BALL2.contains(np.array([[0.1, None]], dtype=object)),
     "contains string points": lambda: lf.box([(0.0, 1.0)] * 2).contains([["0.5", "0.5"]]),
+    "contains one coordinate on a 2-ball": lambda: BALL2.contains([0.1]),
+    "contains a row of one on a 2-box": lambda: lf.box([(0.0, 1.0)] * 2).contains([[0.1]]),
+    "contains a row of three on a 2-ball": lambda: BALL2.contains([[0.1, 0.2, 5.0]]),
+    "contains a ragged list": lambda: BALL2.contains([[0.1, 0.2], [0.3]]),
+    "contains a 3-d array": lambda: BALL2.contains(np.zeros((2, 1, 2))),
+    "radial-quadratic Phase with gamma 3": lambda: lf.Phase(
+        kind="radial-quadratic", domain=BALL2, gamma=3.0),
+    "radial-quadratic phase replaced to gamma 1.5": lambda: replace(
+        lf.radial_quadratic_phase(BALL2), gamma=1.5),
 }
 
 
