@@ -1,12 +1,18 @@
 """Plain-text key-value configuration for domains and phases.
 
-Recognized keys:
-    domain.shape = ball | box        domain.n = <int>      domain.R = <float>
-    domain.bounds = lo:hi;lo:hi;...  (box only, one pair per axis)
+Recognized keys, each filling one field of `geometry.Domain` or `Phase`:
+    domain.shape = ball | box (default ball)      domain.n = <int> (default 2)
+    domain.R = <float>                            (ball only; default 1.0)
+    domain.bounds = lo:hi;lo:hi;...               (box only, one pair per axis)
     phase.kind = linear | radial-quadratic | radial-power | saddle | oscillatory
-    phase.axis = <int>   phase.gamma = <float>   phase.a = <float>   phase.N = <float>
+    phase.axis = <int>                            (linear only; default 0)
+    phase.gamma = <float>                         (radial-power only; default 2.0)
+    phase.a = <float>   phase.N = <float>         (oscillatory only; defaults 0.5, 1.0)
 
-Unknown keys under the `domain.` or `phase.` prefixes are rejected.
+A key whose field its shape or kind does not read is refused unless it
+holds the field's default ("gamma has no effect on a linear phase"), as is
+an unknown key under the `domain.` or `phase.` prefixes. Every other rule
+belongs to `Domain` and `Phase`, as for a caller in code.
 """
 
 from __future__ import annotations
@@ -14,8 +20,24 @@ from __future__ import annotations
 from .errors import ConfigError
 from . import geometry
 
-_DOMAIN_KEYS = {"domain.shape", "domain.n", "domain.R", "domain.bounds"}
-_PHASE_KEYS = {"phase.kind", "phase.axis", "phase.gamma", "phase.a", "phase.N"}
+
+def _bounds(text: str) -> tuple[tuple[float, float], ...]:
+    """`lo:hi;lo:hi;...` as (lo, hi) pairs."""
+    pairs = []
+    for chunk in text.split(";"):
+        bits = chunk.split(":")
+        if len(bits) != 2:
+            raise ConfigError(f"bad bounds chunk {chunk!r}")
+        pairs.append((float(bits[0]), float(bits[1])))
+    return tuple(pairs)
+
+
+# each key, the field it fills and how its text is read
+_DOMAIN_KEYS = {"domain.shape": ("shape", str), "domain.n": ("n", int),
+                "domain.R": ("radius", float), "domain.bounds": ("bounds", _bounds)}
+_PHASE_KEYS = {"phase.kind": ("kind", str), "phase.axis": ("axis", int),
+               "phase.gamma": ("gamma", float), "phase.a": ("amplitude", float),
+               "phase.N": ("frequency", float)}
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -38,67 +60,32 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def _check_known(cfg: dict[str, str]):
-    for key in cfg:
-        if key.startswith("domain.") and key not in _DOMAIN_KEYS:
-            raise ConfigError(f"unknown domain key {key!r}")
-        if key.startswith("phase.") and key not in _PHASE_KEYS:
-            raise ConfigError(f"unknown phase key {key!r}")
+def _fields(cfg: dict[str, str], prefix: str, keys: dict) -> dict:
+    """The fields that the keys under `prefix` fill; an unknown key raises."""
+    out = {}
+    for key, text in cfg.items():
+        if not key.startswith(prefix):
+            continue
+        if key not in keys:
+            raise ConfigError(f"unknown {prefix[:-1]} key {key!r}")
+        name, read = keys[key]
+        try:
+            out[name] = read(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return out
 
 
 def domain_from_config(cfg: dict[str, str]) -> geometry.Domain:
-    _check_known(cfg)
-    shape = cfg.get("domain.shape", "ball")
-    try:
-        n = int(cfg.get("domain.n", "2"))
-    except ValueError as exc:
-        raise ConfigError(f"domain.n: {exc}") from exc
-    if shape == "ball":
-        try:
-            radius = float(cfg.get("domain.R", "1.0"))
-        except ValueError as exc:
-            raise ConfigError(f"domain.R: {exc}") from exc
-        return geometry.ball(n, radius)
-    if shape == "box":
-        raw = cfg.get("domain.bounds")
-        if raw is None:
-            raise ConfigError("box domain needs domain.bounds")
-        pairs = []
-        for chunk in raw.split(";"):
-            bits = chunk.split(":")
-            if len(bits) != 2:
-                raise ConfigError(f"bad bounds chunk {chunk!r}")
-            try:
-                pairs.append((float(bits[0]), float(bits[1])))
-            except ValueError as exc:
-                raise ConfigError(f"domain.bounds: {exc}") from exc
-        if len(pairs) != n:
-            raise ConfigError("domain.bounds must list one lo:hi pair per axis")
-        return geometry.box(pairs)
-    raise ConfigError(f"unknown domain.shape {shape!r}")
+    return geometry.Domain(**{"shape": "ball", "n": 2, **_fields(cfg, "domain.", _DOMAIN_KEYS)})
 
 
 def phase_from_config(cfg: dict[str, str]) -> geometry.Phase:
-    _check_known(cfg)
+    fields = _fields(cfg, "phase.", _PHASE_KEYS)
     domain = domain_from_config(cfg)
-    kind = cfg.get("phase.kind")
+    kind = fields.pop("kind", None)
     if kind is None:
         raise ConfigError("missing phase.kind")
-    try:
-        if kind == geometry.LINEAR:
-            return geometry.linear_phase(domain, axis=int(cfg.get("phase.axis", "0")))
-        if kind == geometry.RADIAL_QUADRATIC:
-            return geometry.radial_quadratic_phase(domain)
-        if kind == geometry.RADIAL_POWER:
-            return geometry.radial_power_phase(domain, gamma=float(cfg.get("phase.gamma", "2.0")))
-        if kind == geometry.SADDLE:
-            return geometry.saddle_phase(domain)
-        if kind == geometry.OSCILLATORY:
-            return geometry.oscillatory_phase(
-                domain,
-                amplitude=float(cfg.get("phase.a", "0.5")),
-                frequency=float(cfg.get("phase.N", "1.0")),
-            )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown phase.kind {kind!r}")
+    if "amplitude" in geometry._KIND_FIELDS.get(kind, ()):
+        fields.setdefault("amplitude", 0.5)  # the one default a config sets itself
+    return geometry.Phase(kind, domain, **fields)

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the whole-number,
-real-number, finite-array and finite-real-array guards."""
+real-number, finite-array, finite-real-array and callable guards."""
 
 import math
 import numbers
@@ -102,6 +102,13 @@ def require_real(value, name: str, *, above: float | None = None,
         bound += "" if minimum is None else f" >= {minimum}"
         raise ConfigError(f"{name} must be a finite real number{bound}, got {reprlib.repr(value)}")
     return float(value)
+
+
+def require_callable(value, name: str):
+    """Refuse anything that cannot be called; return it."""
+    if not callable(value):
+        raise ConfigError(f"{name} must be callable, got {reprlib.repr(value)}")
+    return value
 
 
 def require_interval(lo, hi, name: str) -> tuple[float, float]:

@@ -11,7 +11,7 @@ and the transversality of level sets at the domain boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .errors import (
     OdeBlowUpError,
     PointOutsideDomainError,
     UnsupportedPhaseError,
+    require_callable,
     require_finite,
     require_interval,
     require_real,
@@ -48,6 +49,13 @@ CUSTOM = "custom"
 # |x|^gamma on a ball; radial-quadratic is the case gamma = 2
 _RADIAL_POWER_KINDS = (RADIAL_QUADRATIC, RADIAL_POWER)
 _RADIAL_KINDS = _RADIAL_POWER_KINDS + (BOUNDARY_REPARAM,)
+
+# the fields each phase kind and domain shape reads besides its kind (shape)
+# and domain (dimension); every other field must keep its default
+_KIND_FIELDS = {LINEAR: ("axis",), RADIAL_QUADRATIC: (), RADIAL_POWER: ("gamma",), SADDLE: (),
+                OSCILLATORY: ("amplitude", "frequency"), BOUNDARY_REPARAM: ("profile",),
+                CUSTOM: ("fn",)}
+_SHAPE_FIELDS = {"ball": ("radius",), "box": ("bounds",)}
 
 
 def ball_volume(dim: int) -> float:
@@ -86,6 +94,16 @@ def _norms(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(_column_sq_norms(pts))
 
 
+def _refuse_unread(obj, reads: tuple[str, ...], what: str) -> None:
+    """Refuse each field of a catalog dataclass, past its first two, that
+    `reads` does not name and that does not hold its default (of its type)."""
+    for f in fields(obj)[2:]:
+        value = getattr(obj, f.name)
+        kept = value is f.default or type(value) is type(f.default) and value == f.default
+        if f.name not in reads and not kept:
+            raise ConfigError(f"{f.name} has no effect on a {what}")
+
+
 def _require_float_range(compute: Callable, name: str) -> None:
     """Refuse `compute()`'s values unless each is a finite float (no overflow)."""
     try:
@@ -104,7 +122,7 @@ def _require_float_range(compute: Callable, name: str) -> None:
 @dataclass(frozen=True)
 class Domain:
     """Closed ball or axis-aligned box in R^n; the radius and box sides are
-    stored as floats."""
+    stored as floats. A ball reads no bounds and a box no radius."""
 
     n: int
     shape: str
@@ -112,9 +130,10 @@ class Domain:
     bounds: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if self.shape not in ("ball", "box"):
+        if self.shape not in _SHAPE_FIELDS:
             raise ConfigError(f"unknown domain shape {self.shape!r}")
         require_whole(self.n, "domain dimension")
+        _refuse_unread(self, _SHAPE_FIELDS[self.shape], f"{self.shape} domain")
         object.__setattr__(self, "radius", require_real(self.radius, "domain radius", above=0))
         if self.shape == "box":
             bounds = require_finite(self.bounds, "box bounds")
@@ -290,7 +309,9 @@ class ReparamTable:
 
 @dataclass(frozen=True)
 class Phase:
-    """One member of the phase catalog, bound to its domain."""
+    """One member of the phase catalog, bound to its domain. It checks every
+    catalog rule itself, however it is built: a kind reads only the fields
+    `_KIND_FIELDS` names, and every other field must keep its default."""
 
     kind: str
     domain: Domain
@@ -302,9 +323,36 @@ class Phase:
     fn: Callable | None = None
 
     def __post_init__(self):
-        if self.kind == RADIAL_QUADRATIC and self.gamma != 2.0:
-            raise ConfigError(f"a radial-quadratic phase has gamma = 2, got {self.gamma!r}")
-        if self.kind != CUSTOM:  # a black box has no catalog image
+        k, dom = self.kind, self.domain
+        if k not in _KIND_FIELDS:
+            raise ConfigError(f"unknown phase kind {k!r}")
+        _refuse_unread(self, _KIND_FIELDS[k], f"{k} phase")
+        if k in _RADIAL_KINDS + (SADDLE,) and dom.shape != "ball":
+            raise ConfigError(f"{k} phase requires a ball domain")
+        if k == LINEAR:
+            require_whole(self.axis, "linear phase axis", minimum=0)
+            if self.axis >= dom.n:
+                raise ConfigError("linear phase axis out of range")
+        elif k == RADIAL_POWER:
+            gamma = require_real(self.gamma, "radial power exponent gamma", minimum=1)
+            object.__setattr__(self, "gamma", gamma)
+        elif k == SADDLE and dom.n != 2:
+            raise ConfigError("saddle phase requires n = 2")
+        elif k == OSCILLATORY:
+            if dom.n < 2:
+                raise ConfigError("oscillatory phase requires n >= 2")
+            for name in ("amplitude", "frequency"):
+                value = require_real(getattr(self, name), f"oscillatory {name}")
+                object.__setattr__(self, name, value)
+        elif k == BOUNDARY_REPARAM:
+            if not isinstance(self.profile, ReparamTable):
+                raise ConfigError("a boundary-reparam phase needs a ReparamTable profile")
+            lo, hi = self.profile.s_range
+            if lo > 0 or hi < dom.radius:
+                raise ConfigError("profile table must cover distances [0, R]")
+        elif k == CUSTOM:
+            require_callable(self.fn, "custom phase fn")
+        if k != CUSTOM:  # a black box has no catalog image
             _require_float_range(lambda: image_interval(self), f"{self.label} image end")
 
     @property
@@ -317,55 +365,33 @@ class Phase:
 
 
 def linear_phase(domain: Domain, axis: int = 0) -> Phase:
-    require_whole(axis, "linear phase axis", minimum=0)
-    if axis >= domain.n:
-        raise ConfigError("linear phase axis out of range")
     return Phase(kind=LINEAR, domain=domain, axis=axis)
 
 
 def radial_quadratic_phase(domain: Domain) -> Phase:
-    _require_ball(domain, RADIAL_QUADRATIC)
     return Phase(kind=RADIAL_QUADRATIC, domain=domain)
 
 
 def radial_power_phase(domain: Domain, gamma: float) -> Phase:
-    _require_ball(domain, RADIAL_POWER)
-    gamma = require_real(gamma, "radial power exponent gamma", minimum=1)
     return Phase(kind=RADIAL_POWER, domain=domain, gamma=gamma)
 
 
 def saddle_phase(domain: Domain) -> Phase:
-    _require_ball(domain, SADDLE)
-    if domain.n != 2:
-        raise ConfigError("saddle phase requires n = 2")
     return Phase(kind=SADDLE, domain=domain)
 
 
 def oscillatory_phase(domain: Domain, amplitude: float, frequency: float) -> Phase:
-    if domain.n < 2:
-        raise ConfigError("oscillatory phase requires n >= 2")
-    return Phase(kind=OSCILLATORY, domain=domain,
-                 amplitude=require_real(amplitude, "oscillatory amplitude"),
-                 frequency=require_real(frequency, "oscillatory frequency"))
+    return Phase(kind=OSCILLATORY, domain=domain, amplitude=amplitude, frequency=frequency)
 
 
 def boundary_reparam_phase(domain: Domain, profile: ReparamTable) -> Phase:
     """theta(x) = H(dist(x, boundary)); ball domains only."""
-    _require_ball(domain, BOUNDARY_REPARAM)
-    lo, hi = profile.s_range
-    if lo > 0 or hi < domain.radius:
-        raise ConfigError("profile table must cover distances [0, R]")
     return Phase(kind=BOUNDARY_REPARAM, domain=domain, profile=profile)
 
 
 def custom_phase(domain: Domain, fn: Callable) -> Phase:
     """Black-box phase; only sampling-based operations accept it."""
     return Phase(kind=CUSTOM, domain=domain, fn=fn)
-
-
-def _require_ball(domain: Domain, kind: str):
-    if domain.shape != "ball":
-        raise ConfigError(f"{kind} phase requires a ball domain")
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +435,8 @@ def _eval_values(phase: Phase, pts: np.ndarray) -> np.ndarray:
         vals = pts[:, 0] + phase.amplitude * np.sin(phase.frequency * pts[:, 1])
     elif k == BOUNDARY_REPARAM:
         vals = phase.profile(phase.domain.radius - _norms(pts))
-    elif k == CUSTOM:
+    else:  # CUSTOM, the one kind left that `Phase` admits
         vals = phase.fn(pts)
-    else:
-        raise UnsupportedPhaseError(f"unknown phase kind {k!r}")
     return require_reals(vals, "phase values", len(pts))
 
 
@@ -472,15 +496,12 @@ def _grad_values(phase: Phase, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def critical_values(phase: Phase) -> tuple[float, ...]:
     """Exact critical values from the catalog (never detected numerically)."""
     k = phase.kind
-    if k in (LINEAR, OSCILLATORY):
+    if k in (LINEAR, OSCILLATORY, BOUNDARY_REPARAM):  # a reparam table strictly increases
         return ()
     if k == SADDLE:
         return (0.0,)
     if k in _RADIAL_POWER_KINDS:
         return (0.0,) if phase.gamma > 1 else ()
-    if k == BOUNDARY_REPARAM:
-        # table construction enforces a strictly increasing profile
-        return ()
     raise UnsupportedPhaseError(f"critical values unknown for kind {k!r}")
 
 
@@ -523,6 +544,7 @@ class GammaProfile:
     hi: float = math.inf
 
     def __post_init__(self):
+        require_callable(self.fn, "gamma profile fn")
         for end in (self.lo, self.hi):
             if end not in (-math.inf, math.inf):  # an end may be open
                 require_real(end, "profile interval end")
@@ -586,6 +608,7 @@ def design_reparametrization(profile: GammaProfile, m: Callable, h0: float,
     stage value leaves the profile's validity interval the integration stops
     with an error carrying the exit location.
     """
+    require_callable(m, "m")
     s0, s1 = require_interval(s_range[0], s_range[1], "s_range")
     require_real(step, "step", above=0)
     h0 = require_real(h0, "initial value h0")

@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, ResolutionError, require_finite, require_interval, require_real,
-                     require_reals, require_whole)
+from .errors import (ConfigError, ResolutionError, require_callable, require_finite,
+                     require_interval, require_real, require_reals, require_whole)
 from .sampling import derived_rng
 
 HARD = "hard"
@@ -51,7 +51,10 @@ class Kernel1D:
     dini_modulus: Callable | None = None
 
     def __post_init__(self):
+        require_callable(self.evaluate, "kernel evaluate")
         require_real(self.size_constant, "kernel size constant", above=0)
+        if self.dini_modulus is not None:
+            require_callable(self.dini_modulus, "kernel dini_modulus")
 
 
 def _hilbert_eval(s, t):
@@ -75,6 +78,9 @@ class Cutoff:
     """Radial multiplier profile chi(r): 0 on [0,1], 1 on [2,inf)."""
 
     fn: Callable
+
+    def __post_init__(self):
+        require_callable(self.fn, "cutoff fn")
 
 
 def _smoothstep_chi(r):

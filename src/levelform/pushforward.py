@@ -26,6 +26,7 @@ from .errors import (
     CriticalValueError,
     NoClosedFormError,
     NoParametrizationError,
+    require_callable,
     require_interval,
     require_real,
     require_reals,
@@ -124,6 +125,9 @@ class RadialFunction:
 
     profile: Callable
 
+    def __post_init__(self):
+        require_callable(self.profile, "weight profile")
+
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.profile(geometry._norms(pts))
@@ -137,6 +141,7 @@ class LevelFunction:
     axis: int = 0
 
     def __post_init__(self):
+        require_callable(self.profile, "weight profile")
         require_whole(self.axis, "level function axis", minimum=0)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -161,14 +166,14 @@ def _closed_form_values(phase: Phase, tt: np.ndarray) -> np.ndarray:
         out = np.zeros_like(tt)
         out[inside] = ball_volume(n - 1) * (R * R - tt[inside] ** 2) ** ((n - 1) / 2)
         return out
-    if k in geometry._RADIAL_POWER_KINDS and dom.shape == "ball":
+    if k in geometry._RADIAL_POWER_KINDS:  # `Phase` puts these kinds on a ball
         g = phase.gamma
         out = np.zeros_like(tt)
         inside = (tt > 0) & (tt <= R ** g)
         out[inside] = sphere_area(n) / g * tt[inside] ** ((n - g) / g)
         out[tt == 0.0] = _radial_origin_value(n, g)
         return out
-    if k == geometry.SADDLE and dom.shape == "ball":
+    if k == geometry.SADDLE:
         out = np.zeros_like(tt)
         a = np.abs(tt)
         inside = (a > 0) & (a < R * R)
@@ -217,6 +222,8 @@ def weighted_density_coarea(phase: Phase, h, t, fiber_nodes: int = 2048) -> floa
     supports this phase/weight combination.
     """
     require_whole(fiber_nodes, "fiber_nodes")
+    if h is not None:
+        require_callable(h, "a weight")
     tt = require_reals(t, "density levels")
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
@@ -468,6 +475,8 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
     the phase.
     """
     require_whole(sample_count, "sample_count")
+    if h is not None:
+        require_callable(h, "a weight")
     bins = grid.bin_count
     # one past the bin index; 0 and bins + 1 collect the levels below and above the grid
     counts = np.zeros(bins + 2, dtype=np.intp)
@@ -599,7 +608,7 @@ def _abs_power(h, r: float):
         return RadialFunction(power(h.profile))
     if isinstance(h, LevelFunction):
         return LevelFunction(power(h.profile), axis=h.axis)
-    return power(h)
+    return power(require_callable(h, "f"))
 
 
 def fiber_norm(phase: Phase, f, r: float, t: float, method: str = COAREA, *,

@@ -23,8 +23,8 @@ import numpy as np
 from . import geometry
 from ._overlap import _split_rows, lookahead
 from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
-                     PhaseNotUniformError, UnsupportedPhaseError, require_real,
-                     require_reals, require_whole)
+                     PhaseNotUniformError, UnsupportedPhaseError, require_callable,
+                     require_real, require_reals, require_whole)
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
 from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, DensityEstimate, LevelGrid,
@@ -65,6 +65,8 @@ class SynchronizedForm:
     eps: float = 0.25
 
     def __post_init__(self):
+        require_callable(self.f, "f")
+        require_callable(self.g, "g")
         require_real(self.eps, "truncation radius", above=0)
 
 
@@ -396,6 +398,7 @@ def density_supremum(phase: Phase) -> float:
 def function_norm(domain: Domain, f, r: float, sample_count: int = 1 << 16,
                   seed: int = 0) -> float:
     """Quasi Monte Carlo L^r norm of f over the domain."""
+    require_callable(f, "f")
     require_real(r, "function norm exponent r", above=0)
     require_whole(sample_count, "sample_count")
     pts = sample_domain(domain, sample_count, seed, tag=7)

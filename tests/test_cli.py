@@ -320,6 +320,13 @@ CONFIG_ERRORS = {
     "non-numeric dimension": "domain.n = two\nphase.kind = linear",
     "non-numeric radius": "domain.R = wide\nphase.kind = linear",
     "non-numeric exponent": "phase.kind = radial-power\nphase.gamma = steep",
+    # a key whose field the kind or shape does not read
+    "linear with phase.gamma": "phase.kind = linear\nphase.gamma = 3",
+    "saddle with phase.axis": "phase.kind = saddle\nphase.axis = 1",
+    "radial-power with phase.a": "phase.kind = radial-power\nphase.a = 0.5",
+    "radial-quadratic with phase.gamma = 3": "phase.kind = radial-quadratic\nphase.gamma = 3",
+    "ball with domain.bounds": "domain.bounds = 0:1;0:1\nphase.kind = linear",
+    "box with domain.R": BOX + "domain.bounds = 0:1;0:1\ndomain.R = 2",
 }
 
 

@@ -4,8 +4,10 @@ importing the package starts no thread, real numbers and finite arrays are
 each checked by one guard, the values a caller's function returns pass one
 guard, row norms are taken by one pair of helpers, `lhs_direct` gathers
 by index, not through a boolean mask, the PCHIP interpolant has one
-evaluation path, and the radial-quadratic phase reads as radial-power at
-gamma = 2."""
+evaluation path, the radial-quadratic phase reads as radial-power at
+gamma = 2, and the catalog's rules live in `Phase` and `Domain` alone: each
+phase factory only returns a `Phase`, and the config reader compares no
+phase kind."""
 
 import ast
 import os
@@ -334,3 +336,72 @@ rr = _radius_of_level(phase, tt)
     assert radial_quadratic_copies("pushforward", ast.parse(sample)) == [
         "pushforward:2", "pushforward:7", "pushforward:9"]
     assert radial_quadratic_copies("geometry", ast.parse(sample)) == ["geometry:9"]
+
+
+def phase_factories(tree):
+    """Each function in `tree` annotated `-> Phase`."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and node.returns is not None and ast.unparse(node.returns) == "Phase"]
+
+
+def factory_rules(tree):
+    """Name of each phase factory whose body is more than a docstring and one
+    `return Phase(...)`."""
+    def bare(func):
+        body = func.body[1:] if ast.get_docstring(func) else func.body
+        return (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Call)
+                and ast.unparse(body[0].value.func) == "Phase")
+
+    return sorted(func.name for func in phase_factories(tree) if not bare(func))
+
+
+def kind_comparisons(tree):
+    """Line of each comparison with a phase kind, as a geometry constant or
+    its string, among its operands."""
+    from levelform import geometry
+
+    kinds = set(geometry._KIND_FIELDS)
+    names = {name for name, value in vars(geometry).items() if isinstance(value, str)
+             and value in kinds}
+
+    def is_kind(node):
+        return (isinstance(node, ast.Constant) and node.value in kinds
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names)
+
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and any(is_kind(part) for operand in [node.left, *node.comparators]
+                          for part in ast.walk(operand)))
+
+
+def test_catalog_rules_live_in_phase_and_domain():
+    # `geometry._KIND_FIELDS` says which fields each kind reads, and `Phase`
+    # holds every rule; a check in a factory or the config reader drifts
+    geometry = ast.parse((PACKAGE / "geometry.py").read_text())
+    assert len(phase_factories(geometry)) == 7
+    assert factory_rules(geometry) == []
+    found = kind_comparisons(ast.parse((PACKAGE / "config.py").read_text()))
+    assert not found, f"config.py compares a phase kind at lines {found}"
+
+
+def test_catalog_rule_lint_flags_each_form():
+    sample = '''
+def saddle_phase(domain) -> Phase:
+    """Docstring."""
+    if domain.n != 2:
+        raise ConfigError("saddle phase requires n = 2")
+    return Phase(kind=SADDLE, domain=domain)
+def linear_phase(domain) -> Phase:
+    return Phase(kind=LINEAR, domain=domain)
+def phase_from_config(cfg):
+    if kind == geometry.RADIAL_POWER:
+        pass
+    if kind in (LINEAR, "saddle"):
+        pass
+    if "amplitude" in geometry._KIND_FIELDS.get(kind, ()):
+        pass
+'''
+    tree = ast.parse(sample)
+    assert factory_rules(tree) == ["saddle_phase"]
+    assert kind_comparisons(tree) == [10, 12]

@@ -11,6 +11,7 @@ from levelform.kernels import _apply_batch
 
 
 BALL2 = lf.ball(2)
+BOX2 = lf.box([(0.0, 1.0), (0.0, 1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +447,43 @@ MISUSE = {
         kind="radial-quadratic", domain=BALL2, gamma=3.0),
     "radial-quadratic phase replaced to gamma 1.5": lambda: replace(
         lf.radial_quadratic_phase(BALL2), gamma=1.5),
+    # a Phase or Domain built directly keeps the catalog's rules
+    "radial-power Phase with gamma -1": lambda: lf.Phase("radial-power", BALL2, gamma=-1.0),
+    "radial-power Phase with gamma 0.5": lambda: lf.Phase("radial-power", BALL2, gamma=0.5),
+    "radial-power Phase on a box": lambda: lf.Phase("radial-power", BOX2, gamma=4.0),
+    "radial-quadratic Phase on a box": lambda: lf.Phase("radial-quadratic", BOX2),
+    "saddle Phase on ball(3)": lambda: lf.Phase("saddle", lf.ball(3)),
+    "saddle Phase on a box": lambda: lf.Phase("saddle", BOX2),
+    "linear Phase with axis 5": lambda: lf.Phase("linear", BALL2, axis=5),
+    "oscillatory Phase on ball(1)": lambda: lf.Phase("oscillatory", lf.ball(1), amplitude=0.5),
+    "custom Phase with no fn": lambda: lf.Phase("custom", BALL2),
+    "boundary-reparam Phase with no profile": lambda: lf.Phase("boundary-reparam", BALL2),
+    "ball Domain with bounds": lambda: lf.Domain(2, "ball", bounds=((0.0, 1.0), (0.0, 1.0))),
+    "box Domain with radius 2": lambda: lf.Domain(2, "box", radius=2.0,
+                                                  bounds=((0.0, 1.0), (0.0, 1.0))),
+    # each slot that takes a function refuses what cannot be called
+    "Kernel1D evaluate=5": lambda: lf.Kernel1D(evaluate=5),
+    "Kernel1D dini_modulus=5": lambda: lf.Kernel1D(evaluate=first_axis, dini_modulus=5),
+    "Cutoff fn=5": lambda: lf.Cutoff(fn=5),
+    "RadialFunction profile=5": lambda: lf.RadialFunction(5),
+    "LevelFunction profile=5": lambda: lf.LevelFunction(5),
+    "GammaProfile fn=5": lambda: lf.GammaProfile(5, 0.0, 1.0),
+    "SynchronizedForm f=5": lambda: lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(), 5, first_axis),
+    "SynchronizedForm g=5": lambda: lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(), first_axis, 5),
+    "weighted_density weight=5": lambda: lf.weighted_density(lf.linear_phase(BALL2), 5, 0.1),
+    "density_on_grid h=5": lambda: lf.density_on_grid(
+        lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), h=5),
+    "density_on_grid monte_carlo h=5": lambda: lf.density_on_grid(
+        lf.linear_phase(BALL2), lf.LevelGrid(-1.0, 1.0, 4), lf.MONTE_CARLO,
+        sample_count=100, h=5),
+    "fiber_norm f=5": lambda: lf.fiber_norm(lf.linear_phase(BALL2), 5, 2.0, 0.1),
+    "pullback_norm f=5": lambda: lf.pullback_norm(lf.radial_quadratic_phase(BALL2), 5, 2.0),
+    "function_norm f=5": lambda: lf.function_norm(BALL2, 5, 2.0, sample_count=64),
+    "custom_phase fn=5": lambda: lf.custom_phase(BALL2, 5),
+    "design_reparametrization m=5": lambda: lf.design_reparametrization(
+        lf.GammaProfile(lambda t: t, 0.5, 10.0), 5, 1.0, (0.0, 1.0)),
 }
 
 
