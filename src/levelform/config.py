@@ -11,7 +11,8 @@ Recognized keys, each filling one field of `geometry.Domain` or `Phase`:
 
 A key whose field its shape or kind does not read is refused unless it
 holds the field's default ("gamma has no effect on a linear phase"), as is
-an unknown key under the `domain.` or `phase.` prefixes. Every other rule
+an unknown key under the `domain.` or `phase.` prefixes, and a kind that
+reads a field no key fills (custom, boundary-reparam). Every other rule
 belongs to `Domain` and `Phase`, as for a caller in code.
 """
 
@@ -38,6 +39,8 @@ _DOMAIN_KEYS = {"domain.shape": ("shape", str), "domain.n": ("n", int),
 _PHASE_KEYS = {"phase.kind": ("kind", str), "phase.axis": ("axis", int),
                "phase.gamma": ("gamma", float), "phase.a": ("amplitude", float),
                "phase.N": ("frequency", float)}
+# the fields a config can fill; a kind that reads another cannot be described
+_FILLED = {name for name, _ in _PHASE_KEYS.values()}
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -86,6 +89,11 @@ def phase_from_config(cfg: dict[str, str]) -> geometry.Phase:
     kind = fields.pop("kind", None)
     if kind is None:
         raise ConfigError("missing phase.kind")
-    if "amplitude" in geometry._KIND_FIELDS.get(kind, ()):
+    reads = geometry._KIND_FIELDS.get(kind, ())
+    unfilled = ", ".join(sorted(set(reads) - _FILLED))
+    if unfilled:
+        raise ConfigError(f"a config file cannot describe a {kind} phase: no key sets its "
+                          f"{unfilled}")
+    if "amplitude" in reads:
         fields.setdefault("amplitude", 0.5)  # the one default a config sets itself
     return geometry.Phase(kind, domain, **fields)

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the whole-number,
-real-number, finite-array, finite-real-array and callable guards."""
+real-number, finite-array, finite-real-array, callable and type guards."""
 
 import math
 import numbers
@@ -111,6 +111,13 @@ def require_callable(value, name: str):
     return value
 
 
+def require_instance(value, kind: type, name: str):
+    """Refuse anything but an instance of `kind`; return it."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {reprlib.repr(value)}")
+    return value
+
+
 def require_interval(lo, hi, name: str) -> tuple[float, float]:
     """Refuse anything but finite reals lo < hi; return them as floats."""
     lo = require_real(lo, f"{name} start")
@@ -124,10 +131,11 @@ def _holds_bool(values) -> bool:
     return isinstance(values, bool) or getattr(values, "dtype", None) == bool
 
 
-def require_finite(values, name: str) -> np.ndarray:
+def require_finite(values, name: str, *, infinite: bool = False) -> np.ndarray:
     """Refuse anything but a regular array of finite real or complex numbers;
     return it as a numpy array. Booleans are no numbers here, also inside a
-    list that numpy would convert to floats."""
+    list that numpy would convert to floats. With `infinite`, an infinity
+    passes too; NaN never does."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
@@ -139,17 +147,20 @@ def require_finite(values, name: str) -> np.ndarray:
         raise ConfigError(f"{name} must be numbers, got {reprlib.repr(values)}")
     # one pass over a good array; the mask is built only to name a bad value
     if not np.isfinite(arr).all():
-        bad = ~np.isfinite(arr)
-        raise ConfigError(f"{name} must be finite, got {arr[bad][0].item()!r}")
+        bad = np.isnan(arr) if infinite else ~np.isfinite(arr)
+        if bad.any():
+            rule = "not be NaN" if infinite else "be finite"
+            raise ConfigError(f"{name} must {rule}, got {arr[bad][0].item()!r}")
     return arr
 
 
-def require_reals(values, name: str, count: int | None = None) -> np.ndarray:
+def require_reals(values, name: str, count: int | None = None, *,
+                  infinite: bool = False) -> np.ndarray:
     """Refuse what `require_finite` refuses, a complex dtype and, when `count`
     is given, any shape but (count,); return the values as float64. numpy
     would broadcast a scalar or a (count, 1) column silently, or into a
     (count, count) product, and a cast to float would drop an imaginary part."""
-    arr = require_finite(values, name)
+    arr = require_finite(values, name, infinite=infinite)
     if arr.dtype.kind == "c":
         raise ConfigError(f"{name} must be real, got {arr.dtype} values")
     if count is not None and arr.shape != (count,):

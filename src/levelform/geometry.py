@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedPhaseError,
     require_callable,
     require_finite,
+    require_instance,
     require_interval,
     require_real,
     require_reals,
@@ -398,24 +399,20 @@ def custom_phase(domain: Domain, fn: Callable) -> Phase:
 # evaluation and gradients
 # ---------------------------------------------------------------------------
 
-def _as_points(x, n: int) -> tuple[np.ndarray, bool]:
+def _domain_points(phase: Phase, x) -> tuple[np.ndarray, bool]:
+    """`x` as real rows inside the phase's domain, and whether it was one
+    point; `Domain.contains` refuses rows of another width."""
     arr = require_reals(x, "phase points")
-    if arr.ndim == 1:
-        if arr.shape[0] != n:
-            raise ConfigError(f"expected point of dimension {n}")
-        return arr[None, :], True
-    if arr.ndim != 2 or arr.shape[1] != n:
-        raise ConfigError(f"expected points of dimension {n}")
-    return arr, False
+    pts = np.atleast_2d(arr)
+    inside = phase.domain.contains(pts)
+    if not np.all(inside):
+        raise PointOutsideDomainError(f"point {pts[~inside][0].tolist()} outside domain")
+    return pts, arr.ndim < 2
 
 
 def eval_phase(phase: Phase, x):
     """Phase values at one point (scalar out) or a stack of points."""
-    pts, single = _as_points(x, phase.domain.n)
-    inside = phase.domain.contains(pts)
-    if not np.all(inside):
-        bad = pts[~inside][0]
-        raise PointOutsideDomainError(f"point {bad.tolist()} outside domain")
+    pts, single = _domain_points(phase, x)
     vals = _eval_values(phase, pts)
     return float(vals[0]) if single else vals
 
@@ -443,53 +440,46 @@ def _eval_values(phase: Phase, pts: np.ndarray) -> np.ndarray:
 def grad_phase(phase: Phase, x):
     """Analytic gradient at one point or a stack of points; raises where it is
     undefined."""
-    pts, single = _as_points(x, phase.domain.n)
-    inside = phase.domain.contains(pts)
-    if not np.all(inside):
-        raise PointOutsideDomainError("point outside domain")
-    grads, undefined = _grad_values(phase, pts)
+    pts, single = _domain_points(phase, x)
+    grads = _grad_values(phase, pts)
+    undefined = np.isnan(grads).all(axis=1)
     if np.any(undefined):
-        bad = pts[undefined][0]
-        raise GradientUndefinedError(f"gradient undefined at {bad.tolist()}")
+        raise GradientUndefinedError(f"gradient undefined at {pts[undefined][0].tolist()}")
     return grads[0] if single else grads
 
 
-def _grad_values(phase: Phase, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grad_values(phase: Phase, pts: np.ndarray) -> np.ndarray:
+    """Analytic gradients at an (m, n) stack of points, a NaN row wherever the
+    gradient is undefined: at r <= SINGULAR_RADIUS for |x|^gamma with
+    gamma < 2 and for a boundary-distance phase."""
     k = phase.kind
     m, n = pts.shape
-    undefined = np.zeros(m, dtype=bool)
     if k == LINEAR:
         g = np.zeros((m, n))
         g[:, phase.axis] = 1.0
-        return g, undefined
+        return g
     if k == RADIAL_QUADRATIC:
-        return 2.0 * pts, undefined
-    if k == RADIAL_POWER:
+        return 2.0 * pts
+    if k in (RADIAL_POWER, BOUNDARY_REPARAM):
         r = _norms(pts)
-        small = r <= SINGULAR_RADIUS
-        if phase.gamma < 2:
-            undefined = small
         with np.errstate(divide="ignore", invalid="ignore"):
-            scale = phase.gamma * r ** (phase.gamma - 2)
-        scale = np.where(small, 0.0, scale)
-        return scale[:, None] * pts, undefined
+            if k == RADIAL_POWER:
+                scale = phase.gamma * r ** (phase.gamma - 2)
+            else:
+                scale = -phase.profile.derivative(phase.domain.radius - r) / r
+        # only |x|^gamma with gamma >= 2 has a gradient at the origin: zero
+        at_origin = 0.0 if k == RADIAL_POWER and phase.gamma >= 2 else np.nan
+        return np.where(r <= SINGULAR_RADIUS, at_origin, scale)[:, None] * pts
     if k == SADDLE:
         g = np.empty((m, 2))
         g[:, 0] = 2.0 * pts[:, 0]
         g[:, 1] = -2.0 * pts[:, 1]
-        return g, undefined
+        return g
     if k == OSCILLATORY:
         g = np.zeros((m, n))
         g[:, 0] = 1.0
         g[:, 1] = phase.amplitude * phase.frequency * np.cos(phase.frequency * pts[:, 1])
-        return g, undefined
-    if k == BOUNDARY_REPARAM:
-        r = _norms(pts)
-        undefined = r <= SINGULAR_RADIUS
-        d = phase.domain.radius - r
-        slope = phase.profile.derivative(d)
-        safe_r = np.where(undefined, 1.0, r)
-        return (-slope / safe_r)[:, None] * pts, undefined
+        return g
     raise UnsupportedPhaseError(f"no analytic gradient for phase kind {k!r}")
 
 
@@ -526,7 +516,7 @@ def image_interval(phase: Phase) -> tuple[float, float]:
         a = abs(phase.amplitude)
         return lo - a, hi + a
     if k == BOUNDARY_REPARAM:
-        lo, hi = float(phase.profile(0.0)), float(phase.profile(dom.radius))
+        lo, hi = phase.profile(np.array([0.0, dom.radius])).tolist()
         return min(lo, hi), max(lo, hi)
     raise UnsupportedPhaseError(f"image interval unknown for kind {k!r}")
 
@@ -537,7 +527,9 @@ def image_interval(phase: Phase) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GammaProfile:
-    """Candidate lower bound Gamma(t) <= |grad theta| on a validity interval."""
+    """Candidate lower bound Gamma(t) <= |grad theta| on a validity interval;
+    its values there are reals in [0, inf], where inf is a bound no gradient
+    meets."""
 
     fn: Callable
     lo: float = -math.inf
@@ -554,9 +546,8 @@ class GammaProfile:
         if a > b:  # the interval lies beyond +-1e6: probe 2e6 of it from its end nearer 0
             a, b = (a, min(self.hi, a + 2e6)) if a > 0 else (max(self.lo, b - 2e6), b)
         probe = np.linspace(a, b, 257)
-        vals = np.asarray(self.fn(probe), dtype=float)
-        if not np.all(vals >= 0):
-            raise ConfigError("profile must be nonnegative, and not NaN, on its interval")
+        if not np.all(require_reals(self.fn(probe), "gamma profile values", infinite=True) >= 0):
+            raise ConfigError("gamma profile must be nonnegative on its interval")
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
@@ -580,16 +571,17 @@ def check_gamma_profile(phase: Phase, profile: GammaProfile, sample_count: int =
     Points with undefined gradient, or with level outside the profile's
     validity interval, are skipped and counted.
     """
+    require_instance(phase, Phase, "phase")
+    require_instance(profile, GammaProfile, "gamma profile")
     require_whole(sample_count, "sample_count")
     pts = sample_domain(phase.domain, sample_count, seed)
-    grads, undefined = _grad_values(phase, pts)
-    grads[undefined] = np.nan
-    norms = _norms(grads)
+    norms = _norms(_grad_values(phase, pts))
     levels = _eval_values(phase, pts)
     usable = np.isfinite(norms) & profile.covers(levels)
     if not np.any(usable):
         raise ConfigError("no usable sample points for the profile check")
-    slack = norms[usable] - np.asarray(profile(levels[usable]), dtype=float)
+    bound = require_reals(profile(levels[usable]), "gamma profile values", infinite=True)
+    slack = norms[usable] - bound
     idx = int(np.argmin(slack))
     worst = pts[usable][idx]
     return GammaCheckReport(
@@ -608,6 +600,7 @@ def design_reparametrization(profile: GammaProfile, m: Callable, h0: float,
     stage value leaves the profile's validity interval the integration stops
     with an error carrying the exit location.
     """
+    require_instance(profile, GammaProfile, "gamma profile")
     require_callable(m, "m")
     s0, s1 = require_interval(s_range[0], s_range[1], "s_range")
     require_real(step, "step", above=0)
@@ -616,13 +609,8 @@ def design_reparametrization(profile: GammaProfile, m: Callable, h0: float,
     def rhs(s: float, h: float) -> float:
         if not (profile.lo <= h <= profile.hi):
             raise OdeBlowUpError(s, h)
-        ms = float(m(s))
-        if not ms > 0:
-            raise ConfigError("m(s) must be strictly positive")
-        g = float(profile.fn(h))
-        if not g > 0:
-            raise ConfigError("profile must be strictly positive along the solution")
-        return g / ms
+        ms = require_real(m(s), "m(s)", above=0)
+        return require_real(profile.fn(h), "gamma profile value on the solution", above=0) / ms
 
     n_steps = int(math.ceil((s1 - s0) / step - 1e-12))
     ss = [s0]
@@ -655,7 +643,7 @@ def boundary_transversality(phase: Phase, t: float, samples: int = 4096) -> floa
     """
     require_whole(samples, "samples")
     require_real(t, "transversality level")
-    dom = phase.domain
+    dom = require_instance(phase, Phase, "phase").domain
     if dom.shape != "ball":
         raise UnsupportedPhaseError("boundary transversality implemented for balls")
     R = dom.radius
@@ -678,17 +666,15 @@ def boundary_transversality(phase: Phase, t: float, samples: int = 4096) -> floa
 
     if k in (SADDLE, OSCILLATORY) and dom.n == 2:
         roots = _circle_roots(phase, t, R, samples)
-        if not roots:
+        if len(roots) == 0:
             raise EmptyIntersectionError(f"level {t!r} does not meet the boundary circle")
-        pts = np.array([[R * math.cos(a), R * math.sin(a)] for a in roots])
-        return _min_tangential(phase, pts, R)
+        return _min_tangential(phase, _circle_points(roots, R), R)
 
     raise UnsupportedPhaseError(f"transversality not implemented for kind {k!r} in n={dom.n}")
 
 
 def _min_tangential(phase: Phase, pts: np.ndarray, R: float) -> float:
-    grads, undefined = _grad_values(phase, pts)
-    grads[undefined] = np.nan
+    grads = _grad_values(phase, pts)
     normals = pts / R
     proj = np.einsum("ij,ij->i", grads, normals)
     tang = grads - proj[:, None] * normals
@@ -699,26 +685,29 @@ def _min_tangential(phase: Phase, pts: np.ndarray, R: float) -> float:
     return float(np.min(norms))
 
 
-def _circle_roots(phase: Phase, t: float, R: float, samples: int) -> list[float]:
+def _circle_points(angles: np.ndarray, R: float) -> np.ndarray:
+    return np.stack([R * np.cos(angles), R * np.sin(angles)], axis=1)
+
+
+def _circle_roots(phase: Phase, t: float, R: float, samples: int) -> np.ndarray:
+    """Angles, increasing, where the phase takes level t on the circle of
+    radius R: each sampled angle where it equals t, and one root of each
+    sampled interval whose ends have opposite signs, all bisected together
+    in 60 steps."""
     angles = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
-    pts = np.stack([R * np.cos(angles), R * np.sin(angles)], axis=1)
-    vals = _eval_values(phase, pts) - t
-    roots = []
-    for i in range(samples):
-        j = (i + 1) % samples
-        a, b = vals[i], vals[j]
-        if a == 0.0:
-            roots.append(angles[i])
-            continue
-        if a * b < 0:
-            lo_a, hi_a = angles[i], angles[i] + (2 * math.pi / samples)
-            f_lo = a
-            for _ in range(60):
-                mid = 0.5 * (lo_a + hi_a)
-                fm = _eval_values(phase, np.array([[R * math.cos(mid), R * math.sin(mid)]]))[0] - t
-                if f_lo * fm <= 0:
-                    hi_a = mid
-                else:
-                    lo_a, f_lo = mid, fm
-            roots.append(0.5 * (lo_a + hi_a))
-    return roots
+    vals = _eval_values(phase, _circle_points(angles, R)) - t
+    exact = vals == 0.0
+    bracket = vals * np.roll(vals, -1) < 0
+    lo_a = angles[bracket]
+    hi_a = lo_a + (2 * math.pi / samples)
+    f_lo = vals[bracket]
+    for _ in range(60):
+        mid = 0.5 * (lo_a + hi_a)
+        fm = _eval_values(phase, _circle_points(mid, R)) - t
+        left = f_lo * fm <= 0
+        hi_a = np.where(left, mid, hi_a)
+        lo_a = np.where(left, lo_a, mid)
+        f_lo = np.where(left, f_lo, fm)
+    roots = angles.copy()
+    roots[bracket] = 0.5 * (lo_a + hi_a)
+    return roots[exact | bracket]

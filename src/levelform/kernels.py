@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (ConfigError, ResolutionError, require_callable, require_finite,
-                     require_interval, require_real, require_reals, require_whole)
+                     require_instance, require_interval, require_real, require_reals,
+                     require_whole)
 from .sampling import derived_rng
 
 HARD = "hard"
@@ -305,6 +306,7 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
     Off the grid the same weights are evaluated on the point-to-node offsets
     and applied by matrix products in bounded row chunks.
     """
+    require_instance(kernel, Kernel1D, "truncation kernel")
     require_real(eps, "truncation radius", above=0)
     h = F.spacing
     if eps < 2.0 * h:
@@ -314,8 +316,8 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
     for mode, cutoff in jobs:
         if mode not in (HARD, SMOOTH, RESIDUAL):
             raise ConfigError(f"unknown truncation mode {mode!r}")
-        if mode in (SMOOTH, RESIDUAL) and cutoff is None:
-            raise ConfigError("smooth/residual actions need a cutoff")
+        if mode != HARD:
+            require_instance(cutoff, Cutoff, f"a {mode} action's cutoff")
 
     m = len(F.values)
     if eval_points is None:
@@ -575,10 +577,19 @@ class HkPackageReport:
     samples: int
 
 
+def _dini_modulus(kernel: Kernel1D) -> Callable:
+    """The kernel's smoothness modulus, which both checkers divide by."""
+    modulus = require_instance(kernel, Kernel1D, "kernel").dini_modulus
+    if modulus is None:
+        raise ConfigError("the Dini checks need a kernel dini_modulus; this kernel has none")
+    return modulus
+
+
 def verify_hk_package(kernel: Kernel1D, cutoff: Cutoff, seed: int = 0) -> HkPackageReport:
     """Sampled size/smoothness checks on 20000 pairs plus an empirical L2
     operator ratio over the smooth truncations at radii 1, 1/2, ..., 1/64 on
     a 512-cell grid."""
+    modulus = _dini_modulus(kernel)
     rng = derived_rng(seed, 11)
     tol = 1.0 + 1e-9
 
@@ -586,7 +597,11 @@ def verify_hk_package(kernel: Kernel1D, cutoff: Cutoff, seed: int = 0) -> HkPack
     t = rng.uniform(-2.0, 2.0, 20000)
     gap = np.abs(s - t) > 1e-9
     s, t = s[gap], t[gap]
-    size_ratio = np.abs(np.asarray(kernel.evaluate(s, t))) * np.abs(s - t) / kernel.size_constant
+
+    def k(a, b):
+        return require_reals(kernel.evaluate(a, b), "kernel values", len(s))
+
+    size_ratio = np.abs(k(s, t)) * np.abs(s - t) / kernel.size_constant
     max_size = float(np.max(size_ratio))
 
     u = rng.uniform(1e-4, 0.5, len(s))
@@ -594,11 +609,11 @@ def verify_hk_package(kernel: Kernel1D, cutoff: Cutoff, seed: int = 0) -> HkPack
     d = np.abs(s - t)
     s2 = s + side * u * d
     t2 = t + side * u * d
-    base = np.asarray(kernel.evaluate(s, t))
-    mod = np.asarray(kernel.dini_modulus(u))
-    ratio_s = np.abs(np.asarray(kernel.evaluate(s2, t)) - base) * d / mod
-    ratio_t = np.abs(np.asarray(kernel.evaluate(s, t2)) - base) * d / mod
-    max_dini = float(max(np.max(ratio_s), np.max(ratio_t)))
+    base = k(s, t)
+    mod = require_reals(modulus(u), "dini modulus values", len(u))
+    ratio_s = np.abs(k(s2, t) - base) * d / mod
+    ratio_t = np.abs(k(s, t2) - base) * d / mod
+    max_dini = max(float(np.max(ratio_s)), float(np.max(ratio_t)))
 
     l2 = 0.0
     for trial in range(8):
@@ -626,6 +641,8 @@ def smoothed_dini_constant(kernel: Kernel1D, cutoff: Cutoff,
         raise ConfigError("need at least one truncation radius")
     for eps in eps_values:
         require_real(eps, "truncation radius", above=0)
+    modulus = _dini_modulus(kernel)
+    require_instance(cutoff, Cutoff, "cutoff")
     rng = derived_rng(seed, 23)
     worst = 0.0
     per = max(20000 // len(eps_values), 1)
@@ -637,9 +654,10 @@ def smoothed_dini_constant(kernel: Kernel1D, cutoff: Cutoff,
         s2 = s + rng.choice([-1.0, 1.0], per) * u * d
 
         def k_sm(a, b):
-            return np.asarray(kernel.evaluate(a, b)) * np.asarray(cutoff.fn(np.abs(a - b) / eps))
+            return (require_reals(kernel.evaluate(a, b), "kernel values", per)
+                    * require_reals(cutoff.fn(np.abs(a - b) / eps), "cutoff values", per))
 
         diff = np.abs(k_sm(s, t) - k_sm(s2, t))
-        w = np.asarray(kernel.dini_modulus(u)) + u
+        w = require_reals(modulus(u), "dini modulus values", per) + u
         worst = max(worst, float(np.max(diff * d / w)))
     return worst

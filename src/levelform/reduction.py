@@ -24,7 +24,7 @@ from . import geometry
 from ._overlap import _split_rows, lookahead
 from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
                      PhaseNotUniformError, UnsupportedPhaseError, require_callable,
-                     require_real, require_reals, require_whole)
+                     require_instance, require_real, require_reals, require_whole)
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
 from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, DensityEstimate, LevelGrid,
@@ -86,6 +86,7 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
     thread draws the next (the Sobol XOR, the scale, both domains' `contains`
     and the gather). Everything else runs on the caller's thread, and where
     fewer than two CPUs are usable the whole call does."""
+    require_instance(form, SynchronizedForm, "form")
     require_whole(sample_count, "sample_count")
     # two finite volumes can still multiply past the float range
     scale = require_real(form.phase_in.domain.volume() * form.phase_out.domain.volume(),

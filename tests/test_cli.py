@@ -336,6 +336,13 @@ def test_config_errors_are_config_errors(text):
         phase_from_config(parse_kv_text(text))
 
 
+@pytest.mark.parametrize("kind", ["custom", "boundary-reparam"])
+def test_config_refuses_a_kind_no_key_can_fill(kind):
+    # a custom fn and a boundary-reparam profile are functions and tables
+    with pytest.raises(lf.ConfigError, match=f"a config file cannot describe a {kind} phase"):
+        phase_from_config(parse_kv_text(f"phase.kind = {kind}"))
+
+
 def test_entry_exit_code_on_config_error(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("phase.kind = nonsense\n")

@@ -141,9 +141,10 @@ def test_array_guard_lives_in_errors():
 
 def unguarded_values(module, tree):
     """`module.owner:line` of each `require_finite(...).astype(float...)`, each
-    `np.asarray(<call>, dtype=float)` whose call is not a numpy function, and each
-    name `require_per_point` or `_weight_values` in `tree`; the owner is the
-    enclosing function, with its class."""
+    `np.asarray(<call>)` with no dtype or dtype=float and each `float(<call>)`
+    whose call is not a numpy function, and each name `require_per_point` or
+    `_weight_values` in `tree`; the owner is the enclosing function, with its
+    class."""
     retired = ("require_per_point", "_weight_values")
 
     def is_unguarded(node):
@@ -158,9 +159,11 @@ def unguarded_values(module, tree):
             return (isinstance(func.value, ast.Call)
                     and ast.unparse(func.value.func) == "require_finite"
                     and first is not None and ast.unparse(first).startswith("float"))
+        if not isinstance(first, ast.Call) or ast.unparse(first.func).startswith("np."):
+            return False
         dtype = [ast.unparse(k.value) for k in node.keywords if k.arg == "dtype"]
-        return (ast.unparse(func) == "np.asarray" and dtype == ["float"]
-                and isinstance(first, ast.Call) and not ast.unparse(first.func).startswith("np."))
+        return (ast.unparse(func) == "np.asarray" and dtype in ([], ["float"])
+                or ast.unparse(func) == "float")
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
@@ -175,10 +178,8 @@ def unguarded_values(module, tree):
     return list(visit(tree, "<module>"))
 
 
-# a GammaProfile's values may be infinite, as its contract admits; `_cell_weights`
-# refuses a complex kernel with its own text
-UNGUARDED_ALLOWED = {"geometry.GammaProfile.__post_init__", "geometry.check_gamma_profile",
-                     "kernels._cell_weights"}
+# `_cell_weights` refuses a complex kernel with its own text, on every truncation
+UNGUARDED_ALLOWED = {"kernels._cell_weights"}
 
 
 def test_returned_values_pass_one_guard():
@@ -198,6 +199,18 @@ def weigh(h, pts):
     return _weight_values(w), require_per_point(v, 3)
 """
     assert len(unguarded_values("m", ast.parse(source))) == 4
+
+
+def test_one_guard_lint_flags_the_bare_forms():
+    # a cast with no dtype keeps a complex value, and float() of a call reads
+    # one value unguarded; numpy's own results and names are no caller's values
+    source = """
+def check(kernel, m, s, t):
+    base = np.asarray(kernel.evaluate(s, t))
+    ms = float(m(s))
+    return np.asarray(np.abs(s)), float(np.max(base)), float(ms), np.asarray(t)
+"""
+    assert unguarded_values("m", ast.parse(source)) == ["m.check:3", "m.check:4"]
 
 
 def row_norm_calls(module, tree):

@@ -170,6 +170,7 @@ def plus_i(p):
 THREE_LEVELS = np.array([0.2, 0.4, 0.6])
 # a cutoff must give one value per distance; one number would broadcast
 ONE_VALUE_CUTOFF = lf.Cutoff(fn=lambda r: 0.5)
+NO_MODULUS = lf.Kernel1D(evaluate=lf.hilbert_kernel().evaluate)
 MISUSE = {
     "function_norm r=0": lambda: lf.function_norm(BALL2, first_axis, 0.0),
     "function_norm r=nan": lambda: lf.function_norm(BALL2, first_axis, math.nan),
@@ -484,6 +485,54 @@ MISUSE = {
     "custom_phase fn=5": lambda: lf.custom_phase(BALL2, 5),
     "design_reparametrization m=5": lambda: lf.design_reparametrization(
         lf.GammaProfile(lambda t: t, 0.5, 10.0), 5, 1.0, (0.0, 1.0)),
+    # the Dini checks divide by the kernel's modulus
+    "verify_hk_package kernel with no dini_modulus": lambda: lf.verify_hk_package(
+        NO_MODULUS, lf.smoothstep_cutoff()),
+    "smoothed_dini_constant kernel with no dini_modulus": lambda: lf.smoothed_dini_constant(
+        NO_MODULUS, lf.smoothstep_cutoff(), [0.1]),
+    # an object of the wrong type, refused where it is first read
+    "check_gamma_profile profile=5": lambda: lf.check_gamma_profile(lf.linear_phase(BALL2), 5),
+    "smooth_truncation cutoff=5": lambda: lf.smooth_truncation(
+        lf.hilbert_kernel(), 5, lf.GridFunction1D(0.0, 1.0, np.ones(64)), 0.1),
+    "hard_truncation kernel=5": lambda: lf.hard_truncation(
+        5, lf.GridFunction1D(0.0, 1.0, np.ones(64)), 0.1),
+    "lhs_direct form=5": lambda: lf.lhs_direct(5),
+    "check_gamma_profile phase=5": lambda: lf.check_gamma_profile(
+        5, lf.GammaProfile(lambda t: t, 0.0, 1.0)),
+    "design_reparametrization profile=5": lambda: lf.design_reparametrization(
+        5, lambda s: 1.0, 1.0, (0.0, 1.0)),
+    "boundary_transversality phase=5": lambda: lf.boundary_transversality(5, 0.1),
+    "smoothed_dini_constant cutoff=5": lambda: lf.smoothed_dini_constant(
+        lf.hilbert_kernel(), 5, [0.1]),
+    # each value a checker reads from a caller's function passes the one guard
+    "GammaProfile complex values": lambda: lf.GammaProfile(lambda t: t + 1j, 0.0, 1.0),
+    "check_gamma_profile complex values off the probe": lambda: lf.check_gamma_profile(
+        lf.radial_quadratic_phase(BALL2),
+        lf.GammaProfile(lambda t: t if len(t) == 257 else t + 1j, 0.0, 1.0), sample_count=64),
+    "design_reparametrization complex m": lambda: lf.design_reparametrization(
+        lf.GammaProfile(lambda t: t, 0.5, 10.0), lambda s: 1.0 + 1j, 1.0, (0.0, 1.0)),
+    "design_reparametrization m of two values": lambda: lf.design_reparametrization(
+        lf.GammaProfile(lambda t: t, 0.5, 10.0), lambda s: np.ones(2), 1.0, (0.0, 1.0)),
+    "design_reparametrization complex profile on the solution": lambda: (
+        lf.design_reparametrization(
+            lf.GammaProfile(lambda t: t if np.ndim(t) else complex(t), 0.5, 10.0),
+            lambda s: 1.0, 1.0, (0.0, 1.0))),
+    # complex on sampled pairs; real where the truncation calls it, at t = 0.0
+    "verify_hk_package complex kernel": lambda: lf.verify_hk_package(
+        lf.Kernel1D(evaluate=lambda s, t: 1.0 / (s - t) + (1j if np.ndim(t) else 0),
+                    dini_modulus=lf.hilbert_kernel().dini_modulus), lf.smoothstep_cutoff()),
+    "verify_hk_package kernel one value short": lambda: lf.verify_hk_package(
+        lf.Kernel1D(evaluate=lambda s, t: 1.0 / (s - t)[1:],
+                    dini_modulus=lf.hilbert_kernel().dini_modulus), lf.smoothstep_cutoff()),
+    "verify_hk_package NaN dini_modulus": lambda: lf.verify_hk_package(
+        lf.Kernel1D(evaluate=lf.hilbert_kernel().evaluate, dini_modulus=nan_everywhere),
+        lf.smoothstep_cutoff()),
+    "smoothed_dini_constant complex kernel": lambda: lf.smoothed_dini_constant(
+        lf.Kernel1D(evaluate=lambda s, t: (1 + 1j) / (s - t),
+                    dini_modulus=lf.hilbert_kernel().dini_modulus),
+        lf.smoothstep_cutoff(), [0.1]),
+    "smoothed_dini_constant cutoff of one value": lambda: lf.smoothed_dini_constant(
+        lf.hilbert_kernel(), ONE_VALUE_CUTOFF, [0.1]),
 }
 
 
