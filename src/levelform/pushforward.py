@@ -27,6 +27,7 @@ from .errors import (
     NoClosedFormError,
     NoParametrizationError,
     require_callable,
+    require_instance,
     require_interval,
     require_real,
     require_reals,
@@ -562,6 +563,7 @@ def weighted_density(phase: Phase, h, t, method: str = COAREA, *, fiber_nodes=No
                      grid: LevelGrid | None = None, sample_count=None, seed=None):
     """The one dispatcher over the three density routes: levels t for the
     closed form and coarea, a level grid and t=None for Monte Carlo."""
+    require_instance(phase, Phase, "phase")
     route = route_parameters(method, fiber_nodes=fiber_nodes, grid=grid,
                              sample_count=sample_count, seed=seed)
     if method == CLOSED_FORM:

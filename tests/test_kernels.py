@@ -595,6 +595,47 @@ def test_hl_maximal_equals_scan_across_block_edges(m, kind):
     assert_maximal_matches_scan(values)
 
 
+@st.composite
+def long_maximal_inputs(draw):
+    """Signals of 1,000 to 6,000 cells that repeat a few runs of plateaus,
+    small-integer ties and noise. Their wide merges take the kept-set branch
+    with more than _HL_CHUNK quotients, and long plateaus and ties the
+    full-table branch, so both cross their chunk edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(1000, 6000))
+    runs = draw(st.lists(st.tuples(st.sampled_from(["noise", "plateau", "ties"]),
+                                   st.integers(1, 3000)), min_size=1, max_size=6))
+    parts, total = [], 0
+    while total < m:
+        for kind, n in runs:
+            if kind == "noise":
+                parts.append(rng.standard_normal(n))
+            elif kind == "plateau":
+                parts.append(np.full(n, rng.uniform(-3.0, 3.0)))
+            else:
+                parts.append(rng.integers(-2, 3, n).astype(float))
+            total += n
+    return np.concatenate(parts)[:m]
+
+
+@given(long_maximal_inputs())
+@settings(max_examples=12, deadline=None)
+def test_hl_maximal_equals_scan_on_long_signals(values):
+    assert_maximal_matches_scan(values)
+
+
+@pytest.mark.parametrize("kind", ["bump", "noise"])
+def test_hl_maximal_equals_scan_past_a_block_chunk(kind):
+    # the in-block windows are swept 128 blocks (8192 cells) at a time; the
+    # second chunk here holds one whole block and one of a single cell
+    m = 8192 + 65
+    if kind == "bump":
+        values = lf.bump_mixture(-2.0, 2.0, m, seed=m).values
+    else:
+        values = noise_function(m, seed=m).values
+    assert_maximal_matches_scan(values)
+
+
 def test_hl_maximal_keeps_ends_a_zero_tolerance_would_pop():
     # plateaus of five cells: with no rounding tolerance the chain pops an
     # end whose float average over cells 1..294 beats every kept end's

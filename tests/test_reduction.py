@@ -504,11 +504,24 @@ MISUSE = {
     "boundary_transversality phase=5": lambda: lf.boundary_transversality(5, 0.1),
     "smoothed_dini_constant cutoff=5": lambda: lf.smoothed_dini_constant(
         lf.hilbert_kernel(), 5, [0.1]),
+    "hard_truncation F=5": lambda: lf.hard_truncation(lf.hilbert_kernel(), 5, 0.1),
+    "smooth_truncation F=5": lambda: lf.smooth_truncation(
+        lf.hilbert_kernel(), lf.smoothstep_cutoff(), 5, 0.1),
+    "residual_truncation F=5": lambda: lf.residual_truncation(
+        lf.hilbert_kernel(), lf.smoothstep_cutoff(), 5, 0.1),
+    "truncation_batch functions=[F, 5]": lambda: lf.truncation_batch(
+        lf.hilbert_kernel(), [lf.GridFunction1D(0.0, 1.0, np.ones(64)), 5], 0.1,
+        [(lf.HARD, None)]),
+    "hl_maximal F=5": lambda: lf.hl_maximal(5),
+    "weighted_density phase=5": lambda: lf.weighted_density(5, None, 0.1),
     # each value a checker reads from a caller's function passes the one guard
     "GammaProfile complex values": lambda: lf.GammaProfile(lambda t: t + 1j, 0.0, 1.0),
     "check_gamma_profile complex values off the probe": lambda: lf.check_gamma_profile(
         lf.radial_quadratic_phase(BALL2),
         lf.GammaProfile(lambda t: t if len(t) == 257 else t + 1j, 0.0, 1.0), sample_count=64),
+    "check_gamma_profile Gamma of a column": lambda: lf.check_gamma_profile(
+        lf.radial_quadratic_phase(BALL2),
+        lf.GammaProfile(lambda t: 0.5 * np.asarray(t)[:, None], 0.0, 1.0), sample_count=64),
     "design_reparametrization complex m": lambda: lf.design_reparametrization(
         lf.GammaProfile(lambda t: t, 0.5, 10.0), lambda s: 1.0 + 1j, 1.0, (0.0, 1.0)),
     "design_reparametrization m of two values": lambda: lf.design_reparametrization(
