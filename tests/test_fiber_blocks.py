@@ -21,6 +21,7 @@ import collections
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -260,3 +261,69 @@ def test_saddle_runs_hold_one_sign_each_with_negative_zero_among_t_ge_0():
     assert np.all(second[:, 0, :, 1] > 0) and np.all(second[:, 1, :, 1] < 0)
     # -0.0 and +0.0 get the same points
     assert np.array_equal(bits(first[0]), bits(first[2]))
+
+
+def oracle_disk_levels(phase, h, tt, fiber_nodes):
+    """`_linear_levels` on the n = 3 ball: polar quadrature over the disk
+    section, one block of whole levels per call of h."""
+    dom, axis = phase.domain, phase.axis
+    R = dom.radius
+    rho = np.sqrt(np.maximum(R * R - tt * tt, 0.0))
+    if h is None:
+        return np.array([ball_volume(2) * x ** 2 for x in rho.tolist()])
+    m = max(int(math.sqrt(fiber_nodes)), 4)
+    mid = np.arange(m) + 0.5
+    angles = mid * (2 * math.pi / m)
+    cos, sin = np.cos(angles), np.sin(angles)
+    cols = [j for j in range(3) if j != axis]
+
+    def block(sl):
+        cell = rho[sl, None] / m
+        rr = mid * cell
+        pts = np.empty((len(rr), m, m, 3))
+        pts[..., axis] = tt[sl, None, None]
+        pts[..., cols[0]] = rr[:, :, None] * cos
+        pts[..., cols[1]] = rr[:, :, None] * sin
+        weights = rr * cell * (2 * math.pi / m)
+        return np.sum((_weigh(h, pts) * weights[:, :, None]).reshape(len(rr), -1), axis=1)
+
+    return _in_blocks(len(tt), m * m, block)
+
+
+BALL3 = lf.ball(3)
+DISK_PHASES = [lf.linear_phase(BALL3), lf.linear_phase(BALL3, axis=2),
+               lf.linear_phase(lf.ball(3, 0.7), axis=1)]
+# m = 4 for up to 24 nodes; m * m = 16,384 fills a block with two levels,
+# 181^2 = 32,761 sits just under a block and 182^2 = 33,124 just over it
+DISK_NODES = [1, 24, 200, 128 * 128, 181 * 181, 181 * 181 + 5, 182 * 182]
+
+
+def disk_weight_of(kind):
+    if kind == "none":
+        return None
+    if kind == "smooth":
+        return lf.random_smooth_function(BALL3, seed=5)
+    # signs and zeros of the coordinates show in the values
+    return lambda pts: np.copysign(1.0, pts[:, 0]) * np.arctan2(pts[:, 1], pts[:, 2]) + pts[:, 2]
+
+
+@pytest.mark.parametrize("fiber_nodes", DISK_NODES)
+@given(case=st.integers(0, len(DISK_PHASES) - 1), kind=st.sampled_from(WEIGHTS), data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_disk_blocks_match_the_polar_oracle(fiber_nodes, case, kind, data):
+    phase = DISK_PHASES[case]
+    lo, hi = geometry.image_interval(phase)
+    # unsorted levels over the image, its ends (a section of radius 0) included
+    fractions = data.draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0]),
+                                   min_size=1, max_size=30 if fiber_nodes <= 200 else 4))
+    tt = np.array([lo + f * (hi - lo) for f in fractions])
+    h_fast, fast_calls = spy(disk_weight_of(kind)) if kind != "none" else (None, [])
+    h_oracle, oracle_calls = spy(disk_weight_of(kind)) if kind != "none" else (None, [])
+    got = pushforward._linear_levels(phase, h_fast, tt, fiber_nodes)
+    want = oracle_disk_levels(phase, h_oracle, tt, fiber_nodes)
+    assert got.shape == want.shape == tt.shape
+    assert np.array_equal(bits(got), bits(want)), (got, want)
+    # the same points, grouped into the same calls
+    assert [len(c) for c in fast_calls] == [len(c) for c in oracle_calls]
+    for g, w in zip(fast_calls, oracle_calls):
+        assert np.array_equal(bits(g), bits(w))
