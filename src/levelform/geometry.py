@@ -324,7 +324,7 @@ class Phase:
     fn: Callable | None = None
 
     def __post_init__(self):
-        k, dom = self.kind, self.domain
+        k, dom = self.kind, require_instance(self.domain, Domain, "phase domain")
         if k not in _KIND_FIELDS:
             raise ConfigError(f"unknown phase kind {k!r}")
         _refuse_unread(self, _KIND_FIELDS[k], f"{k} phase")

@@ -264,22 +264,26 @@ def _profile_values(h, x: np.ndarray) -> np.ndarray:
 _BLOCK_POINTS = 1 << 15
 
 
-def _in_blocks(count: int, nodes: int, block) -> np.ndarray:
-    """`block(sl)` over runs of whole levels, each at most _BLOCK_POINTS fiber
-    points (at least one level), concatenated."""
+def _fiber_sums(h, count: int, nodes: int, block) -> np.ndarray:
+    """One number a level, over runs of whole levels of at most _BLOCK_POINTS
+    fiber points (at least one level). `block(sl)` gives a run's points (..., n)
+    and a fold of values shaped like them into one number a level; h is called
+    once a run, on the points flattened, and h=None reads 1 (1.0 x = x)."""
     step = max(1, _BLOCK_POINTS // nodes)
     out = np.empty(count)
     for start in range(0, count, step):
         sl = slice(start, start + step)
-        out[sl] = block(sl)
+        pts, fold = block(sl)
+        shape = pts.shape[:-1]
+        if h is None:
+            hv = np.ones(shape)
+        else:
+            pts = pts.reshape(-1, pts.shape[-1])
+            hv = require_reals(h(pts), "weight values", len(pts)).reshape(shape)
+        del pts  # not read past h; dropped before the fold
+        out[sl] = fold(hv)
+        del hv, fold  # nor held while the next run's points are built
     return out
-
-
-def _weigh(h, pts: np.ndarray) -> np.ndarray:
-    """One call of h on a block of fiber points (..., n), one value a point,
-    shaped like the block."""
-    flat = pts.reshape(-1, pts.shape[-1])
-    return require_reals(h(flat), "weight values", len(flat)).reshape(pts.shape[:-1])
 
 
 # Per-level scalars (radii, slopes, section sizes) are computed elementwise,
@@ -328,16 +332,15 @@ def _radial_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
 
         def block(sl):
             rr = r[sl, None]
-            if h is None:
-                hv = np.ones((len(rr), fiber_nodes))
-            else:
-                # r cos and r sin, one product each, written in one pass
-                hv = _weigh(h, rr[:, :, None] * unit)
-            hv = np.multiply(hv, rr)
-            hv *= step
-            return np.sum(hv, axis=1)
 
-        out[on] = _in_blocks(len(r), fiber_nodes, block) / slope
+            def fold(hv):  # (hv r) step; hv (r step) has other bits
+                hv = np.multiply(hv, rr)
+                hv *= step
+                return np.sum(hv, axis=1)
+            # r cos and r sin, one product each, written in one pass
+            return rr[:, :, None] * unit, fold
+
+        out[on] = _fiber_sums(h, len(r), fiber_nodes, block) / slope
         return out
     area = np.array([sphere_area(n) * x ** (n - 1) for x in r.tolist()])
     if h is None:
@@ -377,18 +380,15 @@ def _linear_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
             pts[..., axis] = tt[sl, None]
             if dom.shape == "box":
                 pts[..., other] = chord
-            else:
-                # mid (2 rho / nodes) - rho, rounded as -rho + mid (...) is
-                half = rho[sl, None]
-                col = pts[..., other]
-                np.multiply(mid, 2 * half / fiber_nodes, out=col)
-                col -= half
-            return np.sum(_weigh(h, pts), axis=1)
+                return pts, lambda hv: np.sum(hv, axis=1) * (o_hi - o_lo) / fiber_nodes
+            # mid (2 rho / nodes) - rho, rounded as -rho + mid (...) is
+            half = rho[sl, None]
+            col = pts[..., other]
+            np.multiply(mid, 2 * half / fiber_nodes, out=col)
+            col -= half
+            return pts, lambda hv: np.sum(hv, axis=1) * (2 * rho[sl] / fiber_nodes)
 
-        sums = _in_blocks(len(tt), fiber_nodes, block)
-        if dom.shape == "box":
-            return sums * (o_hi - o_lo) / fiber_nodes
-        return sums * (2 * rho / fiber_nodes)
+        return _fiber_sums(h, len(tt), fiber_nodes, block)
     if n == 3 and dom.shape == "ball":
         # polar quadrature over the disk section
         m = max(int(math.sqrt(fiber_nodes)), 4)
@@ -405,9 +405,9 @@ def _linear_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
             pts[..., cols[0]] = rr[:, :, None] * cos
             pts[..., cols[1]] = rr[:, :, None] * sin
             weights = rr * cell * (2 * math.pi / m)
-            return np.sum((_weigh(h, pts) * weights[:, :, None]).reshape(len(rr), -1), axis=1)
+            return pts, lambda hv: np.sum((hv * weights[:, :, None]).reshape(len(rr), -1), axis=1)
 
-        return _in_blocks(len(tt), m * m, block)
+        return _fiber_sums(h, len(tt), m * m, block)
     if dom.shape == "box":
         raise NoParametrizationError("weighted box sections need n = 2 or an axis profile")
     raise NoParametrizationError("weighted linear fibers need n <= 3 or an axis profile")
@@ -443,18 +443,17 @@ def _saddle_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
             # integrand h / (2 sqrt(|t| + y^2)) dy per branch, branches at +-major
             base = 2.0 * major
             np.divide(1.0, base, out=base)
-            if h is None:
-                hv = np.ones((len(ys), 2, 1))
-            else:
-                pts = np.empty((len(ys), 2, fiber_nodes, 2))
-                pts[:, 0, :, c] = major
-                np.negative(major, out=pts[:, 1, :, c])
-                pts[:, :, :, 1 - c] = ys[:, None, :]
-                hv = _weigh(h, pts)
-            branches = np.sum(hv * base[:, None, :], axis=2) * dy
-            return 0.0 + branches[:, 0] + branches[:, 1]
+            pts = np.empty((len(ys), 2, fiber_nodes, 2))
+            pts[:, 0, :, c] = major
+            np.negative(major, out=pts[:, 1, :, c])
+            pts[:, :, :, 1 - c] = ys[:, None, :]
 
-        out[idx] = _in_blocks(len(idx), 2 * fiber_nodes, block)
+            def fold(hv):
+                branches = np.sum(hv * base[:, None, :], axis=2) * dy
+                return 0.0 + branches[:, 0] + branches[:, 1]
+            return pts, fold
+
+        out[idx] = _fiber_sums(h, len(idx), 2 * fiber_nodes, block)
     return out
 
 

@@ -65,6 +65,9 @@ class SynchronizedForm:
     eps: float = 0.25
 
     def __post_init__(self):
+        require_instance(self.phase_in, Phase, "inner phase")
+        require_instance(self.phase_out, Phase, "outer phase")
+        require_instance(self.kernel, Kernel1D, "kernel")
         require_callable(self.f, "f")
         require_callable(self.g, "g")
         require_real(self.eps, "truncation radius", above=0)

@@ -1,17 +1,20 @@
-"""The n = 2 fiber blocks of the coarea route against the forms they replaced.
+"""The fiber blocks of the coarea route against the forms they replaced.
 
 The oracles below are the earlier block builders of `_radial_levels`,
 `_linear_levels` and `_saddle_levels` for n = 2. The radial one stacked the
 points from two products, the linear one wrote the chord as -rho + mid (...),
 and the saddle one built both orientations in every block with `np.where`,
 with negative and non-negative levels in one run. The fast forms build the
-points in place, and the saddle runs the two signs apart.
+points in place, and the saddle runs the two signs apart. The n = 3 disk
+section of `_linear_levels` has its own oracle, the polar block that called
+h itself. Each oracle runs its blocks through `_in_blocks` and `_weigh`, the
+block loop and weight call that `_fiber_sums` replaced.
 
 A spy weight records every array handed to h. Each test compares, level by
 level, the fiber points of both forms and the values they return, as int64
-views, so signed zeros and NaN payloads count. The radial and linear forms
-must also group the points into the same calls; the saddle may group them
-differently, so its levels are compared as a multiset.
+views, so signed zeros and NaN payloads count. The radial, linear and disk
+forms must also group the points into the same calls; the saddle may group
+them differently, so its levels are compared as a multiset.
 
 The `scalar_coarea` oracle in `tests/test_pushforward.py` checks the same
 functions one level at a time, through the public route.
@@ -28,10 +31,29 @@ from hypothesis import strategies as st
 import levelform as lf
 from levelform import geometry, pushforward
 from levelform.geometry import ball_volume
-from levelform.pushforward import _BLOCK_POINTS, _in_blocks, _weigh
+from levelform.errors import require_reals
+from levelform.pushforward import _BLOCK_POINTS
 from radial_oracle import _radial_level
 
 BALL2 = lf.ball(2)
+
+
+def _in_blocks(count, nodes, block):
+    """`block(sl)` over runs of whole levels, each at most _BLOCK_POINTS fiber
+    points (at least one level), concatenated."""
+    step = max(1, _BLOCK_POINTS // nodes)
+    out = np.empty(count)
+    for start in range(0, count, step):
+        sl = slice(start, start + step)
+        out[sl] = block(sl)
+    return out
+
+
+def _weigh(h, pts):
+    """One call of h on a block of fiber points (..., n), one value a point,
+    shaped like the block."""
+    flat = pts.reshape(-1, pts.shape[-1])
+    return require_reals(h(flat), "weight values", len(flat)).reshape(pts.shape[:-1])
 
 
 def oracle_radial_levels(phase, h, tt, fiber_nodes):

@@ -7,7 +7,8 @@ by index, not through a boolean mask, the PCHIP interpolant has one
 evaluation path, the radial-quadratic phase reads as radial-power at
 gamma = 2, the catalog's rules live in `Phase` and `Domain` alone (each
 phase factory only returns a `Phase`, and the config reader compares no
-phase kind), and `kernels` takes running maxima along one axis only."""
+phase kind), `kernels` takes running maxima along one axis only, and the
+coarea route calls a weight in one helper."""
 
 import ast
 import os
@@ -455,3 +456,40 @@ def f(q):
     return np.minimum.accumulate(q[::-1])
 '''
     assert accumulate_calls("m", ast.parse(sample)) == ["m.f:3 axis", "m.f:4 axis", "m.f:5"]
+
+
+def weight_calls(module, tree):
+    """`module.function:line` of each call of a name `h` in `tree`; the
+    function is the innermost one around the call."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "h"):
+                yield f"{module}.{owner}:{child.lineno}"
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child.name if inner else owner)
+
+    return list(visit(tree, "<module>"))
+
+
+def test_coarea_weights_are_called_in_one_helper():
+    # `_fiber_sums` owns the block loop, the weight call and h=None for every
+    # fiber shape; a shape that calls h itself would own its own again
+    calls = weight_calls("pushforward", ast.parse((PACKAGE / "pushforward.py").read_text()))
+    owners = {"pushforward._fiber_sums", "pushforward.weighted_density_monte_carlo"}
+    found = [call for call in calls if call.split(":")[0] not in owners]
+    assert not found, f"a weight called outside _fiber_sums at: {found}"
+
+
+def test_weight_call_lint_flags_each_form():
+    sample = '''
+def _fiber_sums(h, block):
+    return h(block(0))
+def _radial_levels(phase, h, tt):
+    def block(sl):
+        return h(tt[sl])
+    return h.profile(tt)
+def _weigh(h, pts):
+    return h(pts.reshape(-1, 2))
+'''
+    assert weight_calls("m", ast.parse(sample)) == ["m._fiber_sums:3", "m.block:6", "m._weigh:9"]

@@ -514,6 +514,15 @@ MISUSE = {
         [(lf.HARD, None)]),
     "hl_maximal F=5": lambda: lf.hl_maximal(5),
     "weighted_density phase=5": lambda: lf.weighted_density(5, None, 0.1),
+    # a field of the wrong type, refused when the object is built
+    "linear_phase domain=5": lambda: lf.linear_phase(5),
+    "custom_phase domain=5": lambda: lf.custom_phase(5, first_axis),
+    "SynchronizedForm phase_in=5": lambda: lf.SynchronizedForm(
+        5, lf.linear_phase(BALL2), lf.hilbert_kernel(), first_axis, first_axis),
+    "SynchronizedForm phase_out=5": lambda: lf.SynchronizedForm(
+        lf.linear_phase(BALL2), 5, lf.hilbert_kernel(), first_axis, first_axis),
+    "SynchronizedForm kernel=5": lambda: lf.SynchronizedForm(
+        lf.linear_phase(BALL2), lf.linear_phase(BALL2), 5, first_axis, first_axis),
     # each value a checker reads from a caller's function passes the one guard
     "GammaProfile complex values": lambda: lf.GammaProfile(lambda t: t + 1j, 0.0, 1.0),
     "check_gamma_profile complex values off the probe": lambda: lf.check_gamma_profile(
