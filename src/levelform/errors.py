@@ -1,9 +1,18 @@
 """Exception types shared across the package, and the whole-number,
-real-number, finite-array, finite-real-array, callable and type guards."""
+real-number, finite-array, finite-real-array, callable and type guards.
 
+The type guard is one contract read from the signatures: `typed` wraps each
+exported function with a parameter annotated as a package class, `X` or
+`X | None`, and refuses an argument of another type through
+`require_instance` before the function runs. Only a dataclass field (in its
+`__post_init__`) and an item of a container argument are checked by hand."""
+
+import functools
+import inspect
 import math
 import numbers
 import reprlib
+import sys
 
 import numpy as np
 
@@ -116,6 +125,49 @@ def require_instance(value, kind: type, name: str):
     if not isinstance(value, kind):
         raise ConfigError(f"{name} must be a {kind.__name__}, got {reprlib.repr(value)}")
     return value
+
+
+def typed(func):
+    """Refuse, through `require_instance`, an argument of the wrong type in
+    each parameter of `func` annotated as a class of the package, `X` or
+    `X | None` (None passes the latter). The annotations are read on the first
+    call, against the classes the package exports: a module's own globals may
+    hold a class only for type checking."""
+    checks = None
+
+    @functools.wraps(func)
+    def checked(*args, **kwargs):
+        nonlocal checks
+        if checks is None:
+            checks = _class_parameters(func)
+        for position, name, kind, optional in checks:
+            if position < len(args):
+                value = args[position]
+            elif name in kwargs:
+                value = kwargs[name]
+            else:  # a default, or missing, which the call itself refuses
+                continue
+            if not (optional and value is None):
+                require_instance(value, kind, name)
+        return func(*args, **kwargs)
+
+    return checked
+
+
+def _class_parameters(func) -> list[tuple[float, str, type, bool]]:
+    """(position, name, class, whether None passes) of each parameter of
+    `func` annotated as an exported class; a keyword-only one has position inf."""
+    classes = {name: obj for name, obj in vars(sys.modules[__package__]).items()
+               if isinstance(obj, type)}
+    found = []
+    for position, p in enumerate(inspect.signature(func).parameters.values()):
+        annotation = p.annotation if isinstance(p.annotation, str) else ""
+        base = annotation.removesuffix(" | None")
+        if base in classes:
+            keyword_only = p.kind is inspect.Parameter.KEYWORD_ONLY
+            found.append((math.inf if keyword_only else position, p.name, classes[base],
+                          base != annotation))
+    return found
 
 
 def require_interval(lo, hi, name: str) -> tuple[float, float]:

@@ -31,6 +31,7 @@ from .errors import (
     require_real,
     require_reals,
     require_whole,
+    typed,
 )
 from .sampling import sample_domain
 
@@ -365,31 +366,38 @@ class Phase:
         return f"{self.kind}(n={self.domain.n})"
 
 
+@typed
 def linear_phase(domain: Domain, axis: int = 0) -> Phase:
     return Phase(kind=LINEAR, domain=domain, axis=axis)
 
 
+@typed
 def radial_quadratic_phase(domain: Domain) -> Phase:
     return Phase(kind=RADIAL_QUADRATIC, domain=domain)
 
 
+@typed
 def radial_power_phase(domain: Domain, gamma: float) -> Phase:
     return Phase(kind=RADIAL_POWER, domain=domain, gamma=gamma)
 
 
+@typed
 def saddle_phase(domain: Domain) -> Phase:
     return Phase(kind=SADDLE, domain=domain)
 
 
+@typed
 def oscillatory_phase(domain: Domain, amplitude: float, frequency: float) -> Phase:
     return Phase(kind=OSCILLATORY, domain=domain, amplitude=amplitude, frequency=frequency)
 
 
+@typed
 def boundary_reparam_phase(domain: Domain, profile: ReparamTable) -> Phase:
     """theta(x) = H(dist(x, boundary)); ball domains only."""
     return Phase(kind=BOUNDARY_REPARAM, domain=domain, profile=profile)
 
 
+@typed
 def custom_phase(domain: Domain, fn: Callable) -> Phase:
     """Black-box phase; only sampling-based operations accept it."""
     return Phase(kind=CUSTOM, domain=domain, fn=fn)
@@ -410,6 +418,7 @@ def _domain_points(phase: Phase, x) -> tuple[np.ndarray, bool]:
     return pts, arr.ndim < 2
 
 
+@typed
 def eval_phase(phase: Phase, x):
     """Phase values at one point (scalar out) or a stack of points."""
     pts, single = _domain_points(phase, x)
@@ -437,6 +446,7 @@ def _eval_values(phase: Phase, pts: np.ndarray) -> np.ndarray:
     return require_reals(vals, "phase values", len(pts))
 
 
+@typed
 def grad_phase(phase: Phase, x):
     """Analytic gradient at one point or a stack of points; raises where it is
     undefined."""
@@ -483,6 +493,7 @@ def _grad_values(phase: Phase, pts: np.ndarray) -> np.ndarray:
     raise UnsupportedPhaseError(f"no analytic gradient for phase kind {k!r}")
 
 
+@typed
 def critical_values(phase: Phase) -> tuple[float, ...]:
     """Exact critical values from the catalog (never detected numerically)."""
     k = phase.kind
@@ -495,6 +506,7 @@ def critical_values(phase: Phase) -> tuple[float, ...]:
     raise UnsupportedPhaseError(f"critical values unknown for kind {k!r}")
 
 
+@typed
 def image_interval(phase: Phase) -> tuple[float, float]:
     """Closed interval covering the image of the phase on its domain."""
     k = phase.kind
@@ -564,6 +576,7 @@ class GammaCheckReport:
     skipped: int
 
 
+@typed
 def check_gamma_profile(phase: Phase, profile: GammaProfile, sample_count: int = 4096,
                         seed: int = 0) -> GammaCheckReport:
     """Sampled minimum of |grad theta(x)| - Gamma(theta(x)) over the domain.
@@ -571,8 +584,6 @@ def check_gamma_profile(phase: Phase, profile: GammaProfile, sample_count: int =
     Points with undefined gradient, or with level outside the profile's
     validity interval, are skipped and counted.
     """
-    require_instance(phase, Phase, "phase")
-    require_instance(profile, GammaProfile, "gamma profile")
     require_whole(sample_count, "sample_count")
     pts = sample_domain(phase.domain, sample_count, seed)
     norms = _norms(_grad_values(phase, pts))
@@ -593,6 +604,7 @@ def check_gamma_profile(phase: Phase, profile: GammaProfile, sample_count: int =
     )
 
 
+@typed
 def design_reparametrization(profile: GammaProfile, m: Callable, h0: float,
                              s_range: tuple[float, float], step: float = 1e-3) -> ReparamTable:
     """Integrate H'(s) m(s) = Gamma(H(s)) with RK4 at fixed step.
@@ -601,7 +613,6 @@ def design_reparametrization(profile: GammaProfile, m: Callable, h0: float,
     stage value leaves the profile's validity interval the integration stops
     with an error carrying the exit location.
     """
-    require_instance(profile, GammaProfile, "gamma profile")
     require_callable(m, "m")
     s0, s1 = require_interval(s_range[0], s_range[1], "s_range")
     require_real(step, "step", above=0)
@@ -634,6 +645,7 @@ def design_reparametrization(profile: GammaProfile, m: Callable, h0: float,
 # boundary transversality
 # ---------------------------------------------------------------------------
 
+@typed
 def boundary_transversality(phase: Phase, t: float, samples: int = 4096) -> float:
     """Minimum tangential gradient norm over the level set on the boundary.
 
@@ -644,7 +656,7 @@ def boundary_transversality(phase: Phase, t: float, samples: int = 4096) -> floa
     """
     require_whole(samples, "samples")
     require_real(t, "transversality level")
-    dom = require_instance(phase, Phase, "phase").domain
+    dom = phase.domain
     if dom.shape != "ball":
         raise UnsupportedPhaseError("boundary transversality implemented for balls")
     R = dom.radius

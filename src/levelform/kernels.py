@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (ConfigError, ResolutionError, require_callable, require_finite,
                      require_instance, require_interval, require_real, require_reals,
-                     require_whole)
+                     require_whole, typed)
 from .sampling import derived_rng
 
 HARD = "hard"
@@ -103,8 +103,10 @@ def linear_ramp_cutoff() -> Cutoff:
 
 def eps_ladder(k_min: int = 2, k_max: int = 8) -> list[float]:
     for k in (k_min, k_max):
-        # 2.0 ** 1024 overflows
+        # 2.0 ** 1024 overflows and 2.0 ** -1075 is 0.0
         require_whole(k, "dyadic exponent", minimum=-1023)
+        if k > 1074:
+            raise ConfigError(f"dyadic exponent must be <= 1074, got {k!r}")
     if k_max < k_min:
         raise ConfigError("need k_max >= k_min")
     return [2.0 ** (-k) for k in range(k_min, k_max + 1)]
@@ -306,7 +308,6 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
     Off the grid the same weights are evaluated on the point-to-node offsets
     and applied by matrix products in bounded row chunks.
     """
-    require_instance(kernel, Kernel1D, "truncation kernel")
     require_real(eps, "truncation radius", above=0)
     h = F.spacing
     if eps < 2.0 * h:
@@ -339,7 +340,6 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
 
 def _single_action(kernel: Kernel1D, F: GridFunction1D, eps: float, mode: str,
                    cutoff: Cutoff | None, eval_points=None):
-    require_instance(F, GridFunction1D, "truncation input")
     out, = _apply_batch(kernel, F, F.values[:, None], eps, [(mode, cutoff)],
                         eval_points=eval_points)
     if eval_points is None:
@@ -347,24 +347,28 @@ def _single_action(kernel: Kernel1D, F: GridFunction1D, eps: float, mode: str,
     return out[:, 0]
 
 
+@typed
 def hard_truncation(kernel: Kernel1D, F: GridFunction1D, eps: float,
                     eval_points=None):
     """Quadrature of k(s, t) F(t) over {|s - t| > eps}."""
     return _single_action(kernel, F, eps, HARD, None, eval_points)
 
 
+@typed
 def smooth_truncation(kernel: Kernel1D, cutoff: Cutoff, F: GridFunction1D,
                       eps: float) -> GridFunction1D:
     """Quadrature of k(s, t) chi(|s - t| / eps) F(t)."""
     return _single_action(kernel, F, eps, SMOOTH, cutoff)
 
 
+@typed
 def residual_truncation(kernel: Kernel1D, cutoff: Cutoff, F: GridFunction1D,
                         eps: float) -> GridFunction1D:
     """Hard minus smooth action, supported on the annulus eps < |s - t| < 2 eps."""
     return _single_action(kernel, F, eps, RESIDUAL, cutoff)
 
 
+@typed
 def truncation_batch(kernel: Kernel1D, functions: Sequence[GridFunction1D],
                      eps: float, jobs: Sequence[tuple[str, Cutoff | None]]) -> list[np.ndarray]:
     """Apply several truncated actions to several functions on one grid.
@@ -481,6 +485,7 @@ def _window_maxima(prefix: np.ndarray, rows: np.ndarray,
     return row_max, col_max
 
 
+@typed
 def hl_maximal(F: GridFunction1D) -> GridFunction1D:
     """Exact discrete maximal average of |F| over grid-aligned windows.
 
@@ -525,7 +530,6 @@ def hl_maximal(F: GridFunction1D) -> GridFunction1D:
 
     Input holding inf or NaN, or whose sum overflows, raises ConfigError.
     """
-    require_instance(F, GridFunction1D, "maximal-function input")
     absv = np.abs(F.values).astype(float)
     m = len(absv)
     with np.errstate(over="ignore"):
@@ -582,12 +586,13 @@ class HkPackageReport:
 
 def _dini_modulus(kernel: Kernel1D) -> Callable:
     """The kernel's smoothness modulus, which both checkers divide by."""
-    modulus = require_instance(kernel, Kernel1D, "kernel").dini_modulus
+    modulus = kernel.dini_modulus
     if modulus is None:
         raise ConfigError("the Dini checks need a kernel dini_modulus; this kernel has none")
     return modulus
 
 
+@typed
 def verify_hk_package(kernel: Kernel1D, cutoff: Cutoff, seed: int = 0) -> HkPackageReport:
     """Sampled size/smoothness checks on 20000 pairs plus an empirical L2
     operator ratio over the smooth truncations at radii 1, 1/2, ..., 1/64 on
@@ -633,6 +638,7 @@ def verify_hk_package(kernel: Kernel1D, cutoff: Cutoff, seed: int = 0) -> HkPack
                            max_dini_ratio=max_dini, samples=len(s))
 
 
+@typed
 def smoothed_dini_constant(kernel: Kernel1D, cutoff: Cutoff,
                            eps_values: Sequence[float], seed: int = 0) -> float:
     """Fitted constant C with |K_eps(s,t) - K_eps(s',t)| <= C w(u)/|s-t|.
@@ -645,7 +651,6 @@ def smoothed_dini_constant(kernel: Kernel1D, cutoff: Cutoff,
     for eps in eps_values:
         require_real(eps, "truncation radius", above=0)
     modulus = _dini_modulus(kernel)
-    require_instance(cutoff, Cutoff, "cutoff")
     rng = derived_rng(seed, 23)
     worst = 0.0
     per = max(20000 // len(eps_values), 1)

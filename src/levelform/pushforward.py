@@ -27,11 +27,11 @@ from .errors import (
     NoClosedFormError,
     NoParametrizationError,
     require_callable,
-    require_instance,
     require_interval,
     require_real,
     require_reals,
     require_whole,
+    typed,
 )
 from .geometry import Phase, ball_volume, sphere_area
 from .sampling import sample_blocks
@@ -196,6 +196,7 @@ def _radial_origin_value(n: int, g: float) -> float:
 # fiber quadrature (coarea route)
 # ---------------------------------------------------------------------------
 
+@typed
 def critical_exponent(phase: Phase) -> float:
     """Exact power-law blow-up exponent beta with w(t) ~ t^(-beta) near 0.
 
@@ -210,6 +211,7 @@ def critical_exponent(phase: Phase) -> float:
     raise NoClosedFormError(f"no catalog exponent for {phase.label}")
 
 
+@typed
 def weighted_density_coarea(phase: Phase, h, t, fiber_nodes: int = 2048) -> float | np.ndarray:
     """Fiber quadrature of h/|grad| over the level set at each level of t.
 
@@ -461,6 +463,7 @@ def _saddle_levels(phase: Phase, h, tt: np.ndarray, fiber_nodes: int) -> np.ndar
 # Monte Carlo route
 # ---------------------------------------------------------------------------
 
+@typed
 def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count: int,
                                  seed: int) -> DensityEstimate:
     """Histogram estimate of the h-weighted level density (h may be signed)
@@ -523,6 +526,7 @@ def weighted_density_monte_carlo(phase: Phase, h, grid: LevelGrid, sample_count:
 # dispatchers and grid evaluation
 # ---------------------------------------------------------------------------
 
+@typed
 def weighted_density_closed_form(phase: Phase, h, t) -> float | np.ndarray:
     """Catalog closed-form density times a fiber-constant weight (`h=None`
     means 1); 0 outside the image, inf at a blow-up. The weight's profile is
@@ -558,11 +562,11 @@ def route_parameters(method: str, **given) -> dict:
     return {name: value for name, value in given.items() if value is not None}
 
 
+@typed
 def weighted_density(phase: Phase, h, t, method: str = COAREA, *, fiber_nodes=None,
                      grid: LevelGrid | None = None, sample_count=None, seed=None):
     """The one dispatcher over the three density routes: levels t for the
     closed form and coarea, a level grid and t=None for Monte Carlo."""
-    require_instance(phase, Phase, "phase")
     route = route_parameters(method, fiber_nodes=fiber_nodes, grid=grid,
                              sample_count=sample_count, seed=seed)
     if method == CLOSED_FORM:
@@ -575,6 +579,7 @@ def weighted_density(phase: Phase, h, t, method: str = COAREA, *, fiber_nodes=No
                                         route.get("seed", 0))
 
 
+@typed
 def density_on_grid(phase: Phase, grid: LevelGrid, method: str = COAREA, *, fiber_nodes=None,
                     subdivide=None, sample_count=None, seed=None, h=None) -> DensityEstimate:
     """Density estimate on a grid by any route.
@@ -612,6 +617,7 @@ def _abs_power(h, r: float):
     return power(require_callable(h, "f"))
 
 
+@typed
 def fiber_norm(phase: Phase, f, r: float, t: float, method: str = COAREA, *,
                fiber_nodes=None) -> float:
     """(integral of |f|^r / |grad| over the fiber)^(1/r) at level t."""

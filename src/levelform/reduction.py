@@ -24,7 +24,7 @@ from . import geometry
 from ._overlap import _split_rows, lookahead
 from .errors import (ConfigError, InsufficientDecadesError, NoClosedFormError,
                      PhaseNotUniformError, UnsupportedPhaseError, require_callable,
-                     require_instance, require_real, require_reals, require_whole)
+                     require_instance, require_real, require_reals, require_whole, typed)
 from .geometry import Domain, Phase
 from .kernels import GridFunction1D, Kernel1D, hard_truncation
 from .pushforward import (CLOSED_FORM, COAREA, MONTE_CARLO, DensityEstimate, LevelGrid,
@@ -73,6 +73,7 @@ class SynchronizedForm:
         require_real(self.eps, "truncation radius", above=0)
 
 
+@typed
 def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
                seed: int = 0) -> Estimate:
     """Direct quasi Monte Carlo evaluation over the product of the domains,
@@ -89,7 +90,6 @@ def lhs_direct(form: SynchronizedForm, sample_count: int = 100_000,
     thread draws the next (the Sobol XOR, the scale, both domains' `contains`
     and the gather). Everything else runs on the caller's thread, and where
     fewer than two CPUs are usable the whole call does."""
-    require_instance(form, SynchronizedForm, "form")
     require_whole(sample_count, "sample_count")
     # two finite volumes can still multiply past the float range
     scale = require_real(form.phase_in.domain.volume() * form.phase_out.domain.volume(),
@@ -145,6 +145,7 @@ class ReductionReport:
     passed: bool
 
 
+@typed
 def verify_reduction_identity(form: SynchronizedForm, *,
                               sample_count: int = 1_000_000, bins: int = 512,
                               seed: int = 0, method: str = CLOSED_FORM,
@@ -193,6 +194,7 @@ class CriticalProfile:
     log_coefficients: tuple[float, float]
 
 
+@typed
 def estimate_beta(estimate: DensityEstimate) -> CriticalProfile:
     """Fit w(t) ~ c t^(-beta) against w(t) ~ a log(1/t) + b over the levels
     of a density estimate, whose grid must start above 0 and span a decade.
@@ -266,20 +268,26 @@ def integrability_scan(beta: float, a: float) -> IntegrabilityScan:
 
     Shell k is [2^-(k+1), 2^-k] for k = 3..24; the increments follow the ratio
     2^(a beta - 1), and the scan declares convergence when the last three
-    measured ratios sit below 0.97.
+    measured ratios sit below 0.97. An increment past the float range reads
+    inf (from a beta above about 43 on) and one under it may read 0; a ratio
+    from such an increment reads as the next increment, inf or 0.
     """
     require_real(beta, "integrability scan beta")
     require_real(a, "integrability scan exponent a", minimum=0)
+    require_real(a * beta, "integrability scan exponent product a beta")
     p = -a * beta
     increments = []
     for k in range(3, 25):
         lo, hi = 2.0 ** (-(k + 1)), 2.0 ** (-k)
         if p == -1.0:
             increments.append(math.log(2.0))
-        else:
+            continue
+        try:
             increments.append((hi ** (p + 1) - lo ** (p + 1)) / (p + 1))
-    ratios = tuple(increments[i + 1] / increments[i]
-                   for i in range(len(increments) - 1))
+        except OverflowError:
+            increments.append(math.inf)
+    ratios = tuple(after / before if 0.0 < before < math.inf else after
+                   for before, after in zip(increments, increments[1:]))
     converged = all(r < 0.97 for r in ratios[-3:])
     return IntegrabilityScan(exponent_product=a * beta,
                              increments=tuple(increments), ratios=ratios,
@@ -324,6 +332,7 @@ class PullbackReport:
     divergent: bool
 
 
+@typed
 def pullback_norm(phase: Phase, f, r: float, delta: float = 0.01) -> PullbackReport:
     """Level-space norm of f at exponent r away from critical levels.
 
@@ -391,6 +400,7 @@ def _require_uniform(phase: Phase) -> None:
         raise PhaseNotUniformError(f"{phase.label} density blows up at a critical level")
 
 
+@typed
 def density_supremum(phase: Phase) -> float:
     """Supremum of the closed-form density over 2048 interior image points."""
     lo, hi = geometry.image_interval(phase)
@@ -399,6 +409,7 @@ def density_supremum(phase: Phase) -> float:
     return float(np.max(vals[np.isfinite(vals)]))
 
 
+@typed
 def function_norm(domain: Domain, f, r: float, sample_count: int = 1 << 16,
                   seed: int = 0) -> float:
     """Quasi Monte Carlo L^r norm of f over the domain."""
@@ -424,6 +435,7 @@ class UniformReport:
     norm_g: float
 
 
+@typed
 def uniform_bound_check(phase_in: Phase, phase_out: Phase, kernel: Kernel1D,
                         f, g, r: float, eps_values: Sequence[float], *,
                         bins: int = 256, fiber_nodes: int = 512, subdivide: int = 3,
@@ -456,6 +468,7 @@ def uniform_bound_check(phase_in: Phase, phase_out: Phase, kernel: Kernel1D,
                          sup_out=sup_out, norm_f=norm_f, norm_g=norm_g)
 
 
+@typed
 def random_smooth_function(domain: Domain, seed: int, *, tag: int = 0) -> Callable:
     """Random low-frequency trigonometric polynomial of three waves on the domain.
 

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, require_whole
+from .errors import ConfigError, require_whole, typed
 
 if TYPE_CHECKING:
     from .geometry import Domain
@@ -215,6 +215,7 @@ def sample_blocks(domain: Domain, count: int, seed: int, tag: int = 0):
                             None if domain.shape == "box" else domain.contains)
 
 
+@typed
 def sample_domain(domain: Domain, count: int, seed: int, tag: int = 0) -> np.ndarray:
     """The points of `sample_blocks(domain, count, seed, tag)` as one (count, n) array."""
     blocks = sample_blocks(domain, count, seed, tag)

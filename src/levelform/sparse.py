@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConfigError, ResolutionError, SparseDominationError, require_interval,
-                     require_real, require_whole)
+                     require_real, require_whole, typed)
 from .kernels import GridFunction1D
 
 
@@ -28,7 +28,7 @@ class DyadicInterval:
     def __post_init__(self):
         require_whole(self.generation, "dyadic generation", minimum=0)
         require_whole(self.index, "dyadic index", minimum=0)
-        if self.index >= 1 << self.generation:
+        if self.index >> self.generation:  # index >= 2^generation, with no 2^generation built
             raise ConfigError("dyadic address out of range")
 
     @property
@@ -69,6 +69,12 @@ class SparseFamily:
         return float(np.mean(block))
 
 
+def _refines(cells: int, depth: int) -> bool:
+    """Whether `cells` splits into 2^depth equal parts; a depth past the cell
+    count's bits is refused before 2^depth is built."""
+    return depth < int(cells).bit_length() and cells % (1 << depth) == 0
+
+
 def _cell_range(cells: int, I: DyadicInterval) -> tuple[int, int]:
     per = cells >> I.generation
     return (I.index * per, (I.index + 1) * per)
@@ -79,6 +85,7 @@ def _block_average(prefix: np.ndarray, cells: int, I: DyadicInterval) -> float:
     return (prefix[hi] - prefix[lo]) / (hi - lo)
 
 
+@typed
 def build_sparse_greedy(F: GridFunction1D, G: GridFunction1D, lam: float = 4.0,
                         max_depth: int = 10) -> SparseFamily:
     """Greedy stopping-time family for the pair (|F|, |G|).
@@ -92,7 +99,7 @@ def build_sparse_greedy(F: GridFunction1D, G: GridFunction1D, lam: float = 4.0,
         raise ConfigError("sparse construction needs matching grids")
     require_whole(max_depth, "max_depth", minimum=0)
     m = len(F.values)
-    if m % (1 << max_depth) != 0:
+    if not _refines(m, max_depth):
         raise ResolutionError(f"{m} cells do not refine to depth {max_depth}")
 
     with np.errstate(over="ignore"):
@@ -154,6 +161,7 @@ def _packing(members: Sequence[DyadicInterval]) -> tuple[dict[DyadicInterval, Fr
     return carriers, eta
 
 
+@typed
 def verify_sparsity(family: SparseFamily) -> Fraction:
     """Recompute carriers from scratch and check exact disjoint packing.
 
@@ -174,6 +182,7 @@ def verify_sparsity(family: SparseFamily) -> Fraction:
     return eta
 
 
+@typed
 def sparse_form(family: SparseFamily, F: GridFunction1D, G: GridFunction1D) -> float:
     """Sum over members of avg|F| avg|G| |I| in grid length units."""
     total = 0.0
@@ -184,6 +193,7 @@ def sparse_form(family: SparseFamily, F: GridFunction1D, G: GridFunction1D) -> f
     return total
 
 
+@typed
 def domination_ratio(lhs_value: float, family: SparseFamily,
                      F: GridFunction1D, G: GridFunction1D) -> float:
     """|lhs| divided by the sparse form of `family` on F and G."""
@@ -204,6 +214,7 @@ def ratio_to_sparse(lhs_value: float, sp: float) -> float:
 # serialization
 # ---------------------------------------------------------------------------
 
+@typed
 def family_to_json_dict(family: SparseFamily) -> dict:
     return {
         "schema": 1,
@@ -244,7 +255,7 @@ def family_from_json_dict(data: dict) -> SparseFamily:
         if [type(x) for x in address] != [int, int]:
             raise ConfigError(f"dyadic address must be two integers, got {list(address)!r}")
         I = DyadicInterval(*address)
-        if I.generation > max_depth or cells % (1 << I.generation):
+        if I.generation > max_depth or not _refines(cells, I.generation):
             raise ConfigError(f"member {I} lies outside {cells} cells to depth {max_depth}")
         members.append(I)
     if not members or len(set(members)) != len(members):

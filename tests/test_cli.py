@@ -409,6 +409,8 @@ def test_module_entry_exit_code_on_negative_seed(argv, monkeypatch, capsys):
     (["sparse", "--lam", "nan"], "stopping factor"),
     (["sparse", "--cells", "0"], "cell count"),
     (["reduce", "--eps", "100"], "both sides vanish"),
+    (["sparse", "--depth", str(2 ** 64)], "do not refine to depth"),
+    (["sparse", "--eps-max", "1075"], "dyadic exponent must be <= 1074"),
 ])
 def test_module_entry_exit_code_on_non_finite_or_empty_input(argv, message, tmp_path,
                                                              monkeypatch, capsys):

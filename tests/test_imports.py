@@ -7,10 +7,12 @@ by index, not through a boolean mask, the PCHIP interpolant has one
 evaluation path, the radial-quadratic phase reads as radial-power at
 gamma = 2, the catalog's rules live in `Phase` and `Domain` alone (each
 phase factory only returns a `Phase`, and the config reader compares no
-phase kind), `kernels` takes running maxima along one axis only, and the
-coarea route calls a weight in one helper."""
+phase kind), `kernels` takes running maxima along one axis only, the
+coarea route calls a weight in one helper, and each class-typed parameter of
+an export is checked by `errors.typed` alone."""
 
 import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -493,3 +495,82 @@ def _weigh(h, pts):
     return h(pts.reshape(-1, 2))
 '''
     assert weight_calls("m", ast.parse(sample)) == ["m._fiber_sums:3", "m.block:6", "m._weigh:9"]
+
+
+def untyped_exports(tree, exported, classes):
+    """Name of each top-level function of `tree` in `exported` with a parameter
+    annotated as one of `classes` (`X` or `X | None`) and no `@typed`."""
+    def class_typed(func):
+        args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+        return any(arg.annotation is not None
+                   and ast.unparse(arg.annotation).removesuffix(" | None") in classes
+                   for arg in args)
+
+    return sorted(node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name in exported
+                  and class_typed(node)
+                  and "typed" not in [ast.unparse(d) for d in node.decorator_list])
+
+
+def stray_instance_guards(module, tree):
+    """`module.function:line` of each `require_instance` call outside
+    `errors.typed` and any `__post_init__`, unless it checks the item of a
+    `for` loop around it; the function is the innermost one around the call."""
+    def visit(node, owners, items):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "require_instance":
+                first = child.args[0] if child.args else None
+                item = isinstance(first, ast.Name) and first.id in items
+                allowed = "__post_init__" in owners or module == "errors" and "typed" in owners
+                if not (item or allowed):
+                    yield f"{module}.{owners[-1] if owners else '<module>'}:{child.lineno}"
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, owners + [child.name], set())
+            elif isinstance(child, ast.For):
+                targets = {name.id for name in ast.walk(child.target) if isinstance(name, ast.Name)}
+                yield from visit(child, owners, items | targets)
+            else:
+                yield from visit(child, owners, items)
+
+    return list(visit(tree, [], set()))
+
+
+def test_class_types_are_checked_by_one_decorator():
+    # `errors.typed` reads the class-typed parameters from each export's
+    # signature; a guard written by hand on an argument drifts from it, and
+    # only a dataclass field or a container's item is out of its reach
+    import levelform as lf
+
+    exported = {name for name, obj in vars(lf).items() if inspect.isfunction(obj)}
+    classes = {name for name, obj in vars(lf).items() if isinstance(obj, type)}
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    untyped = {module: names for module, tree in trees.items()
+               if (names := untyped_exports(tree, exported, classes))}
+    assert not untyped, f"exports with a class-typed parameter but no @typed: {untyped}"
+    stray = [site for module, tree in trees.items()
+             for site in stray_instance_guards(module, tree)]
+    assert not stray, f"require_instance on an argument: {stray}"
+
+
+def test_type_contract_lint_flags_each_form():
+    sample = '''
+@typed
+def kept(phase: Phase, grid: LevelGrid | None = None):
+    for F in functions:
+        require_instance(F, GridFunction1D, "F")
+def bare(grid: LevelGrid | None = None):
+    require_instance(grid, LevelGrid, "grid")
+def plain(n: int, phase):
+    for n in range(3):
+        pass
+    return require_instance(phase, Phase, "phase")
+class Form:
+    def __post_init__(self):
+        require_instance(self.phase, Phase, "phase")
+def typed(func):
+    require_instance(func, Phase, "func")
+'''
+    tree = ast.parse(sample)
+    assert untyped_exports(tree, {"kept", "bare", "plain"}, {"Phase", "LevelGrid"}) == ["bare"]
+    assert stray_instance_guards("m", tree) == ["m.bare:7", "m.plain:11", "m.typed:16"]
+    assert stray_instance_guards("errors", tree) == ["errors.bare:7", "errors.plain:11"]

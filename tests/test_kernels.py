@@ -101,6 +101,10 @@ def test_eps_ladder():
     assert list(lad) == [0.25, 0.125, 0.0625, 0.03125]
     with pytest.raises(lf.ConfigError):
         lf.eps_ladder(5, 2)
+    # 2^-1074 is the smallest float; 2^-1075 would be 0.0
+    assert lf.eps_ladder(1074, 1074) == [2.0 ** -1074]
+    with pytest.raises(lf.ConfigError, match="<= 1074"):
+        lf.eps_ladder(2, 1075)
 
 
 # ---------------------------------------------------------------------------

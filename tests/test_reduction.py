@@ -179,6 +179,7 @@ MISUSE = {
         lf.linear_phase(BALL2), lf.linear_phase(BALL2), lf.hilbert_kernel(),
         first_axis, first_axis, math.inf, [0.1]),
     "integrability_scan beta=nan": lambda: lf.integrability_scan(math.nan, 1.0),
+    "integrability_scan a beta=inf": lambda: lf.integrability_scan(10.0, 1e308),
     "LevelGrid bins=2.5": lambda: lf.LevelGrid(0.0, 1.0, 2.5),
     "closed form t=nan": lambda: lf.weighted_density_closed_form(
         lf.linear_phase(BALL2), None, math.nan),
@@ -675,6 +676,23 @@ def test_integrability_scan_marginal_case():
     assert all(inc == pytest.approx(math.log(2.0)) for inc in scan.increments)
     assert all(r == pytest.approx(1.0) for r in scan.ratios)
     assert not scan.converged
+
+
+def test_integrability_scan_past_the_float_range_diverges():
+    # a beta = 50 and 9e5: the shell powers 2^(k (a beta - 1)) pass 2^1024
+    verdict = lf.window_verdict(0.5, 0.5, 1.01)
+    assert verdict.verdict == "divergent"
+    for scan in (verdict.scan_out, lf.integrability_scan(0.9, 1e6)):
+        assert not scan.converged
+        assert scan.increments[-1] == math.inf and scan.ratios[-1] == math.inf
+        assert not any(math.isnan(r) for r in scan.ratios)
+
+
+def test_integrability_scan_under_the_float_range_converges():
+    # t^50 on the last shells is under the smallest float: increments of 0
+    scan = lf.integrability_scan(-50.0, 1.0)
+    assert scan.increments[-1] == 0.0 and scan.ratios[-1] == 0.0
+    assert scan.converged
 
 
 @given(beta=st.floats(0.05, 0.95), a=st.floats(0.1, 4.0))

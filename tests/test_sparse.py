@@ -50,6 +50,10 @@ def test_invalid_interval_rejected():
         DyadicInterval(-1, 0)
     with pytest.raises(lf.ConfigError):
         DyadicInterval(2, 4)
+    # the address is checked by a shift: no 2^generation is built
+    with pytest.raises(lf.ConfigError):
+        DyadicInterval(64, 2 ** 64)
+    assert DyadicInterval(2 ** 64, 0).generation == 2 ** 64
 
 
 def dyadic_upto(depth):
@@ -369,10 +373,13 @@ def test_family_dict_loads():
     family_dict([[0, 0]], root=[False, True]),
     family_dict([[0, 0]], depth_exhausted=0),
     ["not", "a", "family"],
+    family_dict([[0, 0]], members=[[0, 0], [2 ** 64, 0]]),
+    family_dict([[0, 0]], members=[[0, 0], [2 ** 64, 0]], max_depth=2 ** 64),
 ], ids=["deeper-than-max-depth", "deeper-than-cells", "no-cells",
         "eta-zero-denominator", "eta-not-a-pair", "missing-members", "missing-cells",
         "missing-eta", "bool-generation", "bool-index", "short-address", "no-members",
-        "short-root", "bool-cells", "bool-max-depth", "bool-root", "int-flag", "not-a-dict"])
+        "short-root", "bool-cells", "bool-max-depth", "bool-root", "int-flag", "not-a-dict",
+        "generation-2^64", "generation-and-max-depth-2^64"])
 def test_json_load_rejects_malformed_family(data):
     with pytest.raises(lf.ConfigError):
         lf.family_from_json_dict(data)
