@@ -9,8 +9,9 @@ cells are split exactly at the truncation radii |s - t| = eps and 2 eps, which
 makes hard minus smooth agree with the annulus residual to rounding and keeps
 the cutoff plateaus exact. The weight of a cell depends only on its offset
 from the output point, so on the grid each action is a Toeplitz stencil over
-the 2m - 1 node offsets, applied to every column at once by FFT convolution;
-off-grid output points use the same cell weights in a matrix product.
+the 2m - 1 node offsets, applied by FFT convolution in column groups through
+reused buffers; off-grid output points use the same cell weights in a matrix
+product.
 
 The convolution runs on numpy.fft at the lengths scipy.fft.next_fast_len
 picks for real input, and its output is bit for bit that of scipy.fft.
@@ -285,17 +286,31 @@ def _toeplitz_apply(stencils: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Apply each row of `stencils` (offsets 1 - m .. m - 1) to every column of V.
 
     `stencils` is real, (jobs, 2m - 1); V is (m, columns), real or complex.
-    Returns (jobs, m, columns).
+    Returns (jobs, m, columns). The stencil spectra are taken once; V is
+    transformed in column groups of at most `_TOEPLITZ_GROUP` spectrum values,
+    and each job's product and inverse of a group go through the same two
+    buffers, so no full-length transform of every job and column is held at
+    once. Each inverse is the same 1-D transform, along axis 0, of the same
+    product as in one batched call, so the grouping moves no bit.
     """
     if np.iscomplexobj(V):
         columns = V.shape[1]
         parts = _toeplitz_apply(stencils, np.hstack([V.real, V.imag]))
         return parts[:, :, :columns] + 1j * parts[:, :, columns:]
-    m = len(V)
+    m, columns = V.shape
     n = _next_fast_len(3 * m - 2)
-    spectra = np.fft.rfft(stencils, n=n, axis=1)
-    full = np.fft.irfft(spectra[:, :, None] * np.fft.rfft(V, n=n, axis=0)[None], n=n, axis=1)
-    return full[:, m - 1:2 * m - 1].copy()
+    spectra = np.fft.rfft(stencils, n=n, axis=1)[:, :, None]
+    group = max(1, _TOEPLITZ_GROUP // (n // 2 + 1))
+    out = np.empty((len(stencils), m, columns))
+    for c0 in range(0, columns, group):
+        block = np.fft.rfft(V[:, c0:c0 + group], n=n, axis=0)
+        product = np.empty_like(block)
+        full = np.empty((n, block.shape[1]))
+        for job, spectrum in enumerate(spectra):
+            np.multiply(spectrum, block, out=product)
+            np.fft.irfft(product, n=n, axis=0, out=full)
+            out[job, :, c0:c0 + group] = full[m - 1:2 * m - 1]
+    return out
 
 
 def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
@@ -304,7 +319,8 @@ def _apply_batch(kernel: Kernel1D, F: GridFunction1D, V: np.ndarray, eps: float,
     """Truncated actions of every job on every column of V (grid of F).
 
     On the grid the cell weights form one Toeplitz stencil per job over the
-    2m - 1 node offsets, applied to all columns by a single FFT convolution.
+    2m - 1 node offsets, applied by FFT convolution in column groups through
+    reused buffers.
     Off the grid the same weights are evaluated on the point-to-node offsets
     and applied by matrix products in bounded row chunks.
     """
@@ -395,6 +411,9 @@ _HL_CHUNK = 1 << 13
 # about five live temporaries of this size. At 1 << 18 they took 2 MiB each,
 # above glibc's mmap threshold, and every chunk was mapped and faulted in afresh.
 _OFFGRID_CHUNK = 1 << 15
+# spectrum values per column group of the on-grid convolution, or one column's
+# where a column holds more: one column at m = 4096, every column at small m
+_TOEPLITZ_GROUP = 1 << 13
 
 
 def _block_maxima(prefix: np.ndarray, m: int) -> np.ndarray:

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, ResolutionError, SparseDominationError, require_interval,
-                     require_real, require_whole, typed)
+from .errors import (ConfigError, ResolutionError, SparseDominationError, require_instance,
+                     require_interval, require_real, require_whole, typed)
 from .kernels import GridFunction1D
 
 
@@ -32,11 +32,12 @@ class DyadicInterval:
             raise ConfigError("dyadic address out of range")
 
     @property
-    def children(self) -> tuple["DyadicInterval", "DyadicInterval"]:
+    def children(self) -> tuple[DyadicInterval, DyadicInterval]:
         g, i = self.generation + 1, self.index << 1
         return (DyadicInterval(g, i), DyadicInterval(g, i + 1))
 
-    def contains(self, other: "DyadicInterval") -> bool:
+    @typed
+    def contains(self, other: DyadicInterval) -> bool:
         shift = other.generation - self.generation
         return shift >= 0 and (other.index >> shift) == self.index
 
@@ -59,6 +60,16 @@ class SparseFamily:
     max_depth: int
     depth_exhausted: bool = False
 
+    def __post_init__(self):
+        require_whole(self.cells, "sparse family cells")
+        require_whole(self.max_depth, "sparse family max_depth", minimum=0)
+        for I in self.members:
+            require_instance(I, DyadicInterval, "sparse family member")
+            if I.generation > self.max_depth or not _refines(self.cells, I.generation):
+                raise ConfigError(f"member {I} lies outside {self.cells} cells "
+                                  f"to depth {self.max_depth}")
+
+    @typed
     def member_average(self, F: GridFunction1D, I: DyadicInterval) -> float:
         if (F.a, F.b, len(F.values)) != (self.a, self.b, self.cells):
             raise ConfigError(f"grid function on [{F.a!r}, {F.b!r}] with {len(F.values)} cells "
@@ -248,21 +259,18 @@ def family_from_json_dict(data: dict) -> SparseFamily:
                           f"got {depth_exhausted!r}")
     a, b = require_interval(a, b, "sparse family root")
     lam = require_real(lam, "stopping factor", above=2)
-    require_whole(cells, "sparse family cells")
-    require_whole(max_depth, "sparse family max_depth", minimum=0)
     members = []
     for address in addresses:
         if [type(x) for x in address] != [int, int]:
             raise ConfigError(f"dyadic address must be two integers, got {list(address)!r}")
-        I = DyadicInterval(*address)
-        if I.generation > max_depth or not _refines(cells, I.generation):
-            raise ConfigError(f"member {I} lies outside {cells} cells to depth {max_depth}")
-        members.append(I)
+        members.append(DyadicInterval(*address))
     if not members or len(set(members)) != len(members):
         raise ConfigError("sparse family needs at least one member and no repeated address")
-    carriers, eta = _packing(members)
+    # built first, so that its frame check refuses a member too deep to measure
+    family = SparseFamily(a=a, b=b, cells=cells, lam=lam, members=sorted(members),
+                          carriers={}, eta=stored, max_depth=max_depth,
+                          depth_exhausted=depth_exhausted)
+    family.carriers, eta = _packing(members)
     if stored != eta:
         raise ConfigError("stored sparsity constant disagrees with members")
-    return SparseFamily(a=a, b=b, cells=cells, lam=lam, members=sorted(members),
-                        carriers=carriers, eta=eta, max_depth=max_depth,
-                        depth_exhausted=depth_exhausted)
+    return family

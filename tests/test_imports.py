@@ -8,8 +8,9 @@ evaluation path, the radial-quadratic phase reads as radial-power at
 gamma = 2, the catalog's rules live in `Phase` and `Domain` alone (each
 phase factory only returns a `Phase`, and the config reader compares no
 phase kind), `kernels` takes running maxima along one axis only, the
-coarea route calls a weight in one helper, and each class-typed parameter of
-an export is checked by `errors.typed` alone."""
+coarea route calls a weight in one helper, each class-typed parameter of
+an export or of an exported class's method is checked by `errors.typed`
+alone, and `np.fft` is called in `kernels._toeplitz_apply` alone."""
 
 import ast
 import inspect
@@ -245,6 +246,46 @@ def test_row_norms_live_in_two_helpers():
              for call in row_norm_calls(path.stem, ast.parse(path.read_text()))]
     owners = [call.split(":")[0] for call in calls]
     assert owners == ["geometry._sq_norms", "geometry._norms"], f"row norms at: {calls}"
+
+
+def fft_calls(module, tree):
+    """`module.function:line` of each call of a function of an `fft` module
+    (`np.fft.rfft`, `numpy.fft.irfft`, `fft.rfft`, ...) in `tree`; the
+    function is the innermost one around the call."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "fft" in ast.unparse(child.func).split(".")[:-1]:
+                yield f"{module}.{owner}:{child.lineno}"
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child.name if inner else owner)
+
+    return list(visit(tree, "<module>"))
+
+
+def test_fft_lives_in_toeplitz_apply():
+    # every on-grid truncation is one stencil convolution, taken in column
+    # groups through reused buffers with the bits of scipy.fft; a transform
+    # taken elsewhere is a second path with its own memory and bits
+    calls = [call for path in sorted(PACKAGE.glob("*.py"))
+             for call in fft_calls(path.stem, ast.parse(path.read_text()))]
+    owners = {call.split(":")[0] for call in calls}
+    assert owners == {"kernels._toeplitz_apply"}, f"fft calls at: {calls}"
+
+
+def test_fft_lint_flags_each_form():
+    sample = """
+spectrum = np.fft.rfft(x)
+def _toeplitz_apply(stencils, V):
+    full = np.fft.irfft(np.fft.rfft(V), axis=0)
+    def helper(v):
+        return numpy.fft.fft(v)
+    return full
+def other(x):
+    return fft.rfft(x), np.sum(x), sp_fft.rfft(x), rfft(x)
+"""
+    assert fft_calls("kernels", ast.parse(sample)) == [
+        "kernels.<module>:2", "kernels._toeplitz_apply:4", "kernels._toeplitz_apply:4",
+        "kernels.helper:6", "kernels.other:9"]
 
 
 def mask_subscripts(tree, function):
@@ -498,18 +539,26 @@ def _weigh(h, pts):
 
 
 def untyped_exports(tree, exported, classes):
-    """Name of each top-level function of `tree` in `exported` with a parameter
-    annotated as one of `classes` (`X` or `X | None`) and no `@typed`."""
-    def class_typed(func):
+    """Name of each top-level function of `tree` in `exported`, and
+    `Class.method` of each method of a top-level class in `classes`, with a
+    parameter annotated as one of `classes` (`X` or `X | None`) and no
+    `@typed`, or with such an annotation quoted, which `typed` reads with its
+    quotes and so never checks."""
+    def untyped(func):
         args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
-        return any(arg.annotation is not None
-                   and ast.unparse(arg.annotation).removesuffix(" | None") in classes
-                   for arg in args)
+        names = [ast.unparse(arg.annotation).removesuffix(" | None")
+                 for arg in args if arg.annotation is not None]
+        quoted = any(name[0] in "'\"" and name.strip("'\"") in classes for name in names)
+        bare = (any(name in classes for name in names)
+                and "typed" not in [ast.unparse(d) for d in func.decorator_list])
+        return quoted or bare
 
-    return sorted(node.name for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name in exported
-                  and class_typed(node)
-                  and "typed" not in [ast.unparse(d) for d in node.decorator_list])
+    found = [node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in exported and untyped(node)]
+    found += [f"{node.name}.{func.name}" for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name in classes
+              for func in node.body if isinstance(func, ast.FunctionDef) and untyped(func)]
+    return sorted(found)
 
 
 def stray_instance_guards(module, tree):
@@ -536,9 +585,10 @@ def stray_instance_guards(module, tree):
 
 
 def test_class_types_are_checked_by_one_decorator():
-    # `errors.typed` reads the class-typed parameters from each export's
-    # signature; a guard written by hand on an argument drifts from it, and
-    # only a dataclass field or a container's item is out of its reach
+    # `errors.typed` reads the class-typed parameters from the signature of
+    # each export and of each method of an exported class; a guard written by
+    # hand on an argument drifts from it, and only a dataclass field or a
+    # container's item is out of its reach
     import levelform as lf
 
     exported = {name for name, obj in vars(lf).items() if inspect.isfunction(obj)}
@@ -569,8 +619,23 @@ class Form:
         require_instance(self.phase, Phase, "phase")
 def typed(func):
     require_instance(func, Phase, "func")
+class Interval:
+    @typed
+    def kept(self, other: Phase):
+        pass
+    def bare(self, other: Phase, grid: LevelGrid | None = None):
+        pass
+    @typed
+    def quoted(self, other: "Phase"):
+        pass
+    def plain(self, n: int):
+        pass
+class Private:
+    def bare(self, other: Phase):
+        pass
 '''
     tree = ast.parse(sample)
-    assert untyped_exports(tree, {"kept", "bare", "plain"}, {"Phase", "LevelGrid"}) == ["bare"]
+    assert (untyped_exports(tree, {"kept", "bare", "plain"}, {"Phase", "LevelGrid", "Interval"})
+            == ["Interval.bare", "Interval.quoted", "bare"])
     assert stray_instance_guards("m", tree) == ["m.bare:7", "m.plain:11", "m.typed:16"]
     assert stray_instance_guards("errors", tree) == ["errors.bare:7", "errors.plain:11"]

@@ -385,6 +385,21 @@ def test_json_load_rejects_malformed_family(data):
         lf.family_from_json_dict(data)
 
 
+@pytest.mark.parametrize("member, cells, max_depth, text", [
+    (DyadicInterval(2 ** 64, 0), 8, 3, "lies outside 8 cells to depth 3"),
+    (DyadicInterval(4, 0), 64, 3, "lies outside 64 cells to depth 3"),
+    (DyadicInterval(4, 0), 8, 6, "lies outside 8 cells to depth 6"),
+    ((1, 0), 8, 3, "sparse family member must be a DyadicInterval"),
+], ids=["generation-2^64", "deeper-than-max-depth", "deeper-than-cells", "not-an-interval"])
+def test_family_frame_is_checked_when_built(member, cells, max_depth, text):
+    # the member at generation 2^64 was taken, and verify_sparsity then ran
+    # out of memory building 2^(2^64)
+    with pytest.raises(lf.ConfigError, match=text):
+        lf.SparseFamily(a=-1.0, b=1.0, cells=cells, lam=4.0,
+                        members=[DyadicInterval(0, 0), member], carriers={},
+                        eta=Fraction(1), max_depth=max_depth)
+
+
 def test_verify_rejects_empty_family():
     fam = build_reference_family()
     empty = lf.SparseFamily(a=fam.a, b=fam.b, cells=fam.cells, lam=fam.lam,

@@ -1,12 +1,14 @@
 """Every class-typed input refuses an object of another type.
 
-One row per exported function with a parameter annotated as a class the
-package exports (`X`, or `X | None`): a small valid call. Into each such
-parameter `5` is put in turn, by keyword and by position, and the call must
-raise ConfigError with the text "<parameter> must be a <class>, got 5". A
-`| None` parameter is given None too, which must not be refused for its
-type. The targets come from the signatures, so a new class-typed parameter
-without a row fails `test_every_class_parameter_has_a_row`.
+One row per exported function, and per public method of an exported class,
+with a parameter annotated as a class the package exports (`X`, or
+`X | None`): a small valid call, a method's with its instance as `self`.
+Into each such parameter `5` is put in turn, by keyword and by position,
+and the call must raise ConfigError with the text "<parameter> must be a
+<class>, got 5". A `| None` parameter is given None too, which must not be
+refused for its type. The targets come from the signatures, so a new
+class-typed parameter without a row fails
+`test_every_class_parameter_has_a_row`.
 """
 
 import inspect
@@ -59,6 +61,7 @@ ROWS = {
     "design_reparametrization": dict(profile=lf.GammaProfile(identity, 0.5, 10.0), m=unit,
                                      h0=1.0, s_range=(0.0, 1.0), step=0.1),
     "domination_ratio": dict(lhs_value=0.5, family=FAMILY, F=F8, G=G8),
+    "DyadicInterval.contains": dict(self=lf.DyadicInterval(0, 0), other=lf.DyadicInterval(1, 1)),
     "estimate_beta": dict(estimate=lf.density_on_grid(
         lf.radial_power_phase(BALL2, 4.0), lf.LevelGrid(1e-3, 1e-1, 16), lf.CLOSED_FORM)),
     "eval_phase": dict(phase=LINEAR, x=np.zeros(2)),
@@ -81,6 +84,7 @@ ROWS = {
     "sample_domain": dict(domain=BALL2, count=4, seed=0),
     "smooth_truncation": dict(kernel=KERNEL, cutoff=CUTOFF, F=F64, eps=0.1),
     "smoothed_dini_constant": dict(kernel=KERNEL, cutoff=CUTOFF, eps_values=[0.1]),
+    "SparseFamily.member_average": dict(self=FAMILY, F=F8, I=lf.DyadicInterval(1, 0)),
     "sparse_form": dict(family=FAMILY, F=F8, G=G8),
     "truncation_batch": dict(kernel=KERNEL, functions=[F64], eps=0.1, jobs=[(lf.HARD, None)]),
     "uniform_bound_check": dict(phase_in=LINEAR, phase_out=QUADRATIC, kernel=KERNEL,
@@ -111,13 +115,27 @@ def class_parameters(obj):
     return out
 
 
-def exported_functions():
-    return [(name, obj) for name, obj in sorted(vars(lf).items())
-            if inspect.isfunction(obj) and obj.__module__.startswith("levelform.")]
+def exported_callables():
+    """(name, function) of each exported function and, as `Class.method`, of
+    each public method written in an exported class."""
+    found = []
+    for name, obj in sorted(vars(lf).items()):
+        if inspect.isfunction(obj) and obj.__module__.startswith("levelform."):
+            found.append((name, obj))
+        elif isinstance(obj, type) and obj.__module__.startswith("levelform."):
+            found += [(f"{name}.{method}", func) for method, func in vars(obj).items()
+                      if inspect.isfunction(func) and not method.startswith("_")]
+    return found
+
+
+def target(name):
+    """The function a row names; a method as its class holds it, `self` a parameter."""
+    owner, _, method = name.rpartition(".")
+    return getattr(getattr(lf, owner), method) if owner else getattr(lf, name)
 
 
 def test_every_class_parameter_has_a_row():
-    targets = {name: {p for p, _, _ in class_parameters(obj)} for name, obj in exported_functions()}
+    targets = {name: {p for p, _, _ in class_parameters(obj)} for name, obj in exported_callables()}
     targets = {name: params for name, params in targets.items() if params}
     assert sorted(ROWS) == sorted(targets)
     missing = {name: params - set(ROWS[name]) for name, params in targets.items()
@@ -127,7 +145,7 @@ def test_every_class_parameter_has_a_row():
 
 @pytest.mark.parametrize("name", ROWS)
 def test_base_call_is_valid(name):
-    getattr(lf, name)(**ROWS[name])
+    target(name)(**ROWS[name])
 
 
 def positional(obj, call):
@@ -138,14 +156,14 @@ def positional(obj, call):
 
 def cases():
     for name in ROWS:
-        for param, kind, _ in class_parameters(getattr(lf, name)):
+        for param, kind, _ in class_parameters(target(name)):
             for form in ("keyword", "positional"):
                 yield pytest.param(name, param, kind, form, id=f"{name}-{param}-{form}")
 
 
 @pytest.mark.parametrize("name, param, kind, form", cases())
 def test_wrong_type_is_refused(name, param, kind, form):
-    obj = getattr(lf, name)
+    obj = target(name)
     call = {**ROWS[name], param: 5}
     args, kwargs = positional(obj, call) if form == "positional" else ((), call)
     with pytest.raises(lf.ConfigError) as info:
@@ -155,7 +173,7 @@ def test_wrong_type_is_refused(name, param, kind, form):
 
 def optional_cases():
     for name in ROWS:
-        for param, _, optional in class_parameters(getattr(lf, name)):
+        for param, _, optional in class_parameters(target(name)):
             if optional:
                 yield pytest.param(name, param, id=f"{name}-{param}")
 
@@ -168,6 +186,6 @@ def test_optional_slots_are_found():
 def test_none_is_not_refused_for_its_type(name, param):
     # the monte_carlo route refuses a missing grid by its own rule
     try:
-        getattr(lf, name)(**{**ROWS[name], param: None})
+        target(name)(**{**ROWS[name], param: None})
     except lf.ConfigError as exc:
         assert "must be a" not in str(exc)
