@@ -323,6 +323,8 @@ def main(argv=None) -> int:
                               args.seed)
     except OSError as exc:  # --json, --csv, --config or LEVELFORM_OUT
         raise ConfigError(f"cannot use file: {exc}") from exc
+    except MemoryError as exc:  # a count too large for the address space
+        raise ConfigError(f"cannot allocate: {exc}") from exc
     print(line)
     if args.command == "density" and not (args.json or args.csv):
         json.dump(report, sys.stdout, indent=1)

@@ -171,9 +171,12 @@ def _class_parameters(func) -> list[tuple[float, str, type, bool]]:
 
 
 def require_interval(lo, hi, name: str) -> tuple[float, float]:
-    """Refuse anything but finite reals lo < hi; return them as floats."""
+    """Refuse anything but finite reals lo < hi a finite length apart; return
+    them as floats."""
     lo = require_real(lo, f"{name} start")
-    return lo, require_real(hi, f"{name} end", above=lo)
+    hi = require_real(hi, f"{name} end", above=lo)
+    require_real(hi - lo, f"{name} length")
+    return lo, hi
 
 
 def _holds_bool(values) -> bool:

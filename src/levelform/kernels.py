@@ -45,7 +45,8 @@ RESIDUAL = "residual"
 class Kernel1D:
     """Off-diagonal convolution kernel k(s, t) = k(s - t) with size and smoothness data.
 
-    The truncation quadrature evaluates it as evaluate(s - t, 0.0).
+    The truncation quadrature evaluates it as evaluate(u, 0.0) on a 1-d
+    array u of offsets s - t, and takes one finite real value per offset.
     """
 
     evaluate: Callable
@@ -207,14 +208,12 @@ def _cell_weights(kernel: Kernel1D, u: np.ndarray, h: float, eps: float,
     """
     dist = np.abs(u)
     clear = dist > h / 2
-    # keep kernel evaluations off the diagonal where every weight vanishes
-    K = np.where(clear, kernel.evaluate(np.where(clear, u, 3.0 * eps), 0.0), 0.0)
-    # the split halves and the real FFT of the stencils would drop an imaginary part
-    if K.dtype.kind == "c":
-        raise ConfigError(f"truncation kernel must be real-valued, got {K.dtype} values")
-    # a product with the boolean hard factor keeps K's dtype; one with a float
-    # factor would make it at least float64
-    K = K.astype(np.result_type(K, float), copy=False)
+    # keep kernel evaluations off the diagonal where every weight vanishes; one
+    # value per offset: off-grid offsets are 2-d, and a kernel that gave one
+    # number would broadcast over them
+    away = np.where(clear, u, 3.0 * eps).reshape(-1)
+    K = require_reals(kernel.evaluate(away, 0.0), "kernel values", away.size)
+    K = np.where(clear, K.reshape(u.shape), 0.0)
     near = _near_radius(dist, h, eps)
     un = u.reshape(-1).take(near)
     # a cell can only hold the radius nearest its centre: radii sit >= 2h apart
@@ -227,7 +226,7 @@ def _cell_weights(kernel: Kernel1D, u: np.ndarray, h: float, eps: float,
     for seg_lo, seg_hi in ((lo, cut), (cut, hi)):
         mid = 0.5 * (seg_lo + seg_hi)
         halves.append((seg_hi - seg_lo, np.abs(mid),
-                       np.asarray(kernel.evaluate(mid, 0.0), dtype=float)))
+                       require_reals(kernel.evaluate(mid, 0.0), "kernel values", len(mid))))
 
     weights = []
     for mode, cutoff in jobs:

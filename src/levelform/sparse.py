@@ -61,6 +61,8 @@ class SparseFamily:
     depth_exhausted: bool = False
 
     def __post_init__(self):
+        self.a, self.b = require_interval(self.a, self.b, "sparse family root")
+        self.lam = require_real(self.lam, "stopping factor", above=2)
         require_whole(self.cells, "sparse family cells")
         require_whole(self.max_depth, "sparse family max_depth", minimum=0)
         for I in self.members:
@@ -252,13 +254,11 @@ def family_from_json_dict(data: dict) -> SparseFamily:
         depth_exhausted = data["depth_exhausted"]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed sparse family: {exc!r}") from exc
-    # each field as its JSON type, never coerced; the guards below refuse a
-    # true or false in a numeric field
+    # each field as its JSON type, never coerced; the family's own guards
+    # refuse a true or false in a numeric field
     if not isinstance(depth_exhausted, bool):
         raise ConfigError("sparse family depth_exhausted has the wrong JSON type, "
                           f"got {depth_exhausted!r}")
-    a, b = require_interval(a, b, "sparse family root")
-    lam = require_real(lam, "stopping factor", above=2)
     members = []
     for address in addresses:
         if [type(x) for x in address] != [int, int]:

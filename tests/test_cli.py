@@ -411,6 +411,10 @@ def test_module_entry_exit_code_on_negative_seed(argv, monkeypatch, capsys):
     (["reduce", "--eps", "100"], "both sides vanish"),
     (["sparse", "--depth", str(2 ** 64)], "do not refine to depth"),
     (["sparse", "--eps-max", "1075"], "dyadic exponent must be <= 1074"),
+    (["density", "--method=monte_carlo", "--t-lo=-1e308", "--t-hi=1e308", "--samples=1000"],
+     "level grid length must be a finite real number, got inf"),
+    # 711 PiB exceeds any user address space, so nothing is allocated
+    (["density", "--bins", str(10 ** 17)], "cannot allocate: Unable to allocate 711. PiB"),
 ])
 def test_module_entry_exit_code_on_non_finite_or_empty_input(argv, message, tmp_path,
                                                              monkeypatch, capsys):

@@ -2,15 +2,16 @@
 module relies on an `assert`, scipy is imported in one function only,
 importing the package starts no thread, real numbers and finite arrays are
 each checked by one guard, the values a caller's function returns pass one
-guard, row norms are taken by one pair of helpers, `lhs_direct` gathers
-by index, not through a boolean mask, the PCHIP interpolant has one
-evaluation path, the radial-quadratic phase reads as radial-power at
-gamma = 2, the catalog's rules live in `Phase` and `Domain` alone (each
-phase factory only returns a `Phase`, and the config reader compares no
-phase kind), `kernels` takes running maxima along one axis only, the
-coarea route calls a weight in one helper, each class-typed parameter of
-an export or of an exported class's method is checked by `errors.typed`
-alone, and `np.fft` is called in `kernels._toeplitz_apply` alone."""
+guard (every kernel call with a count), row norms are taken by one pair of
+helpers, `lhs_direct` gathers by index, not through a boolean mask, the
+PCHIP interpolant has one evaluation path, the radial-quadratic phase
+reads as radial-power at gamma = 2, the catalog's rules live in `Phase`
+and `Domain` alone (each phase factory only returns a `Phase`, and the
+config reader compares no phase kind), `kernels` takes running maxima
+along one axis only, the coarea route calls a weight in one helper, each
+class-typed parameter of an export or of an exported class's method is
+checked by `errors.typed` alone, and `np.fft` is called in
+`kernels._toeplitz_apply` alone."""
 
 import ast
 import inspect
@@ -182,16 +183,11 @@ def unguarded_values(module, tree):
     return list(visit(tree, "<module>"))
 
 
-# `_cell_weights` refuses a complex kernel with its own text, on every truncation
-UNGUARDED_ALLOWED = {"kernels._cell_weights"}
-
-
 def test_returned_values_pass_one_guard():
     # `errors.require_reals` checks what a caller's function returns: a cast to
     # float before it would drop an imaginary part, and a second guard drifts
-    found = [site for module in ("pushforward", "reduction", "geometry", "kernels")
-             for site in unguarded_values(module, ast.parse((PACKAGE / f"{module}.py").read_text()))
-             if site.split(":")[0] not in UNGUARDED_ALLOWED]
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in unguarded_values(path.stem, ast.parse(path.read_text()))]
     assert not found, f"values that skip errors.require_reals: {found}"
 
 
@@ -215,6 +211,42 @@ def check(kernel, m, s, t):
     return np.asarray(np.abs(s)), float(np.max(base)), float(ms), np.asarray(t)
 """
     assert unguarded_values("m", ast.parse(source)) == ["m.check:3", "m.check:4"]
+
+
+def unguarded_kernel_calls(module, tree):
+    """`module:line` of each `.evaluate(...)` call in `tree` that is not the
+    first argument of a `require_reals` call given a count."""
+    guarded = {id(node.args[0]) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "require_reals"
+               and node.args and (len(node.args) > 2 or any(k.arg == "count" for k in node.keywords))}
+    return [f"{module}:{line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "evaluate" and id(node) not in guarded)]
+
+
+def test_kernel_values_pass_one_guard():
+    # a kernel is evaluated at one offset per point: `require_reals` with the
+    # count refuses NaN, a complex or boolean dtype, and a scalar or column
+    # that numpy would broadcast over the offsets
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in unguarded_kernel_calls(path.stem, ast.parse(path.read_text()))]
+    assert not found, f"kernel values that skip require_reals with a count: {found}"
+
+
+def test_kernel_lint_flags_each_form():
+    sample = """
+K = require_reals(kernel.evaluate(u, 0.0), "kernel values", len(u))
+W = require_reals(kernel.evaluate(u, 0.0), "kernel values", count=len(u))
+def weights(kernel, u):
+    bare = kernel.evaluate(u, 0.0)
+    cast = np.asarray(form.kernel.evaluate(u, 0.0), dtype=float)
+    loose = require_reals(kernel.evaluate(u, 0.0), "kernel values")
+    inner = require_reals(np.abs(kernel.evaluate(u, 0.0)), "kernel values", len(u))
+    return require_reals(u, "offsets", len(u)) * k.evaluate(u, 0.0)
+"""
+    assert unguarded_kernel_calls("kernels", ast.parse(sample)) == [
+        "kernels:5", "kernels:6", "kernels:7", "kernels:8", "kernels:9"]
 
 
 def row_norm_calls(module, tree):

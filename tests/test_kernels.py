@@ -278,7 +278,7 @@ def test_truncation_refuses_a_complex_valued_kernel(call):
     # the straddling halves and the real FFT of the stencils would each drop
     # the imaginary part; eps = 3.2 h puts cells across both radii
     kernel = lf.Kernel1D(evaluate=complex_hilbert)
-    with pytest.raises(lf.ConfigError, match="truncation kernel must be real-valued, got complex128"):
+    with pytest.raises(lf.ConfigError, match="kernel values must be real, got complex128"):
         call(kernel, noise_function(64, seed=3))
 
 
@@ -286,7 +286,37 @@ def test_truncation_refuses_a_complex_valued_kernel(call):
 def test_truncation_refuses_a_complex_dtype_with_no_imaginary_part(call):
     # the refusal reads the kernel's dtype, not its values
     kernel = lf.Kernel1D(evaluate=lambda s, t: lf.hilbert_kernel().evaluate(s, t).astype(complex))
-    with pytest.raises(lf.ConfigError, match="real-valued"):
+    with pytest.raises(lf.ConfigError, match="kernel values must be real"):
+        call(kernel, noise_function(64, seed=3))
+
+
+def nan_past(reach):
+    """The Hilbert kernel, NaN where |s - t| > reach."""
+    def evaluate(s, t):
+        u = np.asarray(s, dtype=float) - t
+        return np.where(np.abs(u) > reach, np.nan, lf.hilbert_kernel().evaluate(s, t))
+    return lf.Kernel1D(evaluate=evaluate)
+
+
+BAD_KERNELS = {
+    # a NaN gave every output NaN off the grid, and on the grid a refusal that
+    # named the grid function
+    "nan": (nan_past(0.3), "kernel values must be finite, got nan"),
+    # a scalar or a column broadcast over the offsets, or raised a bare ValueError
+    "scalar": (lf.Kernel1D(evaluate=lambda s, t: 0.5),
+               r"kernel values must give one value per point, got shape \(\) for"),
+    "boolean": (lf.Kernel1D(evaluate=lambda s, t: np.asarray(s) > t),
+                "kernel values must be numbers, not booleans"),
+    "column": (lf.Kernel1D(evaluate=lambda s, t: lf.hilbert_kernel().evaluate(s, t)[:, None]),
+               r"kernel values must give one value per point, got shape \(\d+, 1\) for"),
+}
+
+
+@pytest.mark.parametrize("call", TRUNCATE_COMPLEX.values(), ids=TRUNCATE_COMPLEX.keys())
+@pytest.mark.parametrize("kernel, text", BAD_KERNELS.values(), ids=BAD_KERNELS.keys())
+def test_truncation_refuses_kernel_values_that_are_not_one_finite_real_per_offset(
+        kernel, text, call):
+    with pytest.raises(lf.ConfigError, match=text):
         call(kernel, noise_function(64, seed=3))
 
 

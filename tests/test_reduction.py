@@ -556,6 +556,12 @@ MISUSE = {
         lf.smoothstep_cutoff(), [0.1]),
     "smoothed_dini_constant cutoff of one value": lambda: lf.smoothed_dini_constant(
         lf.hilbert_kernel(), ONE_VALUE_CUTOFF, [0.1]),
+    # finite ends whose difference overflows to inf
+    "LevelGrid of length inf": lambda: lf.LevelGrid(-1e308, 1e308, 4),
+    "GridFunction1D of length inf": lambda: lf.GridFunction1D(-1e308, 1e308, np.ones(8)),
+    "bump_mixture of length inf": lambda: lf.bump_mixture(-1e308, 1e308, 8, 0),
+    "design_reparametrization s_range of length inf": lambda: lf.design_reparametrization(
+        lf.GammaProfile(lambda t: t, 0.5, 10.0), lambda s: 1.0, 1.0, (-1e308, 1e308)),
 }
 
 
@@ -839,6 +845,18 @@ def test_uniform_bound_check_reports_finite_ratios():
     assert all(np.isfinite(rep.ratios))
     assert rep.max_ratio == max(rep.ratios)
     assert len(rep.pairings) == len(rep.eps_values) == 4
+
+
+def test_uniform_bound_check_refuses_a_kernel_that_gives_nan():
+    # the pairings and the maximal ratio read NaN
+    def nan_past_0_3(s, t):
+        u = np.asarray(s, dtype=float) - t
+        return np.where(np.abs(u) > 0.3, np.nan, lf.hilbert_kernel().evaluate(s, t))
+
+    with pytest.raises(lf.ConfigError, match="kernel values must be finite, got nan"):
+        lf.uniform_bound_check(lf.linear_phase(BALL2), lf.linear_phase(BALL2),
+                               lf.Kernel1D(evaluate=nan_past_0_3), ONES, ONES, 2.0, [0.25],
+                               bins=32, fiber_nodes=64, subdivide=1)
 
 
 def test_uniform_r_guard():

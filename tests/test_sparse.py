@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -385,19 +386,37 @@ def test_json_load_rejects_malformed_family(data):
         lf.family_from_json_dict(data)
 
 
-@pytest.mark.parametrize("member, cells, max_depth, text", [
-    (DyadicInterval(2 ** 64, 0), 8, 3, "lies outside 8 cells to depth 3"),
-    (DyadicInterval(4, 0), 64, 3, "lies outside 64 cells to depth 3"),
-    (DyadicInterval(4, 0), 8, 6, "lies outside 8 cells to depth 6"),
-    ((1, 0), 8, 3, "sparse family member must be a DyadicInterval"),
-], ids=["generation-2^64", "deeper-than-max-depth", "deeper-than-cells", "not-an-interval"])
-def test_family_frame_is_checked_when_built(member, cells, max_depth, text):
+@pytest.mark.parametrize("fields, text", [
+    (dict(member=DyadicInterval(2 ** 64, 0)), "lies outside 8 cells to depth 3"),
+    (dict(member=DyadicInterval(4, 0), cells=64), "lies outside 64 cells to depth 3"),
+    (dict(member=DyadicInterval(4, 0), max_depth=6), "lies outside 8 cells to depth 6"),
+    (dict(member=(1, 0)), "sparse family member must be a DyadicInterval"),
+    (dict(a=math.nan), "sparse family root start must be a finite real number, got nan"),
+    (dict(a=2.0), "sparse family root end must be a finite real number > 2.0, got 1.0"),
+    (dict(a=-1e308, b=1e308), "sparse family root length must be a finite real number, got inf"),
+    (dict(lam=math.nan), "stopping factor must be a finite real number > 2, got nan"),
+    (dict(lam=1.0), "stopping factor must be a finite real number > 2, got 1.0"),
+    (dict(lam=True), "stopping factor must be a finite real number > 2, got True"),
+], ids=["generation-2^64", "deeper-than-max-depth", "deeper-than-cells", "not-an-interval",
+        "nan-root", "reversed-root", "infinite-root-length", "nan-lam", "lam-under-2",
+        "bool-lam"])
+def test_family_frame_is_checked_when_built(fields, text):
     # the member at generation 2^64 was taken, and verify_sparsity then ran
-    # out of memory building 2^(2^64)
-    with pytest.raises(lf.ConfigError, match=text):
-        lf.SparseFamily(a=-1.0, b=1.0, cells=cells, lam=4.0,
-                        members=[DyadicInterval(0, 0), member], carriers={},
-                        eta=Fraction(1), max_depth=max_depth)
+    # out of memory building 2^(2^64); a bad root or stopping factor was taken
+    # and written to JSON that the loader then refused
+    frame = dict(a=-1.0, b=1.0, cells=8, lam=4.0, max_depth=3, member=DyadicInterval(1, 1))
+    frame.update(fields)
+    member = frame.pop("member")
+    with pytest.raises(lf.ConfigError, match=re.escape(text)):
+        lf.SparseFamily(**frame, members=[DyadicInterval(0, 0), member], carriers={},
+                        eta=Fraction(1))
+
+
+def test_family_stores_its_root_and_stopping_factor_as_floats():
+    family = lf.SparseFamily(a=np.float32(-1), b=1, cells=8, lam=4, members=[], carriers={},
+                             eta=Fraction(1), max_depth=3)
+    assert [(type(x), x) for x in (family.a, family.b, family.lam)] == [
+        (float, -1.0), (float, 1.0), (float, 4.0)]
 
 
 def test_verify_rejects_empty_family():
